@@ -429,9 +429,9 @@ let makespan_crossover () =
     "semi-join (ms)" "regular (ms)" "winner";
   List.iter
     (fun (latency, bandwidth, label) ->
-      let model = Distsim.Timing.uniform ~latency ~bandwidth () in
+      let model = Distsim.Des.uniform ~latency ~bandwidth () in
       let m a o =
-        (Distsim.Timing.makespan model plan a o).Distsim.Timing.makespan
+        (Distsim.Des.makespan model plan a o).Distsim.Des.makespan
       in
       let sm = m semi semi_o and rm = m regular regular_o in
       Fmt.pr "%-14.1f %-14s %-16.3f %-16.3f %-8s@." (latency *. 1000.0) label
@@ -459,7 +459,7 @@ let coordinator_demo () =
     Planner.Third_party.plan ~helpers:[ R.s_t ] R.catalog R.policy plan
   with
   | Error _ -> Fmt.pr "matcher cannot rescue (unexpected)@."
-  | Ok { assignment; rescues } ->
+  | Ok { assignment; rescues; _ } ->
     Fmt.pr "%a@."
       Fmt.(list ~sep:(any "@
 ") Planner.Third_party.pp_rescue)
@@ -537,7 +537,7 @@ let concurrent_workload () =
     | Ok o -> o
     | Error e -> Fmt.failwith "%a" Distsim.Engine.pp_error e
   in
-  let model = Distsim.Timing.uniform () in
+  let model = Distsim.Des.uniform () in
   let solo =
     (Distsim.Des.simulate
        (Distsim.Des.tasks_of_execution model plan assignment outcome))

@@ -553,7 +553,7 @@ let run_cmd =
       report_audit fed r.Distsim.Recover.log;
       if makespan then
         Fmt.pr "@.Makespan (1 ms latency, 10 MB/s, retries priced):@.%.6f s@."
-          (Distsim.Recover.makespan (Distsim.Timing.uniform ()) fault plan r);
+          (Distsim.Recover.makespan (Distsim.Des.uniform ()) fault plan r);
       if certify then
         (* Certify the assignment that actually answered, third-party
            iff a helper had to step in during recovery. *)
@@ -608,11 +608,11 @@ let run_cmd =
          report_audit fed network;
          if makespan then begin
            let schedule =
-             Distsim.Timing.makespan (Distsim.Timing.uniform ()) plan
+             Distsim.Des.makespan (Distsim.Des.uniform ()) plan
                assignment outcome
            in
            Fmt.pr "@.Makespan (1 ms latency, 10 MB/s):@.%a@."
-             Distsim.Timing.pp_schedule schedule
+             Distsim.Des.pp_schedule schedule
          end;
          if certify then
            do_certify fed handle ~third_party plan assignment cert_out)

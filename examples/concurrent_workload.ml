@@ -30,7 +30,7 @@ let () =
     | Ok o -> o
     | Error e -> Fmt.failwith "%a" Distsim.Engine.pp_error e
   in
-  let model = Distsim.Timing.uniform () in
+  let model = Distsim.Des.uniform () in
 
   Fmt.pr "=== One query: full schedule ===@.";
   let solo =

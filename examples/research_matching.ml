@@ -45,7 +45,7 @@ let () =
      Planner.Third_party.plan ~helpers:[ R.s_t ] R.catalog R.policy plan
    with
    | Error _ -> assert false
-   | Ok { assignment; rescues } ->
+   | Ok { assignment; rescues; _ } ->
      Fmt.pr "%a@.assignment:@.%a@."
        Fmt.(list ~sep:(any "@\n") Planner.Third_party.pp_rescue)
        rescues Planner.Assignment.pp assignment;
@@ -59,11 +59,11 @@ let () =
        Fmt.pr "@.audit: %b — note the matcher never sees more than bare ids@."
          (Distsim.Audit.is_clean R.policy network);
        let schedule =
-         Distsim.Timing.makespan (Distsim.Timing.uniform ()) plan assignment
+         Distsim.Des.makespan (Distsim.Des.uniform ()) plan assignment
            outcome
        in
        Fmt.pr "@.estimated makespan (1 ms links, 10 MB/s):@.%a@."
-         Distsim.Timing.pp_schedule schedule);
+         Distsim.Des.pp_schedule schedule);
 
   banner "Markers query: an ordinary semi-join, no third party";
   let plan = R.markers_plan () in

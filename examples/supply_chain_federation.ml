@@ -53,7 +53,7 @@ let () =
      Planner.Third_party.plan ~helpers:[ SC.s_b ] SC.catalog SC.policy pricing
    with
    | Error _ -> assert false
-   | Ok { assignment; rescues } ->
+   | Ok { assignment; rescues; _ } ->
      Fmt.pr "%a@."
        Fmt.(list ~sep:(any "@\n") Planner.Third_party.pp_rescue)
        rescues;

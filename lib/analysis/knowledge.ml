@@ -478,17 +478,33 @@ let feed c ~receiver ~(source : source) profile =
       st
   in
   let info = intern profile in
-  if not (Hashtbl.mem st.entries info.pid) then begin
+  let delivery = { profile; sources = [ source ]; via = [] } in
+  match Hashtbl.find_opt st.entries info.pid with
+  | None ->
     (* A delivery is accumulation, not derivation: it enters the base
        unconditionally (budget- and subsumption-exempt, like every
        seed of the batch engine); only the joins it unlocks are
        budgeted. *)
     insert st
       { info; srcs = Int_set.singleton source.seq; vias = Int_set.empty };
-    Hashtbl.replace st.origins info.pid
-      { profile; sources = [ source ]; via = [] };
+    Hashtbl.replace st.origins info.pid delivery;
     drain ~budget:c.c_budget c.c_jinfos st
-  end
+  | Some e when not (Int_set.is_empty e.vias) ->
+    (* The receiver had derived this profile. Batch saturation seeds
+       every delivery, so the receiver's base is re-seeded from its
+       stored relations and deliveries, this one included, and
+       re-saturated: the join witness goes, with the CISQP030 the batch
+       engine would not report, and whatever the derived entry pruned
+       comes back. *)
+    Hashtbl.replace st.origins info.pid delivery;
+    let seeds =
+      Hashtbl.fold (fun _ it acc -> PMap.add it.profile it acc) st.origins
+        PMap.empty
+    in
+    let st = seed_state ~sides:c.c_sides c.c_sources seeds in
+    drain ~budget:c.c_budget c.c_jinfos st;
+    Hashtbl.replace c.c_states receiver st
+  | Some _ -> ()
 
 let snapshot c =
   let knowledge =

@@ -147,10 +147,12 @@ val cursor : ?budget:int -> joins:Joinpath.Cond.t list -> t -> cursor
 
 (** [feed c ~receiver ~source profile] folds one delivery in and
     re-saturates the receiver's base from the new entry's frontier. A
-    profile the receiver already holds keeps its existing (first,
-    breadth-first-minimal) witness. Deliveries are accumulation, not
-    derivation: like batch seeds they are budget- and
-    subsumption-exempt. *)
+    profile the receiver already stores or was already delivered keeps
+    its first witness. One the receiver had only derived becomes a
+    delivery, as in batch seeding: the receiver's base is re-seeded
+    from its stored relations and deliveries and re-saturated.
+    Deliveries are accumulation, not derivation: like batch seeds they
+    are budget- and subsumption-exempt. *)
 val feed : cursor -> receiver:Server.t -> source:source -> Profile.t -> unit
 
 (** The current saturated state, materialised. Exhausted servers are

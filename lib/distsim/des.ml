@@ -1,5 +1,27 @@
 open Relalg
 
+type link = {
+  latency : float;
+  bandwidth : float;
+}
+
+type model = {
+  link : Server.t -> Server.t -> link;
+  per_tuple : float;
+}
+
+let uniform ?(latency = 1e-3) ?(bandwidth = 10e6) ?(per_tuple = 1e-6) () =
+  { link = (fun _ _ -> { latency; bandwidth }); per_tuple }
+
+let wire model (m : Network.message) =
+  let l = model.link m.sender m.receiver in
+  l.latency +. (float_of_int (Network.wire_bytes m) /. l.bandwidth)
+
+type schedule = {
+  finish : (int * float) list;
+  makespan : float;
+}
+
 type task = {
   id : string;
   resource : string;
@@ -168,8 +190,11 @@ let simulate tasks =
 
 (* ------------------------------------------------------------------ *)
 
+(* The task completing node [id] of the query under [prefix]. *)
+let done_task ~prefix id = Printf.sprintf "%s/n%d/done" prefix id
+
 let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
-    ?(backoff = fun _ -> 0.0) (model : Timing.model) plan assignment
+    ?(backoff = fun _ -> 0.0) model plan assignment
     (outcome : Engine.outcome) =
   let rows id =
     match List.assoc_opt id outcome.Engine.node_rows with
@@ -185,7 +210,7 @@ let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
     {
       id = tname node kind;
       resource = cpu at;
-      duration = model.Timing.per_tuple *. work;
+      duration = model.per_tuple *. work;
       deps;
       release;
     }
@@ -197,11 +222,6 @@ let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
      time. The delivered attempt keeps the plain name, so dependents
      need not know whether retries happened. *)
   let transfer ~node ~kind ~(msg : Network.message) ~deps =
-    let l = model.Timing.link msg.sender msg.receiver in
-    let wire (a : Network.message) =
-      l.Timing.latency
-      +. (float_of_int (Network.wire_bytes a) /. l.Timing.bandwidth)
-    in
     let chain =
       List.filter
         (fun (a : Network.message) ->
@@ -223,7 +243,8 @@ let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
                     else final);
               resource = link ~src:msg.sender ~dst:msg.receiver;
               duration =
-                (wire a +. if failed then backoff a.Network.attempt else 0.0);
+                (wire model a
+                +. if failed then backoff a.Network.attempt else 0.0);
               deps = (match prev with None -> deps | Some p -> [ p ]);
               release;
             }
@@ -233,8 +254,7 @@ let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
     in
     List.rev rev
   in
-  (* The task completing each node is named "<prefix>/n<id>/done". *)
-  let done_of id = tname id "done" in
+  let done_of = done_task ~prefix in
   let rec go (n : Plan.node) : task list =
     match n.op with
     | Plan.Leaf _ ->
@@ -393,7 +413,7 @@ let tasks_of_execution ?(prefix = "q") ?(release = 0.0)
   go (Plan.root plan)
 
 let query_finish run ~prefix =
-  let root_done = prefix ^ "/n0/done" in
+  let root_done = done_task ~prefix 0 in
   match
     List.find_opt (fun s -> s.task.id = root_done) run.schedule
   with
@@ -414,3 +434,31 @@ let pp_run ppf r =
     r.schedule r.makespan
     Fmt.(list ~sep:(any "@,") pp_util)
     r.utilization
+
+(* The analytic view: the same graph with nothing shared, so every task
+   starts as soon as its dependencies finish. *)
+let makespan ?backoff model plan assignment outcome =
+  let prefix = "q" in
+  let tasks =
+    tasks_of_execution ~prefix ?backoff model plan assignment outcome
+  in
+  let run = simulate (List.map (fun t -> { t with resource = t.id }) tasks) in
+  let finish_of = Hashtbl.create 64 in
+  List.iter
+    (fun s -> Hashtbl.replace finish_of s.task.id s.finish)
+    run.schedule;
+  let finish id = Hashtbl.find finish_of (done_task ~prefix id) in
+  {
+    finish =
+      List.sort compare
+        (List.map
+           (fun (n : Plan.node) -> (n.id, finish n.id))
+           (Plan.nodes plan));
+    makespan = finish (Plan.root plan).id;
+  }
+
+let pp_schedule ppf (s : schedule) =
+  let pp_entry ppf (id, t) = Fmt.pf ppf "n%d: %.6f s" id t in
+  Fmt.pf ppf "@[<v>%a@,makespan: %.6f s@]"
+    Fmt.(list ~sep:(any "@,") pp_entry)
+    s.finish s.makespan

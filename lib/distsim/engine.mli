@@ -25,7 +25,7 @@ type outcome = {
   network : Network.t;  (** everything that crossed a boundary *)
   node_rows : (int * int) list;
       (** cardinality of each node's result, by node id — consumed by
-          {!Timing} *)
+          {!Des} *)
   steps : int;
       (** logical steps this execution consumed (injector steps under
           fault injection; one per compute/send otherwise) — what a

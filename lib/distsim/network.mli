@@ -60,7 +60,7 @@ type message = {
 
 (** Bytes the message occupies on the wire: {!Relation.byte_size} of
     [data] for [Rows], [bits/8] rounded up for [Filter]. All byte
-    accounting ({!total_bytes}, {!traffic_matrix}, {!Timing}) prices
+    accounting ({!total_bytes}, {!traffic_matrix}, {!Des}) prices
     messages through this. *)
 val wire_bytes : message -> int
 
@@ -86,7 +86,7 @@ val send :
   Relation.t
 
 (** Delivered messages belonging to one join node, in send order — the
-    protocol structure, as {!Timing} and {!Des} pattern-match it. *)
+    protocol structure, as {!Des} pattern-matches it. *)
 val at_join : t -> int -> message list
 
 (** Every attempt at one join node, failed ones included — what the

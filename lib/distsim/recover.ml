@@ -136,7 +136,7 @@ let execute ?(helpers = []) ?executor ?bloom ?max_failovers ?close_under
       degraded
         (No_safe_replan
            { dead = !excluded; failed_at = f.Planner.Third_party.failed_at })
-    | Ok { assignment; rescues } ->
+    | Ok { assignment; rescues; _ } ->
       let third_party = rescues <> [] in
       (* Proof-carrying replan: emit a certificate for the assignment
          and have the independent linear checker validate it before a
@@ -249,20 +249,15 @@ let execute ?(helpers = []) ?executor ?bloom ?max_failovers ?close_under
   in
   attempt 1 ~pending:None
 
-let wire_time (model : Timing.model) network =
+let wire_time model network =
   List.fold_left
-    (fun acc (m : Network.message) ->
-      let l = model.Timing.link m.Network.sender m.Network.receiver in
-      acc +. l.Timing.latency
-      +. (float_of_int (Network.wire_bytes m) /. l.Timing.bandwidth))
-    0.0
-    (Network.messages network)
+    (fun acc m -> acc +. Des.wire model m)
+    0.0 (Network.messages network)
 
 let makespan model fplan plan (r : recovered) =
   let backoff = Fault.backoff fplan in
   let final =
-    (Timing.makespan ~backoff model plan r.assignment r.outcome)
-      .Timing.makespan
+    (Des.makespan ~backoff model plan r.assignment r.outcome).Des.makespan
   in
   (* Aborted attempts: their emissions cost wire time even though the
      work was discarded. *)

@@ -87,8 +87,8 @@ type recovered = {
   location : Server.t;
   outcome : Engine.outcome;
       (** the final (successful) attempt — its network holds only that
-          attempt's messages, so {!Timing.makespan} and
-          {!Des.tasks_of_execution} pattern-match it directly *)
+          attempt's messages, so {!Des.tasks_of_execution}
+          pattern-matches it directly *)
   log : Network.t;
       (** cumulative emissions of {e all} attempts, for {!Audit.run} *)
   assignment : Planner.Assignment.t;  (** the assignment that succeeded *)
@@ -173,12 +173,12 @@ val execute :
   outcome
 
 (** Total makespan of a recovered faulty run: the final attempt priced
-    by {!Timing.makespan} with the fault plan's backoff schedule, plus
+    by {!Des.makespan} with the fault plan's backoff schedule, plus
     the wire time of every aborted attempt's emissions (their work was
     spent even though it was thrown away). An upper bound — attempts
     are sequential. *)
 val makespan :
-  Timing.model -> Fault.plan -> Plan.t -> recovered -> float
+  Des.model -> Fault.plan -> Plan.t -> recovered -> float
 
 val pp_failover : failover Fmt.t
 val pp_reason : reason Fmt.t

@@ -6,7 +6,7 @@ type cached = {
   c_assignment : Planner.Assignment.t;
   c_rescues : Planner.Third_party.rescue list;
   c_certificate : Analysis.Certificate.plan_cert option;
-  c_trace : Planner.Safe_planner.trace option;
+  c_trace : Planner.Safe_planner.trace;
   c_rule_ids : int list;
       (* interned ids of every base/derived rule the certificate's
          witnesses depend on — the revocation sensitivity set *)
@@ -442,18 +442,15 @@ let certify_plan t plan assignment rescues =
       | f :: _ ->
         Error (Uncertified (Fmt.str "%a" Analysis.Certificate.pp_failure f)))
 
-(* The planner trace that [explain] serves for a cached plan. The
-   third-party planner reports no trace, so it is re-derived — and kept
-   only when it describes the very assignment the cache will execute,
-   otherwise [explain] falls back to a fresh plan. *)
-let trace_for t plan assignment rescues =
-  let helpers = if rescues = [] then [] else t.helpers in
-  match
-    Planner.Safe_planner.plan ~helpers ?closed:t.chase t.catalog t.policy plan
-  with
-  | Ok { Planner.Safe_planner.assignment = a; trace }
-    when Planner.Assignment.equal a assignment -> Some trace
-  | Ok _ | Error _ -> None
+(* The planning call of a cache miss, shared by [query] and [explain]
+   so that a trace always describes the assignment [query] would run. *)
+let plan_fresh t plan =
+  Planner.Third_party.plan ~excluded:t.quarantine ~helpers:t.helpers
+    ?closed:t.chase t.catalog t.policy plan
+
+let infeasible t plan (f : Planner.Third_party.failure) =
+  let advice = Planner.Advisor.advise t.catalog t.policy plan in
+  Infeasible { failed_at = f.failed_at; advice }
 
 (* Remember a successful parse, bounded at 8 texts per cache slot so a
    stream of unique spellings cannot grow the memo without bound. *)
@@ -473,11 +470,8 @@ let plan_query t ?sql query =
     Ok (c, true)
   | None ->
     let plan = Query.to_plan query in
-    (match
-       Planner.Third_party.plan ~excluded:t.quarantine ~helpers:t.helpers
-         ?closed:t.chase t.catalog t.policy plan
-     with
-     | Ok { assignment; rescues } ->
+    (match plan_fresh t plan with
+     | Ok { assignment; rescues; trace } ->
        (match certify_plan t plan assignment rescues with
         | Error e -> Error e
         | Ok certificate ->
@@ -488,7 +482,7 @@ let plan_query t ?sql query =
               c_assignment = assignment;
               c_rescues = rescues;
               c_certificate = certificate;
-              c_trace = trace_for t plan assignment rescues;
+              c_trace = trace;
               c_rule_ids =
                 (match certificate with
                  | Some cert -> Analysis.Certificate.rule_ids cert
@@ -504,28 +498,17 @@ let plan_query t ?sql query =
           Ok (c, false))
      | Error f ->
        t.infeasible_count <- t.infeasible_count + 1;
-       let advice = Planner.Advisor.advise t.catalog t.policy plan in
-       Error
-         (Infeasible { failed_at = f.Planner.Third_party.failed_at; advice }))
+       Error (infeasible t plan f))
 
 let plan_sql t sql =
   (* Fast path: a text seen before maps straight to its canonical key,
-     skipping the parser; if its entry is gone (evicted, invalidated)
-     we must re-parse to re-plan anyway. *)
-  match Hashtbl.find_opt t.sql_memo sql with
-  | Some key
-    when match Hashtbl.find_opt t.plan_cache key with
-         | Some c -> c.c_epoch >= t.last_revoke_epoch
-         | None -> false -> (
-    match find_valid t key with
-    | Some c ->
-      touch t c;
-      Ok (c, true)
-    | None -> (
-      match parse t sql with
-      | Error e -> Error e
-      | Ok query -> plan_query t ~sql query))
-  | _ -> (
+     skipping the parser; if its entry is gone (evicted, invalidated,
+     stale or quarantined) we must re-parse to re-plan anyway. *)
+  match Option.bind (Hashtbl.find_opt t.sql_memo sql) (find_valid t) with
+  | Some c ->
+    touch t c;
+    Ok (c, true)
+  | None -> (
     match parse t sql with
     | Error e -> Error e
     | Ok query -> plan_query t ~sql query)
@@ -709,27 +692,19 @@ let query ?fault ?deadline ?tenant t sql =
 let explain t sql =
   match parse t sql with
   | Error e -> Error e
-  | Ok query ->
-    let fresh () =
-      let plan = Query.to_plan query in
-      match
-        Planner.Safe_planner.plan ~helpers:t.helpers ?closed:t.chase t.catalog
-          t.policy plan
-      with
-      | Ok { trace; _ } -> Ok trace
-      | Error f ->
-        let advice = Planner.Advisor.advise t.catalog t.policy plan in
-        Error
-          (Infeasible { failed_at = f.Planner.Safe_planner.failed_at; advice })
-    in
+  | Ok query -> (
     (* Serve the explain from the cached, epoch-valid plan when one
-       exists, so the trace always describes the assignment [query]
-       would actually execute. *)
-    (match find_valid t (Query.canonical query) with
-     | Some ({ c_trace = Some trace; _ } as c) ->
-       touch t c;
-       Ok trace
-     | Some _ | None -> fresh ())
+       exists, and otherwise plan as [query] would, so the trace always
+       describes the assignment [query] would actually execute. *)
+    match find_valid t (Query.canonical query) with
+    | Some c ->
+      touch t c;
+      Ok c.c_trace
+    | None -> (
+      let plan = Query.to_plan query in
+      match plan_fresh t plan with
+      | Ok { trace; _ } -> Ok trace
+      | Error f -> Error (infeasible t plan f)))
 
 type cached_plan = {
   key : string;

@@ -173,8 +173,10 @@ val query :
   (response, error) result
 
 (** Planner trace for a query, without executing it. Served from the
-    cached, epoch-valid plan when one exists, so the trace describes
-    the assignment {!query} would actually execute. *)
+    cached, epoch-valid plan when one exists, and otherwise planned with
+    the call {!query} makes on a cache miss (same helpers, around the
+    same quarantine), so the trace describes the assignment {!query}
+    would actually execute. *)
 val explain : t -> string -> (Planner.Safe_planner.trace, error) result
 
 (** {1 The service layer: grant, revoke, epochs} *)

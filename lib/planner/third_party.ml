@@ -13,6 +13,7 @@ type rescue = {
 type result = {
   assignment : Assignment.t;
   rescues : rescue list;
+  trace : Safe_planner.trace;
 }
 
 type failure = {
@@ -42,8 +43,8 @@ let rescues_of plan assignment =
 
 let plan ?excluded ?closed ~helpers catalog policy p =
   match Safe_planner.plan ~helpers ?excluded ?closed catalog policy p with
-  | Ok { assignment; _ } ->
-    Ok { assignment; rescues = rescues_of p assignment }
+  | Ok { assignment; trace } ->
+    Ok { assignment; rescues = rescues_of p assignment; trace }
   | Error (f : Safe_planner.failure) ->
     Error { failed_at = f.failed_at; tried = helpers }
 

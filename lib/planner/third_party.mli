@@ -29,6 +29,7 @@ type rescue = {
 type result = {
   assignment : Assignment.t;
   rescues : rescue list;  (** empty when the greedy planner succeeded *)
+  trace : Safe_planner.trace;  (** the planner's trace of [assignment] *)
 }
 
 type failure = {

@@ -108,14 +108,14 @@ let test_coordinator_timing_three_latencies () =
   in
   let model =
     {
-      Distsim.Timing.link =
-        (fun _ _ -> { Distsim.Timing.latency = 1.0; bandwidth = infinity });
+      Distsim.Des.link =
+        (fun _ _ -> { Distsim.Des.latency = 1.0; bandwidth = infinity });
       per_tuple = 0.0;
     }
   in
-  let schedule = Distsim.Timing.makespan model plan assignment outcome in
+  let schedule = Distsim.Des.makespan model plan assignment outcome in
   Alcotest.check (Alcotest.float 1e-9) "three transfers on the path" 3.0
-    schedule.Distsim.Timing.makespan
+    schedule.Distsim.Des.makespan
 
 let test_markers_query_plain_semijoin () =
   let plan = R.markers_plan () in

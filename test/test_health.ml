@@ -309,13 +309,35 @@ let test_breaker_quarantines_and_reroutes () =
   check Alcotest.int "trip counted" 1 s.F.breaker_opens;
   check Alcotest.int "one quarantined" 1 s.F.quarantined;
   (* The next query — clean, no fault plan at all — must already plan
-     around the quarantine: no failover, not served by the victim. *)
+     around the quarantine: no failover, not served by the victim. An
+     [explain] asked before it (a cache miss: the health gate dropped
+     the victim's plan) and after it (a hit) describes that very plan. *)
+  let masters bindings =
+    List.sort compare
+      (List.map
+         (fun (id, (e : Planner.Assignment.executor)) ->
+           (id, Server.name e.Planner.Assignment.master))
+         bindings)
+  in
+  let explained () =
+    match F.explain fed sql with
+    | Ok trace -> masters trace.Planner.Safe_planner.assign_order
+    | Error e -> Alcotest.failf "explain failed: %a" F.pp_error e
+  in
+  let before = explained () in
   match F.query fed sql with
   | Error e -> Alcotest.failf "quarantine made the query fail: %a" F.pp_error e
   | Ok r ->
     check Alcotest.bool "planned around the quarantine" false
       (Server.equal r.F.location victim);
-    check Alcotest.int "no failover needed" 0 (List.length r.F.failovers)
+    check Alcotest.int "no failover needed" 0 (List.length r.F.failovers);
+    let executed = masters (Planner.Assignment.bindings r.F.assignment) in
+    check
+      Alcotest.(list (pair int string))
+      "explain on a miss = executed assignment" executed before;
+    check
+      Alcotest.(list (pair int string))
+      "explain on a hit = executed assignment" executed (explained ())
 
 let test_breaker_half_open_readmission () =
   let catalog, instances = replicated_fixture () in

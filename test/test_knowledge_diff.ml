@@ -135,27 +135,6 @@ let test_permutation_independence () =
     | _ -> assert false
   done
 
-let test_cursor_vs_batch () =
-  for seed = 1 to 60 do
-    let catalog, joins, policy, messages = random_case seed in
-    let batch = K.saturate ~joins (accumulate catalog messages) in
-    let cursor = K.cursor ~joins (K.of_catalog catalog) in
-    List.iter
-      (fun (receiver, source, profile) ->
-        K.feed cursor ~receiver ~source profile)
-      messages;
-    let incr = K.snapshot cursor in
-    if
-      not
-        (K.covered_by incr.K.knowledge batch.K.knowledge
-        && K.covered_by batch.K.knowledge incr.K.knowledge)
-    then Alcotest.failf "seed %d: cursor and batch bases do not cover" seed;
-    if verdicts policy incr <> verdicts policy batch then
-      Alcotest.failf "seed %d: cursor and batch verdicts disagree" seed;
-    if incr.K.exhausted <> batch.K.exhausted then
-      Alcotest.failf "seed %d: exhaustion reports disagree" seed
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Handcrafted subsumption cases. Two relations joined on X = Y; the
    receiver also gets a projection of A carrying only the join
@@ -184,6 +163,44 @@ let pa_proj =
     pa
 
 let msg i = { K.seq = i; sender = other; note = Printf.sprintf "m%d" i }
+
+let cursor_agrees ~what catalog joins policy messages =
+  let batch = K.saturate ~joins (accumulate catalog messages) in
+  let cursor = K.cursor ~joins (K.of_catalog catalog) in
+  List.iter
+    (fun (receiver, source, profile) -> K.feed cursor ~receiver ~source profile)
+    messages;
+  let incr = K.snapshot cursor in
+  if
+    not
+      (K.covered_by incr.K.knowledge batch.K.knowledge
+      && K.covered_by batch.K.knowledge incr.K.knowledge)
+  then Alcotest.failf "%s: cursor and batch bases do not cover" what;
+  if verdicts policy incr <> verdicts policy batch then
+    Alcotest.failf "%s: cursor and batch verdicts disagree" what;
+  if incr.K.exhausted <> batch.K.exhausted then
+    Alcotest.failf "%s: exhaustion reports disagree" what
+
+let test_cursor_vs_batch () =
+  for seed = 1 to 60 do
+    let catalog, joins, policy, messages = random_case seed in
+    cursor_agrees ~what:(Printf.sprintf "seed %d" seed) catalog joins policy
+      messages
+  done;
+  (* One server, the empty policy, the join delivered after the cursor
+     derived it. Batch seeding holds it as a delivery, which no CISQP030
+     cites. With the projection of A also delivered before it, the
+     derived join had pruned the projection's join, a CISQP030 that
+     batch keeps once the dominator is a mere delivery. *)
+  let joined = Profile.join xy_join pa pb in
+  List.iter
+    (fun (what, log) ->
+      cursor_agrees ~what Catalog.empty [ xy_join ] Policy.empty
+        (List.mapi (fun i p -> (sv, msg i, p)) log))
+    [
+      ("join delivered after its derivation", [ pa; pb; joined ]);
+      ("join delivered after it pruned", [ pa; pb; pa_proj; joined ]);
+    ]
 
 let test_pruning_drops_dominated () =
   (* Everything arrives by message: both joined profiles qualify for a

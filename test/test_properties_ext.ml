@@ -126,7 +126,7 @@ let test_third_party_end_to_end () =
             policy plan
         with
         | Error _ -> ()
-        | Ok { assignment; rescues } ->
+        | Ok { assignment; rescues; _ } ->
           incr rescued;
           check Alcotest.bool "some rescue recorded" true (rescues <> []);
           check Alcotest.bool "safe under third-party rules" true
@@ -176,7 +176,7 @@ let test_advisor_repairs_random_cases () =
   check Alcotest.bool "repairs exercised" true (!repaired >= 5)
 
 let test_makespan_on_random_cases () =
-  (* The timing model accepts every planned execution and yields
+  (* The makespan model accepts every planned execution and yields
      dependency-consistent schedules. *)
   let planned = ref 0 in
   List.iteri
@@ -195,14 +195,14 @@ let test_makespan_on_random_cases () =
          | Error e -> Alcotest.failf "%a" Distsim.Engine.pp_error e
          | Ok outcome ->
            let schedule =
-             Distsim.Timing.makespan (Distsim.Timing.uniform ()) plan
+             Distsim.Des.makespan (Distsim.Des.uniform ()) plan
                assignment outcome
            in
            check Alcotest.bool "non-negative makespan" true
-             (schedule.Distsim.Timing.makespan >= 0.0);
+             (schedule.Distsim.Des.makespan >= 0.0);
            List.iter
              (fun (n : Plan.node) ->
-               let t id = List.assoc id schedule.Distsim.Timing.finish in
+               let t id = List.assoc id schedule.Distsim.Des.finish in
                List.iter
                  (fun (child : Plan.node) ->
                    check Alcotest.bool "monotone schedule" true

@@ -185,7 +185,7 @@ let rec lossy_recovered seed =
 
 let test_faulty_makespan_dominates_clean () =
   let fplan, r = lossy_recovered 1 in
-  let model = Timing.uniform () in
+  let model = Des.uniform () in
   let plan = M.example_plan () in
   let faulty = Recover.makespan model fplan plan r in
   let clean =
@@ -194,7 +194,7 @@ let test_faulty_makespan_dominates_clean () =
     | Ok { assignment; _ } ->
       (match Engine.execute M.catalog ~instances:M.instances plan assignment with
        | Error e -> Alcotest.failf "%a" Engine.pp_error e
-       | Ok o -> (Timing.makespan model plan assignment o).Timing.makespan)
+       | Ok o -> (Des.makespan model plan assignment o).Des.makespan)
   in
   check Alcotest.bool
     (Fmt.str "faulty %.6f > clean %.6f" faulty clean)
@@ -206,7 +206,7 @@ let test_des_prices_retry_chains () =
      fault plan's backoff the makespan strictly exceeds the same
      execution priced with free retries. *)
   let fplan, r = lossy_recovered 1 in
-  let model = Timing.uniform () in
+  let model = Des.uniform () in
   let plan = M.example_plan () in
   let tasks backoff =
     Des.tasks_of_execution ?backoff model plan r.Recover.assignment

@@ -10,7 +10,7 @@ let test_pricing_rescued () =
     Third_party.plan ~helpers:[ SC.s_b ] SC.catalog SC.policy
       (SC.pricing_plan ())
   with
-  | Ok { assignment; rescues } ->
+  | Ok { assignment; rescues; _ } ->
     (match rescues with
      | [ r ] ->
        check Alcotest.int "join node" 1 r.Third_party.node;

@@ -34,15 +34,15 @@ let test_node_rows_recorded () =
 
 let test_makespan_positive_and_ordered () =
   let plan, assignment, outcome = medical_outcome () in
-  let model = Timing.uniform () in
-  let schedule = Timing.makespan model plan assignment outcome in
+  let model = Des.uniform () in
+  let schedule = Des.makespan model plan assignment outcome in
   check Alcotest.int "every node scheduled" (Plan.size plan)
-    (List.length schedule.Timing.finish);
-  check Alcotest.bool "positive makespan" true (schedule.Timing.makespan > 0.0);
+    (List.length schedule.Des.finish);
+  check Alcotest.bool "positive makespan" true (schedule.Des.makespan > 0.0);
   (* A node never finishes before its children. *)
   List.iter
     (fun (n : Plan.node) ->
-      let t id = List.assoc id schedule.Timing.finish in
+      let t id = List.assoc id schedule.Des.finish in
       List.iter
         (fun (child : Plan.node) ->
           check Alcotest.bool
@@ -52,8 +52,8 @@ let test_makespan_positive_and_ordered () =
         (Plan.children n))
     (Plan.nodes plan);
   (* The root completion is the makespan. *)
-  checkf "root = makespan" schedule.Timing.makespan
-    (List.assoc 0 schedule.Timing.finish)
+  checkf "root = makespan" schedule.Des.makespan
+    (List.assoc 0 schedule.Des.finish)
 
 (* A single-join fixture (the supply-chain tracking query, planned as
    a semi-join) plus its hand-built regular variant, for unambiguous
@@ -82,14 +82,14 @@ let tracking_outcomes () =
 
 let latency_only latency =
   {
-    Timing.link = (fun _ _ -> { Timing.latency; bandwidth = infinity });
+    Des.link = (fun _ _ -> { Des.latency; bandwidth = infinity });
     per_tuple = 0.0;
   }
 
 let test_semijoin_pays_two_latencies () =
   let plan, (semi_a, semi_o), (reg_a, reg_o) = tracking_outcomes () in
-  let semi = (Timing.makespan (latency_only 1.0) plan semi_a semi_o).Timing.makespan in
-  let regular = (Timing.makespan (latency_only 1.0) plan reg_a reg_o).Timing.makespan in
+  let semi = (Des.makespan (latency_only 1.0) plan semi_a semi_o).Des.makespan in
+  let regular = (Des.makespan (latency_only 1.0) plan reg_a reg_o).Des.makespan in
   checkf "semi-join: two latencies" 2.0 semi;
   checkf "regular join: one latency" 1.0 regular
 
@@ -98,8 +98,8 @@ let test_medical_overlap () =
      regular transfer feeding n2, so the total critical path is two
      latencies, not three — the schedule captures pipeline overlap. *)
   let plan, assignment, outcome = medical_outcome () in
-  let schedule = Timing.makespan (latency_only 1.0) plan assignment outcome in
-  checkf "two latencies despite three messages" 2.0 schedule.Timing.makespan
+  let schedule = Des.makespan (latency_only 1.0) plan assignment outcome in
+  checkf "two latencies despite three messages" 2.0 schedule.Des.makespan
 
 let test_regular_join_single_latency () =
   (* Mirror n1 into a regular join (structurally valid): its critical
@@ -113,12 +113,12 @@ let test_regular_join_single_latency () =
   in
   let model =
     {
-      Timing.link = (fun _ _ -> { Timing.latency = 1.0; bandwidth = infinity });
+      Des.link = (fun _ _ -> { Des.latency = 1.0; bandwidth = infinity });
       per_tuple = 0.0;
     }
   in
-  let schedule = Timing.makespan model plan regular outcome in
-  checkf "two latencies" 2.0 schedule.Timing.makespan
+  let schedule = Des.makespan model plan regular outcome in
+  checkf "two latencies" 2.0 schedule.Des.makespan
 
 let test_bandwidth_dominates_when_slow () =
   (* Very slow link: makespan ≈ bytes/bandwidth; semi-join (96 bytes
@@ -126,10 +126,10 @@ let test_bandwidth_dominates_when_slow () =
      variant, which ships more. *)
   let plan, assignment, outcome = medical_outcome () in
   let slow latency = {
-    Timing.link = (fun _ _ -> { Timing.latency; bandwidth = 10.0 });
+    Des.link = (fun _ _ -> { Des.latency; bandwidth = 10.0 });
     per_tuple = 0.0;
   } in
-  let semi = (Timing.makespan (slow 0.0) plan assignment outcome).Timing.makespan in
+  let semi = (Des.makespan (slow 0.0) plan assignment outcome).Des.makespan in
   let regular_assignment =
     Planner.Assignment.set 1 (Planner.Assignment.executor M.s_h) assignment
   in
@@ -141,8 +141,8 @@ let test_bandwidth_dominates_when_slow () =
     | Error e -> Alcotest.failf "%a" Engine.pp_error e
   in
   let regular =
-    (Timing.makespan (slow 0.0) plan regular_assignment regular_outcome)
-      .Timing.makespan
+    (Des.makespan (slow 0.0) plan regular_assignment regular_outcome)
+      .Des.makespan
   in
   check Alcotest.bool
     (Fmt.str "semi %.2f < regular %.2f on slow links" semi regular)
@@ -154,11 +154,11 @@ let test_crossover_with_latency () =
      crossover. *)
   let plan, (semi_a, semi_o), (reg_a, reg_o) = tracking_outcomes () in
   let fast = {
-    Timing.link = (fun _ _ -> { Timing.latency = 1.0; bandwidth = 1e9 });
+    Des.link = (fun _ _ -> { Des.latency = 1.0; bandwidth = 1e9 });
     per_tuple = 0.0;
   } in
-  let semi = (Timing.makespan fast plan semi_a semi_o).Timing.makespan in
-  let regular = (Timing.makespan fast plan reg_a reg_o).Timing.makespan in
+  let semi = (Des.makespan fast plan semi_a semi_o).Des.makespan in
+  let regular = (Des.makespan fast plan reg_a reg_o).Des.makespan in
   check Alcotest.bool
     (Fmt.str "regular %.2f < semi %.2f on fast links" regular semi)
     true (regular < semi)
@@ -183,8 +183,8 @@ let test_proxy_timing () =
     | Ok o -> o
     | Error e -> Alcotest.failf "%a" Engine.pp_error e
   in
-  let schedule = Timing.makespan (latency_only 1.0) plan assignment outcome in
-  checkf "one parallel latency" 1.0 schedule.Timing.makespan
+  let schedule = Des.makespan (latency_only 1.0) plan assignment outcome in
+  checkf "one parallel latency" 1.0 schedule.Des.makespan
 
 let test_mismatched_outcome_rejected () =
   let plan, assignment, _ = medical_outcome () in
@@ -205,7 +205,7 @@ let test_mismatched_outcome_rejected () =
     | Ok o -> o
     | Error _ -> assert false
   in
-  match Timing.makespan (Timing.uniform ()) plan assignment other_outcome with
+  match Des.makespan (Des.uniform ()) plan assignment other_outcome with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "mismatched outcome accepted"
 
