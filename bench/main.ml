@@ -607,8 +607,9 @@ let run_certify_bench () =
 (* ------------------------------------------------------------------ *)
 (* Fault-recovery sweep: how often a guaranteed permanent crash of the
    answering server is survived, as a function of the catalog's
-   replication factor. Written to BENCH_faults.json so successive PRs
-   can compare recovery rates. *)
+   replication factor. Written to BENCH_faults.json; the file holds
+   counts only, so [dune build @bench-faults] regenerates it and fails
+   when it differs from the committed one. *)
 
 let run_fault_bench () =
   let seeds = 120 in
@@ -1335,12 +1336,14 @@ let () =
   let service_only = Array.exists (fun a -> a = "service") Sys.argv in
   let health_only = Array.exists (fun a -> a = "health") Sys.argv in
   let exec_only = Array.exists (fun a -> a = "exec") Sys.argv in
+  let faults_only = Array.exists (fun a -> a = "faults") Sys.argv in
   if chase_only then run_chase_bench ()
   else if inference_only then run_inference_bench ()
   else if certify_only then run_certify_bench ()
   else if service_only then run_service_bench ()
   else if health_only then run_health_bench ()
   else if exec_only then run_exec_bench ()
+  else if faults_only then run_fault_bench ()
   else begin
     Fmt.pr "%s@." (Scenario.Paper_figures.all ());
     Tables.run_all ~seeds:(if quick then 40 else 100);

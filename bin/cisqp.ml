@@ -583,12 +583,21 @@ let run_cmd =
       | `Naive -> (module Relalg.Exec.Reference : Relalg.Exec.S)
       | `Batch -> (module Relalg.Batch.Exec : Relalg.Exec.S)
     in
+    let fault = fault_of crashes drop corrupt fault_seed retries in
+    (* The supervisor plans (and re-plans on failover) itself, so the
+       planning flags would be silently ignored under fault injection. *)
+    if Option.is_some fault && (no_semijoins || optimize) then begin
+      let flag = if optimize then "--optimize" else "--no-semijoins" in
+      usage_error (D.Flag flag)
+        "%s cannot be combined with fault injection (--crash, --drop, \
+         --corrupt, --fault-seed, --retries): the recovery supervisor plans \
+         the query itself"
+        flag
+    end;
     let fed, handle = with_chase chase fed in
     let query = parse_query fed sql in
-    match fault_of crashes drop corrupt fault_seed retries with
+    match fault with
     | Some fault ->
-      (* The supervisor replans (and re-plans on failover) itself; the
-         planning flags of the clean path do not apply. *)
       let plan = Query.to_plan query in
       run_faulty fed handle plan fault ~third_party ~makespan ~certify
         ~deadline ~executor ~bloom cert_out
@@ -621,8 +630,10 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:
          "Plan a query, execute it on the simulator and audit the flows. \
-          With --crash/--drop/--corrupt/--fault-seed the execution runs \
-          under deterministic fault injection and safe recovery.")
+          With --crash/--drop/--corrupt/--fault-seed/--retries the execution \
+          runs under deterministic fault injection and safe recovery, which \
+          plans the query itself: --no-semijoins and --optimize are refused \
+          there.")
     Term.(
       const run $ federation_term $ sql_arg $ third_party_flag
       $ no_semijoins_flag $ optimize_flag $ chase_flag $ certify_flag

@@ -489,6 +489,19 @@ let emit_plan ?(third_party = false) ?closed catalog policy plan assignment =
           flows = evidenced;
         }
 
+let certify ?third_party ?closed catalog policy plan assignment =
+  if Policy.is_open policy then Ok None
+  else
+    let* cert = emit_plan ?third_party ?closed catalog policy plan assignment in
+    let base, joins =
+      match closed with
+      | Some c -> (Chase.policy c, Chase.joins c)
+      | None -> (policy, [])
+    in
+    match check_plan ~joins catalog base plan cert with
+    | [] -> Ok (Some cert)
+    | f :: _ -> Error (Fmt.str "%a" pp_failure f)
+
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                          *)
 

@@ -208,6 +208,24 @@ val emit_plan :
   Planner.Assignment.t ->
   (plan_cert, string) result
 
+(** [certify ?third_party ?closed catalog policy plan assignment] is
+    the proof-carrying admission step of a freshly planned assignment,
+    taken before any of its messages is sent: {!emit_plan}, then
+    {!check_plan} of the result against the base policy — the one
+    under [closed] and over its join graph when a handle is given, else
+    [policy] with no joins.
+    [Ok None] under an open-mode [policy], which is outside the
+    certificate language; [Error] carries the emission error or the
+    first check failure, rendered. *)
+val certify :
+  ?third_party:bool ->
+  ?closed:Chase.closed ->
+  Catalog.t ->
+  Policy.t ->
+  Plan.t ->
+  Planner.Assignment.t ->
+  (plan_cert option, string) result
+
 (** {1 Rendering and serialization} *)
 
 (** Human rendering of a join tree, e.g.

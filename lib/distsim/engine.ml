@@ -62,18 +62,16 @@ let execute ?(third_party = false)
   let network =
     match network with Some n -> n | None -> Network.create ()
   in
+  let f = match fault with Some f -> f | None -> Fault.start Fault.reliable in
   let rows = ref [] in
-  (* The query's time budget, in the same logical steps the injector
-     counts (one compute, one transmission attempt or one backoff wait
-     each cost one step). With an injector we charge against its step
-     counter — so retries and backoff chains eat the budget — and
-     without one we keep a local counter charging one step per compute
-     and one per send, so deadlines bite on the clean path too. *)
-  let start_steps = match fault with Some f -> Fault.steps f | None -> 0 in
-  let local_steps = ref 0 in
-  let spent () =
-    match fault with Some f -> Fault.steps f - start_steps | None -> !local_steps
-  in
+  (* The query's time budget, charged against the injector's step
+     counter from the moment [execute] is entered: one compute, one
+     transmission attempt or one backoff wait each cost one step, so
+     retries and backoff chains eat the budget. Every step follows one
+     rule, charge, check, act: the injector advances, the deadline is
+     checked, and only then does the compute run or the message leave. *)
+  let start_steps = Fault.steps f in
+  let spent () = Fault.steps f - start_steps in
   let check_deadline node =
     match deadline with
     | None -> ()
@@ -82,108 +80,92 @@ let execute ?(third_party = false)
       if s > budget then
         raise (Fail (Deadline_exceeded { node; spent = s; budget }))
   in
-  let charge node =
-    incr local_steps;
-    check_deadline node
-  in
   let exec_of (n : Plan.node) =
     match Assignment.find_opt assignment n.id with
     | Some e -> e
     | None -> raise (Fail (Structure (Planner.Safety.Unassigned_node n.id)))
   in
-  (* A compute step at [server]: under fault injection, wait out a
-     transient outage (bounded retries with deterministic backoff);
-     permanent crashes and exhausted retries abort the execution with a
-     typed error the supervisor turns into a failover. *)
+  (* A compute step at [server]: wait out a transient outage (bounded
+     retries with deterministic backoff); permanent crashes and
+     exhausted retries abort the execution with a typed error the
+     supervisor turns into a failover. *)
   let ensure_up server node =
-    match fault with
-    | None -> charge node
-    | Some f ->
-      (match Fault.compute f ~server ~node with
-       | Fault.Up -> check_deadline node
-       | Fault.Permanent ->
-         raise (Fail (Server_down { server; node; permanent = true }))
-       | Fault.Transient ->
-         check_deadline node;
-         let max_retries = (Fault.plan_of f).Fault.max_retries in
-         let rec retry attempt =
-           if attempt > max_retries then
-             raise (Fail (Server_down { server; node; permanent = false }))
-           else begin
-             ignore (Fault.wait f ~attempt);
-             check_deadline node;
-             match Fault.status f server with
-             | Fault.Up -> ()
-             | Fault.Permanent ->
-               raise (Fail (Server_down { server; node; permanent = true }))
-             | Fault.Transient -> retry (attempt + 1)
-           end
-         in
-         retry 1)
-  in
-  (* Every boundary crossing goes through here. Without an injector
-     this is exactly [Network.send]. With one, each attempt is logged
-     with its fate — an emission is an emission, delivered or not, so
-     the audit sees dropped and corrupted attempts too — and retries
-     re-emit the same data under the same profile after a deterministic
-     backoff. *)
-  let xmit ?(payload = Network.Rows) ~node ~sender ~receiver ~profile ~purpose
-      ~note data =
-    match fault with
-    | None ->
-      charge node;
-      Network.send network ~payload ~sender ~receiver ~profile ~purpose ~note
-        data
-    | Some f ->
-      let max_attempts = 1 + (Fault.plan_of f).Fault.max_retries in
-      let rec attempt k =
-        let check who =
-          match Fault.status f who with
-          | Fault.Permanent ->
-            raise (Fail (Server_down { server = who; node; permanent = true }))
-          | (Fault.Up | Fault.Transient) as s -> s
-        in
-        let sender_status = check sender in
-        let receiver_status = check receiver in
-        let verdict =
-          if sender_status = Fault.Transient then
-            (* Nothing leaves a downed sender: no emission to log. *)
-            `Mute
-          else if receiver_status = Fault.Transient then `Lost
-          else
-            match Fault.transmission f ~sender ~receiver ~attempt:k with
-            | Fault.Deliver -> `Deliver
-            | Fault.Drop -> `Lost
-            | Fault.Corrupt -> `Corrupt
-        in
-        match verdict with
-        | `Deliver ->
-          Network.send network ~attempt:k ~payload ~sender ~receiver ~profile
-            ~purpose ~note data
-        | (`Mute | `Lost | `Corrupt) as v ->
-          (if v <> `Mute then
-             let delivery =
-               if v = `Corrupt then Network.Corrupted else Network.Dropped
-             in
-             ignore
-               (Network.send network ~attempt:k ~delivery ~payload ~sender
-                  ~receiver ~profile ~purpose ~note data));
-          if k >= max_attempts then
-            raise
-              (Fail (Transfer_failed { sender; receiver; node; attempts = k }))
-          else begin
-            ignore (Fault.wait f ~attempt:k);
-            check_deadline node;
-            attempt (k + 1)
-          end
-      in
+    match Fault.compute f ~server ~node with
+    | Fault.Up -> check_deadline node
+    | Fault.Permanent ->
+      raise (Fail (Server_down { server; node; permanent = true }))
+    | Fault.Transient ->
       check_deadline node;
-      attempt 1
+      let max_retries = (Fault.plan_of f).Fault.max_retries in
+      let rec retry attempt =
+        if attempt > max_retries then
+          raise (Fail (Server_down { server; node; permanent = false }))
+        else begin
+          ignore (Fault.wait f ~attempt);
+          check_deadline node;
+          match Fault.status f server with
+          | Fault.Up -> ()
+          | Fault.Permanent ->
+            raise (Fail (Server_down { server; node; permanent = true }))
+          | Fault.Transient -> retry (attempt + 1)
+        end
+      in
+      retry 1
+  in
+  let max_attempts = 1 + (Fault.plan_of f).Fault.max_retries in
+  let alive ~node who =
+    match Fault.status f who with
+    | Fault.Permanent ->
+      raise (Fail (Server_down { server = who; node; permanent = true }))
+    | (Fault.Up | Fault.Transient) as s -> s
+  in
+  (* Every boundary crossing goes through here, as attempt [k] of its
+     transfer. Each attempt is logged with its fate — an emission is an
+     emission, delivered or not, so the audit sees dropped and corrupted
+     attempts too — and retries re-emit the same data under the same
+     profile after a deterministic backoff. *)
+  let rec xmit ?(payload = Network.Rows) ?(k = 1) ~node ~sender ~receiver
+      ~profile ~purpose ~note data =
+    let sender_status = alive ~node sender in
+    let receiver_status = alive ~node receiver in
+    let verdict =
+      if sender_status = Fault.Transient then
+        (* Nothing leaves a downed sender: no emission to log. *)
+        `Mute
+      else if receiver_status = Fault.Transient then `Lost
+      else
+        let v = Fault.transmission f ~sender ~receiver ~attempt:k in
+        check_deadline node;
+        match v with
+        | Fault.Deliver -> `Deliver
+        | Fault.Drop -> `Lost
+        | Fault.Corrupt -> `Corrupt
+    in
+    match verdict with
+    | `Deliver ->
+      Network.send network ~attempt:k ~payload ~sender ~receiver ~profile
+        ~purpose ~note data
+    | (`Mute | `Lost | `Corrupt) as v ->
+      (if v <> `Mute then
+         let delivery =
+           if v = `Corrupt then Network.Corrupted else Network.Dropped
+         in
+         ignore
+           (Network.send network ~attempt:k ~delivery ~payload ~sender
+              ~receiver ~profile ~purpose ~note data));
+      if k >= max_attempts then
+        raise (Fail (Transfer_failed { sender; receiver; node; attempts = k }))
+      else begin
+        ignore (Fault.wait f ~attempt:k);
+        check_deadline node;
+        xmit ~payload ~k:(k + 1) ~node ~sender ~receiver ~profile ~purpose
+          ~note data
+      end
   in
   let rec go (n : Plan.node) : piece =
     let piece = go_op n in
     rows := (n.id, Relation.cardinality piece.value) :: !rows;
-    Option.iter (fun f -> f n.id piece.value) observe;
+    (match observe with Some f -> f n.id piece.value | None -> ());
     Log.debug (fun m ->
         m "n%d done at %a: %d tuples" n.id Server.pp piece.at
           (Relation.cardinality piece.value));

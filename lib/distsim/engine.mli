@@ -27,8 +27,8 @@ type outcome = {
       (** cardinality of each node's result, by node id — consumed by
           {!Des} *)
   steps : int;
-      (** logical steps this execution consumed (injector steps under
-          fault injection; one per compute/send otherwise) — what a
+      (** logical injector steps this execution consumed (one per
+          compute, transmission attempt and backoff wait) — what a
           [deadline] is charged against *)
 }
 
@@ -79,22 +79,26 @@ val pp_error : error Fmt.t
     accounting is unchanged.
     @raise Invalid_argument if [bloom] is [< 1].
 
-    [fault] (default none) runs the execution under a fault injector:
-    every compute step checks the server's crash windows and every
-    transfer becomes a bounded retransmission loop — each attempt
-    logged to the network with its fate and the {e same} profile, so
-    the audit judges retries exactly as it judges first sends. Without
-    an injector, behaviour is byte-identical to the pre-fault engine.
+    [fault] (default a fresh injector over {!Fault.reliable}) is the
+    injector the execution runs under: every compute step checks the
+    server's crash windows and every transfer is a bounded
+    retransmission loop — each attempt logged to the network with its
+    fate and the {e same} profile, so the audit judges retries exactly
+    as it judges first sends. There is one code path: without a fault
+    plan, nothing is ever down or lost.
 
     [network] (default a fresh log) lets a supervisor accumulate the
     emissions of several execution attempts into one auditable log.
 
-    [deadline] (default none) bounds the query's logical time: when
-    the steps consumed by this execution exceed the budget — retries,
-    backoff waits and outage probes included — it aborts with
-    [Deadline_exceeded]. Under an injector the budget is charged
+    [deadline] (default none) bounds the query's logical time, charged
     against the injector's step counter from the moment [execute] is
-    entered; without one, one step per compute and one per send.
+    entered. Every step follows one rule — charge, check, act: the
+    injector advances one step for a compute, a transmission attempt
+    or a backoff wait; then the deadline is checked; only then does
+    the compute run or the message leave. So when the steps consumed
+    exceed the budget the execution aborts with [Deadline_exceeded]
+    before the step's action: a transmission that would take the
+    query past its budget is never emitted.
 
     [observe] (default none) is called with each completed node's id
     and value — the hook {!Recover} uses to salvage partial results

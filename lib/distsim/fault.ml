@@ -116,15 +116,23 @@ type event =
 
 type t = {
   plan : plan;
-  rng : Workload.Rng.t;
+  rng : Workload.Rng.t option;
+      (* [None] when no link can drop or corrupt: every roll would come
+         out [Deliver], so there is no stream to keep aligned *)
   mutable step : int;
   mutable delay : float;
   mutable events : event list; (* reversed *)
 }
 
+let lossy l = l.drop > 0.0 || l.corrupt > 0.0
+
 let start plan =
-  { plan; rng = Workload.Rng.make ~seed:plan.seed; step = 0; delay = 0.0;
-    events = [] }
+  let rng =
+    if lossy plan.default_link || List.exists (fun (_, l) -> lossy l) plan.links
+    then Some (Workload.Rng.make ~seed:plan.seed)
+    else None
+  in
+  { plan; rng; step = 0; delay = 0.0; events = [] }
 
 let plan_of t = t.plan
 let steps t = t.step
@@ -133,19 +141,20 @@ let events t = List.rev t.events
 
 let record t e = t.events <- e :: t.events
 
-let status t server =
-  (* The worst applicable window wins: a permanent crash shadows any
-     transient outage of the same server. *)
-  List.fold_left
-    (fun acc c ->
-      if not (Server.equal c.server server) then acc
-      else if t.step < c.window.from_step then acc
-      else
-        match c.window.until with
-        | None -> Permanent
-        | Some u ->
-          if t.step < u && acc <> Permanent then Transient else acc)
-    Up t.plan.crashes
+(* The worst applicable window wins: a permanent crash shadows any
+   transient outage of the same server. A top-level loop, so a status
+   probe allocates nothing. *)
+let rec worst step server acc = function
+  | [] -> acc
+  | c :: rest ->
+    if (not (Server.equal c.server server)) || step < c.window.from_step then
+      worst step server acc rest
+    else (
+      match c.window.until with
+      | None -> Permanent
+      | Some u -> worst step server (if step < u then Transient else acc) rest)
+
+let status t server = worst t.step server Up t.plan.crashes
 
 let compute t ~server ~node =
   t.step <- t.step + 1;
@@ -169,13 +178,16 @@ let link_of t ~sender ~receiver =
 
 let transmission t ~sender ~receiver ~attempt =
   t.step <- t.step + 1;
-  let link = link_of t ~sender ~receiver in
-  (* Two independent rolls, always both consumed so the stream stays
-     aligned whatever the outcome. *)
-  let dropped = Workload.Rng.flip t.rng link.drop in
-  let corrupted = Workload.Rng.flip t.rng link.corrupt in
   let verdict =
-    if dropped then Drop else if corrupted then Corrupt else Deliver
+    match t.rng with
+    | None -> Deliver
+    | Some rng ->
+      let link = link_of t ~sender ~receiver in
+      (* Two independent rolls, always both consumed so the stream stays
+         aligned whatever the outcome. *)
+      let dropped = Workload.Rng.flip rng link.drop in
+      let corrupted = Workload.Rng.flip rng link.corrupt in
+      if dropped then Drop else if corrupted then Corrupt else Deliver
   in
   record t (Attempted { step = t.step; sender; receiver; attempt; verdict });
   verdict

@@ -63,8 +63,9 @@ type plan = {
           plan cannot grow logical time without bound *)
 }
 
-(** No crashes, perfect links: running under [reliable] is
-    behaviourally identical to running with no injector at all. *)
+(** No crashes, perfect links. It is what {!Engine.execute} runs
+    under when given no injector, so a fault-free execution and one
+    under [reliable] are the same execution by construction. *)
 val reliable : plan
 
 val make :
@@ -98,6 +99,10 @@ val pp_plan : plan Fmt.t
 
 type t
 
+(** A fresh injector at step 0. Its RNG stream is created only when
+    some link of the plan can drop or corrupt a message. Otherwise
+    every roll would come out [Deliver], so none is drawn, and
+    schedules and outcomes are unchanged. *)
 val start : plan -> t
 val plan_of : t -> plan
 

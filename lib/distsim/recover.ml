@@ -56,40 +56,22 @@ type degraded = {
 
 type outcome = (recovered, degraded) result
 
-let execute ?(helpers = []) ?executor ?bloom ?max_failovers ?close_under
-    ?closed ?deadline ?(excluded = []) ?seed catalog policy ~instances ~fault
-    plan =
+let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
+    ?seed catalog policy ~instances ~fault plan =
   let injector = Fault.start fault in
-  (* One chase handle for the whole recovery: either the caller's
-     long-lived handle (the federation shares its service handle, so
-     grants already chased there are visible here) or one built from
-     [close_under]; its closure is computed lazily on first use and
-     then shared by the planner of every failover attempt and by every
-     independent safety re-proof, instead of re-closing the policy per
-     attempt. When a handle is given, [policy] must be the {e base}
-     policy it closes over — certificates check against the base. *)
-  let closed =
-    match closed with
-    | Some _ as c -> c
-    | None ->
-      Option.map
-        (fun joins -> Authz.Chase.closed_policy ~joins policy)
-        close_under
-  in
-  let max_failovers =
-    match max_failovers with
-    | Some m -> m
-    | None -> Server.Set.cardinal (Catalog.servers catalog)
-  in
   let segments = ref [] in
   (* newest first *)
   let failovers = ref [] in
   (* [excluded] may arrive non-empty: quarantined servers the caller's
-     circuit breakers have already ruled out. They count against the
-     failover limit exactly like servers that died during this query. *)
+     circuit breakers have already ruled out. Only servers that die
+     during this query count against the failover limit. *)
   let pre_excluded = List.length excluded in
   let excluded = ref excluded in
-  let merged () = Network.concat (List.rev !segments) in
+  let merged () =
+    match !segments with
+    | [ only ] -> only
+    | segs -> Network.concat (List.rev segs)
+  in
   let degraded ?failed_node ?(partial = []) reason =
     Error
       {
@@ -102,28 +84,22 @@ let execute ?(helpers = []) ?executor ?bloom ?max_failovers ?close_under
         schedule = Fault.events injector;
       }
   in
-  let over_deadline () =
-    match deadline with
-    | Some budget when Fault.steps injector > budget -> Some budget
-    | _ -> None
-  in
   (* [pending] carries the death that triggered this replan; the
      failover record is completed once the replacement assignment
      exists. *)
   let rec attempt i ~pending =
-    match over_deadline () with
-    | Some budget ->
+    match deadline with
+    | Some budget when Fault.steps injector > budget ->
       (* The budget ran out before this attempt could even replan:
          abandon rather than plan work we cannot run. *)
       degraded (Deadline_exceeded { spent = Fault.steps injector; budget })
-    | None ->
+    | _ ->
       (match (seed, i, pending) with
        | Some (assignment, certificate, rescues), 1, None ->
          (* The caller seeded attempt 1 with an assignment it already
             certified (the federation's plan cache, whose epoch gate
-            just passed): execute it directly, exactly as the clean
-            path executes cached plans without a fresh proof. Any
-            failover replans — and re-proves — from scratch. *)
+            just passed): execute it directly, without a fresh proof.
+            Any failover replans — and re-proves — from scratch. *)
          run i ~assignment ~certificate ~rescues
            ~third_party:(rescues <> [])
        | _ -> replan i ~pending)
@@ -138,27 +114,11 @@ let execute ?(helpers = []) ?executor ?bloom ?max_failovers ?close_under
            { dead = !excluded; failed_at = f.Planner.Third_party.failed_at })
     | Ok { assignment; rescues; _ } ->
       let third_party = rescues <> [] in
-      (* Proof-carrying replan: emit a certificate for the assignment
-         and have the independent linear checker validate it before a
-         single message of this attempt is emitted. Open-mode policies
-         are outside the certificate language, so they carry [None]. *)
+      (* Proof-carrying replan: the certificate is emitted and checked
+         before a single message of this attempt is emitted. *)
       let certified =
-        if Authz.Policy.is_open policy then Ok None
-        else
-          match
-            Analysis.Certificate.emit_plan ~third_party ?closed catalog
-              policy plan assignment
-          with
-          | Error detail -> Error detail
-          | Ok cert -> (
-            let joins =
-              match closed with Some c -> Authz.Chase.joins c | None -> []
-            in
-            match
-              Analysis.Certificate.check_plan ~joins catalog policy plan cert
-            with
-            | [] -> Ok (Some cert)
-            | f :: _ -> Error (Fmt.str "%a" Analysis.Certificate.pp_failure f))
+        Analysis.Certificate.certify ~third_party ?closed catalog policy plan
+          assignment
       in
       let certificate =
         match certified with Ok c -> c | Error _ -> None
@@ -196,12 +156,8 @@ let execute ?(helpers = []) ?executor ?bloom ?max_failovers ?close_under
     let network = Network.create () in
     segments := network :: !segments;
     let partial = ref [] in
-    let observe id value =
-      partial := (id, value) :: List.remove_assoc id !partial
-    in
-    let done_so_far () =
-      List.sort (fun (a, _) (b, _) -> Int.compare a b) !partial
-    in
+    (* Each node completes at most once per attempt. *)
+    let observe id value = partial := (id, value) :: !partial in
     let remaining =
       Option.map (fun b -> max 0 (b - Fault.steps injector)) deadline
     in
@@ -228,24 +184,31 @@ let execute ?(helpers = []) ?executor ?bloom ?max_failovers ?close_under
           steps = Fault.steps injector;
           schedule = Fault.events injector;
         }
-    | Error (Engine.Server_down { server; node; permanent }) ->
-      if List.length !excluded - pre_excluded >= max_failovers then
-        degraded ~failed_node:node ~partial:(done_so_far ())
-          (Failover_limit { dead = !excluded @ [ server ] })
-      else begin
-        excluded := !excluded @ [ server ];
-        attempt (i + 1) ~pending:(Some (server, permanent, node, i))
-      end
-    | Error (Engine.Transfer_failed { sender; receiver; node; attempts }) ->
-      degraded ~failed_node:node ~partial:(done_so_far ())
-        (Transfer_failed { sender; receiver; node; attempts })
-    | Error (Engine.Deadline_exceeded { node; _ }) ->
-      let budget = match deadline with Some b -> b | None -> 0 in
-      degraded ~failed_node:node ~partial:(done_so_far ())
-        (Deadline_exceeded { spent = Fault.steps injector; budget })
-    | Error e ->
-      degraded ~partial:(done_so_far ())
-        (Execution_failed (Fmt.str "%a" Engine.pp_error e))
+    | Error e -> (
+      let partial =
+        List.sort (fun (a, _) (b, _) -> Int.compare a b) !partial
+      in
+      match e with
+      | Engine.Server_down { server; node; permanent } ->
+        (* No more failovers than the catalog has servers, worked out
+           only here: a query in which nothing dies never pays for it. *)
+        let max_failovers = Server.Set.cardinal (Catalog.servers catalog) in
+        if List.length !excluded - pre_excluded >= max_failovers then
+          degraded ~failed_node:node ~partial
+            (Failover_limit { dead = !excluded @ [ server ] })
+        else begin
+          excluded := !excluded @ [ server ];
+          attempt (i + 1) ~pending:(Some (server, permanent, node, i))
+        end
+      | Engine.Transfer_failed { sender; receiver; node; attempts } ->
+        degraded ~failed_node:node ~partial
+          (Transfer_failed { sender; receiver; node; attempts })
+      | Engine.Deadline_exceeded { node; _ } ->
+        let budget = match deadline with Some b -> b | None -> 0 in
+        degraded ~failed_node:node ~partial
+          (Deadline_exceeded { spent = Fault.steps injector; budget })
+      | Engine.Structure _ | Engine.Missing_instance _ ->
+        degraded ~partial (Execution_failed (Fmt.str "%a" Engine.pp_error e)))
   in
   attempt 1 ~pending:None
 

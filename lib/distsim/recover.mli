@@ -121,16 +121,16 @@ type degraded = {
 type outcome = (recovered, degraded) result
 
 (** [execute catalog policy ~instances ~fault plan] plans and runs
-    [plan] under [fault]. [helpers] are offered to the planner (initial
-    plan and every replan alike); [max_failovers] (default: the number
-    of servers in the catalog) bounds how many servers may be excluded
-    {e during this recovery} before giving up. [close_under] makes
-    planning and every safety re-proof chase-aware: the policy is
-    closed under the given join graph {e once}, through a single
-    {!Authz.Chase.closed} handle shared by all failover attempts.
+    [plan] under [fault]. It is the one execution path of a served
+    query: {!Federation.query} runs every query through it, under
+    {!Fault.reliable} when the caller names no fault plan. [helpers]
+    are offered to the planner (initial plan and every replan alike).
+    Failovers are bounded by the catalog's server count: one more
+    death {e during this recovery} ends it with {!Failover_limit}.
 
-    [closed] (takes precedence over [close_under]) shares a caller's
-    long-lived chase handle instead; [policy] must then be the base
+    [closed] shares a caller's long-lived chase handle: its closure is
+    computed once and serves the planner of every failover attempt and
+    every independent safety re-proof. [policy] must then be the base
     policy the handle closes over, since certificates are checked
     against the base.
 
@@ -142,13 +142,12 @@ type outcome = (recovered, degraded) result
 
     [excluded] pre-excludes servers (e.g. quarantined by circuit
     breakers) from the initial plan and every replan; they do not
-    count against [max_failovers].
+    count against the failover limit.
 
     [seed] supplies attempt 1 with an assignment (+ certificate +
     rescues) the caller already certified — e.g. a federation's cached
     plan whose epoch gate just passed — skipping the initial replan
-    and re-proof, exactly as the clean path executes cached plans.
-    Failovers still replan and re-prove from scratch.
+    and re-proof. Failovers still replan and re-prove from scratch.
 
     [executor] and [bloom] are passed to every {!Engine.execute}
     attempt unchanged (see there). *)
@@ -156,8 +155,6 @@ val execute :
   ?helpers:Server.t list ->
   ?executor:(module Relalg.Exec.S) ->
   ?bloom:int ->
-  ?max_failovers:int ->
-  ?close_under:Joinpath.Cond.t list ->
   ?closed:Authz.Chase.closed ->
   ?deadline:int ->
   ?excluded:Server.t list ->

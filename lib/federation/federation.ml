@@ -77,6 +77,8 @@ type t = {
   mutable deadline_exceeded_count : int;
 }
 
+let ( let* ) = Result.bind
+
 let create ~catalog ~policy ?(helpers = []) ?close_under ?(cache_capacity = 256)
     ?(breaker = true) ?health_config ~instances () =
   if cache_capacity < 0 then
@@ -129,7 +131,6 @@ let create ~catalog ~policy ?(helpers = []) ?close_under ?(cache_capacity = 256)
   }
 
 let of_text ~schema ~authz ?data ?(helpers = []) ?cache_capacity () =
-  let ( let* ) = Result.bind in
   let lift what r =
     Result.map_error
       (fun e -> Fmt.str "%s: %a" what Text.Line_reader.pp_error e)
@@ -419,29 +420,6 @@ let revoke t auth =
 
 (* ------------------------------------------------------------------ *)
 
-(* Proof-carrying planning: emit a certificate for the fresh plan and
-   have the independent checker validate it against the *base* policy
-   (pre-chase when the federation was created with [close_under]) before
-   the plan is cached or a single message is sent. Open-mode policies
-   are outside the certificate language and carry [None]. *)
-let certify_plan t plan assignment rescues =
-  if Authz.Policy.is_open t.policy then Ok None
-  else
-    let third_party = rescues <> [] in
-    match
-      Analysis.Certificate.emit_plan ~third_party ?closed:t.chase t.catalog
-        t.policy plan assignment
-    with
-    | Error detail -> Error (Uncertified detail)
-    | Ok cert -> (
-      match
-        Analysis.Certificate.check_plan ~joins:t.joins t.catalog
-          (base_policy t) plan cert
-      with
-      | [] -> Ok (Some cert)
-      | f :: _ ->
-        Error (Uncertified (Fmt.str "%a" Analysis.Certificate.pp_failure f)))
-
 (* The planning call of a cache miss, shared by [query] and [explain]
    so that a trace always describes the assignment [query] would run. *)
 let plan_fresh t plan =
@@ -472,8 +450,16 @@ let plan_query t ?sql query =
     let plan = Query.to_plan query in
     (match plan_fresh t plan with
      | Ok { assignment; rescues; trace } ->
-       (match certify_plan t plan assignment rescues with
-        | Error e -> Error e
+       (* Proof-carrying planning: the fresh plan's certificate is
+          emitted and checked against the *base* policy (pre-chase when
+          the federation was created with [close_under]) before the plan
+          is cached or a single message is sent. Open-mode policies are
+          outside the certificate language and carry [None]. *)
+       (match
+          Analysis.Certificate.certify ~third_party:(rescues <> [])
+            ?closed:t.chase t.catalog (base_policy t) plan assignment
+        with
+        | Error detail -> Error (Uncertified detail)
         | Ok certificate ->
           let c =
             {
@@ -514,9 +500,9 @@ let plan_sql t sql =
     | Ok query -> plan_query t ~sql query)
 
 (* Audit a log (defence in depth) and, on success, fold it into the
-   federation's compliance record and traffic counters. A cache hit is
-   counted only here — when the response is actually served. *)
-let admit t ~from_cache network k =
+   federation's compliance record. Even a failed run's emissions belong
+   there; an audit violation takes precedence over any other outcome. *)
+let audit t network =
   match Distsim.Audit.run t.policy network with
   | Error violations ->
     Error
@@ -526,25 +512,23 @@ let admit t ~from_cache network k =
             violations))
   | Ok entries ->
     t.audit_entries <- List.rev_append entries t.audit_entries;
-    t.queries_served <- t.queries_served + 1;
-    if from_cache then t.cache_hits <- t.cache_hits + 1;
-    let messages = Distsim.Network.message_count network in
-    let bytes = Distsim.Network.total_bytes network in
-    t.total_messages <- t.total_messages + messages;
-    t.total_bytes <- t.total_bytes + bytes;
-    Ok (k ~messages ~bytes)
+    Ok ()
 
 (* Failures the breakers learn from a recovery: every server the
    supervisor wrote off during {e this} query (quarantined servers it
-   started from don't re-count), plus whatever the message log shows. *)
+   started from don't re-count), plus whatever the message log shows.
+   The quarantine was refreshed at this tick before the query ran, so
+   it can only have changed if a breaker opened since. *)
 let feed_breakers t ~newly_dead log =
   if t.breaker then begin
+    let opens = Distsim.Health.breaker_opens t.health in
     Distsim.Health.observe_log t.health ~now:t.clock log;
     List.iter
       (fun s ->
         if not (List.exists (Server.equal s) t.quarantine) then
           Distsim.Health.record_failure t.health ~now:t.clock s)
-      newly_dead
+      newly_dead;
+    if Distsim.Health.breaker_opens t.health > opens then refresh_quarantine t
   end
 
 let query ?fault ?deadline ?tenant t sql =
@@ -584,109 +568,74 @@ let query ?fault ?deadline ?tenant t sql =
       match plan_sql t sql with
       | Error e -> Error e
       | Ok (cached, from_cache) ->
-        (match fault with
-         | None ->
-           let third_party = cached.c_rescues <> [] in
-           (match
-              Distsim.Engine.execute ~third_party ?deadline t.catalog
-                ~instances:t.instances cached.c_plan cached.c_assignment
-            with
-            | Error (Distsim.Engine.Deadline_exceeded { spent; budget; _ }) ->
-              t.deadline_exceeded_count <- t.deadline_exceeded_count + 1;
-              Error (Deadline_exceeded { spent; budget })
-            | Error e ->
-              Error (Execution_error (Fmt.str "%a" Distsim.Engine.pp_error e))
-            | Ok { result; location; network; steps; _ } ->
-              if t.breaker then
-                Distsim.Health.observe_log t.health ~now:t.clock network;
-              admit t ~from_cache network (fun ~messages ~bytes ->
+        (* The epoch and health gates just passed, so the cached
+           assignment — certified when it was planned — seeds the
+           supervisor's first attempt directly; any failover replans
+           around the union of the quarantine and whatever dies, and is
+           re-certified before its first message. The policy we hand
+           over is the {e base} policy (with the shared chase handle),
+           because certificates check against the base. No fault plan
+           means the reliable one: the same path, with nothing to
+           inject. *)
+        let r =
+          Distsim.Recover.execute ~helpers:t.helpers ?closed:t.chase ?deadline
+            ~excluded:t.quarantine
+            ~seed:(cached.c_assignment, cached.c_certificate, cached.c_rescues)
+            t.catalog (base_policy t) ~instances:t.instances
+            ~fault:(Option.value fault ~default:Distsim.Fault.reliable)
+            cached.c_plan
+        in
+        (match r with
+         | Ok { excluded; log; _ } | Error { excluded; log; _ } ->
+           feed_breakers t ~newly_dead:excluded log);
+        match r with
+        | Ok r ->
+          let* () = audit t r.log in
+          (* A response that needed a failover was not served by the
+             cached plan — the cache produced the seed attempt, but what
+             answered was a fresh replan. Count the hit only when the
+             cached assignment itself answered, so [cache_hits] and
+             failover work stay disjoint. *)
+          let from_cache = from_cache && r.failovers = [] in
+          let messages = Distsim.Network.message_count r.log in
+          let bytes = Distsim.Network.total_bytes r.log in
+          t.queries_served <- t.queries_served + 1;
+          if from_cache then t.cache_hits <- t.cache_hits + 1;
+          t.total_messages <- t.total_messages + messages;
+          t.total_bytes <- t.total_bytes + bytes;
+          Ok
+            {
+              plan = cached.c_plan;
+              assignment = r.assignment;
+              certificate = r.certificate;
+              rescues = r.rescues;
+              result = r.result;
+              location = r.location;
+              messages;
+              bytes;
+              from_cache;
+              failovers = r.failovers;
+              steps = r.steps;
+            }
+        | Error d ->
+          let* () = audit t d.log in
+          (match d.reason with
+           | Distsim.Recover.Deadline_exceeded { spent; budget } ->
+             (* Disjoint from [degraded]: a deadline miss is its own
+                outcome, not a recovery failure. *)
+             t.deadline_exceeded_count <- t.deadline_exceeded_count + 1;
+             Error (Deadline_exceeded { spent; budget })
+           | Distsim.Recover.Execution_failed msg -> Error (Execution_error msg)
+           | reason ->
+             t.degraded_count <- t.degraded_count + 1;
+             Error
+               (Degraded
                   {
-                    plan = cached.c_plan;
-                    assignment = cached.c_assignment;
-                    certificate = cached.c_certificate;
-                    rescues = cached.c_rescues;
-                    result;
-                    location;
-                    messages;
-                    bytes;
-                    from_cache;
-                    failovers = [];
-                    steps;
+                    reason;
+                    failovers = List.length d.failovers;
+                    partial = d.partial;
+                    failed_node = d.failed_node;
                   }))
-         | Some fault ->
-           (* The epoch and health gates just passed, so the cached
-              assignment — certified when it was planned — seeds the
-              supervisor's first attempt directly; any failover replans
-              around the union of the quarantine and whatever dies, and
-              is re-certified before its first message. The policy we
-              hand over is the {e base} policy (with the shared chase
-              handle), because certificates check against the base. *)
-           (match
-              Distsim.Recover.execute ~helpers:t.helpers ?closed:t.chase
-                ?deadline ~excluded:t.quarantine
-                ~seed:(cached.c_assignment, cached.c_certificate,
-                       cached.c_rescues)
-                t.catalog (base_policy t) ~instances:t.instances ~fault
-                cached.c_plan
-            with
-            | Ok (r : Distsim.Recover.recovered) ->
-              feed_breakers t
-                ~newly_dead:r.Distsim.Recover.excluded
-                r.Distsim.Recover.log;
-              refresh_quarantine t;
-              (* A response that needed a failover was not served by
-                 the cached plan — the cache produced the seed attempt,
-                 but what answered was a fresh replan. Count the hit
-                 only when the cached assignment itself answered, so
-                 [cache_hits] and failover work stay disjoint. *)
-              admit t ~from_cache:(from_cache && r.failovers = []) r.log
-                (fun ~messages ~bytes ->
-                  {
-                    plan = cached.c_plan;
-                    assignment = r.assignment;
-                    certificate = r.certificate;
-                    rescues = r.rescues;
-                    result = r.result;
-                    location = r.location;
-                    messages;
-                    bytes;
-                    from_cache = from_cache && r.failovers = [];
-                    failovers = r.failovers;
-                    steps = r.steps;
-                  })
-            | Error (d : Distsim.Recover.degraded) ->
-              feed_breakers t
-                ~newly_dead:d.Distsim.Recover.excluded
-                d.Distsim.Recover.log;
-              refresh_quarantine t;
-              (* Even a failed run's emissions belong in the compliance
-                 log; an audit violation still takes precedence. *)
-              (match Distsim.Audit.run t.policy d.log with
-               | Error violations ->
-                 Error
-                   (Audit_violation
-                      (Fmt.str "%a"
-                         Fmt.(list ~sep:(any "; ") Distsim.Audit.pp_violation)
-                         violations))
-               | Ok entries ->
-                 t.audit_entries <- List.rev_append entries t.audit_entries;
-                 (match d.reason with
-                  | Distsim.Recover.Deadline_exceeded { spent; budget } ->
-                    (* Disjoint from [degraded]: a deadline miss is its
-                       own outcome, not a recovery failure. *)
-                    t.deadline_exceeded_count <-
-                      t.deadline_exceeded_count + 1;
-                    Error (Deadline_exceeded { spent; budget })
-                  | _ ->
-                    t.degraded_count <- t.degraded_count + 1;
-                    Error
-                      (Degraded
-                         {
-                           reason = d.reason;
-                           failovers = List.length d.failovers;
-                           partial = d.partial;
-                           failed_node = d.failed_node;
-                         })))))
     end
 
 let explain t sql =

@@ -117,6 +117,9 @@ type error =
           (** minimal grants that would repair it, when one exists *)
     }
   | Execution_error of string
+      (** the engine refused the assignment or found a base relation
+          without an instance ({!Distsim.Recover.Execution_failed}) —
+          not a fault, so not a degradation *)
   | Degraded of {
       reason : Distsim.Recover.reason;
       failovers : int;  (** failovers that {e did} succeed before *)
@@ -125,7 +128,7 @@ type error =
               failed outright, non-empty is an honest partial answer *)
       failed_node : int option;
     }
-      (** a fault-injected run could not be recovered; never a silent
+      (** the run could not be recovered from a fault; never a silent
           wrong answer ([Ok] with [failovers <> []] is the "answered
           after failover" case) *)
   | Audit_violation of string
@@ -151,17 +154,25 @@ val pp_error : error Fmt.t
 (** Serve one SQL query. Plans are cached under the canonical query
     key and validated against the current policy epoch — and, with
     breakers enabled, against the current quarantine set — before any
-    message is sent; execution and auditing always run. [fault] runs
-    the query under fault injection via {!Distsim.Recover.execute}:
-    message-level faults are absorbed by retransmission, dead servers
-    by safe replanning seeded with the cached (already certified)
-    assignment; the cumulative log of every attempt is audited,
-    accumulated, and fed to the circuit breakers.
+    message is sent; execution and auditing always run.
+
+    Every query runs through one path, {!Distsim.Recover.execute},
+    under [fault] ({!Distsim.Fault.reliable} when absent), with the
+    cached (already certified) assignment seeding the first attempt
+    and the quarantined servers excluded. Message-level faults are
+    absorbed by retransmission, dead servers by safe replanning; the
+    cumulative log of every attempt — a failed run's included — is
+    audited, accumulated and fed to the circuit breakers. An audit
+    violation takes precedence over any other outcome. Otherwise a
+    failed run maps to:
+    - {!Deadline_exceeded} for a blown budget, counted as a deadline
+      miss and not as degraded;
+    - {!Execution_error} for a non-fault engine error;
+    - {!Degraded} for every other reason.
 
     [deadline] bounds the query in logical steps (see
-    {!Distsim.Engine.execute}); a blown budget returns a typed
-    {!Deadline_exceeded}. [tenant] names the tenant for per-tenant
-    quota accounting ({!set_quota}).
+    {!Distsim.Engine.execute}). [tenant] names the tenant for
+    per-tenant quota accounting ({!set_quota}).
 
     @raise Invalid_argument if [deadline <= 0]. *)
 val query :

@@ -217,15 +217,50 @@ let test_query_with_fault_degraded () =
   | Ok _ -> Alcotest.fail "answered without the only copy of Insurance"
   | Error e -> Alcotest.failf "wrong error: %a" Federation.pp_error e
 
+(* Under every budget from one step to the whole query, naming the
+   reliable plan changes nothing: the same outcome, the same steps
+   spent and the same audited emissions as naming no plan at all. *)
 let test_query_with_reliable_fault_plan () =
   let fed = medical () in
-  match
-    Federation.query ~fault:Distsim.Fault.reliable fed M.example_query_sql
-  with
-  | Error e -> Alcotest.failf "%a" Federation.pp_error e
-  | Ok r ->
-    check Alcotest.int "no failovers" 0 (List.length r.failovers);
-    check Alcotest.int "three answers" 3 (Relation.cardinality r.result)
+  (match
+     Federation.query ~fault:Distsim.Fault.reliable fed M.example_query_sql
+   with
+   | Error e -> Alcotest.failf "%a" Federation.pp_error e
+   | Ok r ->
+     check Alcotest.int "no failovers" 0 (List.length r.failovers);
+     check Alcotest.int "three answers" 3 (Relation.cardinality r.result));
+  let run ?fault ~deadline sql =
+    let fed = medical () in
+    let outcome =
+      match Federation.query ?fault ~deadline fed sql with
+      | Ok r -> Fmt.str "ok after %d steps" r.steps
+      | Error (Federation.Deadline_exceeded { spent; budget }) ->
+        Fmt.str "deadline: %d spent of %d" spent budget
+      | Error e -> Fmt.str "%a" Federation.pp_error e
+    in
+    (outcome, List.length (Federation.audit_log fed))
+  in
+  List.iter
+    (fun sql ->
+      let steps =
+        match Federation.query (medical ()) sql with
+        | Ok r -> r.steps
+        | Error e -> Alcotest.failf "%a" Federation.pp_error e
+      in
+      for k = 1 to steps do
+        let clean, clean_audit = run ~deadline:k sql in
+        let faulty, faulty_audit =
+          run ~fault:Distsim.Fault.reliable ~deadline:k sql
+        in
+        let at what = Fmt.str "%s at budget %d of %S" what k sql in
+        check Alcotest.string (at "outcome") clean faulty;
+        check Alcotest.int (at "audited emissions") clean_audit faulty_audit
+      done)
+    [
+      M.example_query_sql;
+      "SELECT Holder, Plan, Citizen, HealthAid FROM Insurance JOIN \
+       Nat_registry ON Holder = Citizen";
+    ]
 
 let suite =
   [

@@ -200,6 +200,17 @@ let test_federation_deadline () =
   let s = F.stats fed in
   check Alcotest.int "one deadline miss" 1 s.F.deadline_exceeded;
   check Alcotest.int "deadline misses are not degradations" 0 s.F.degraded;
+  (* A miss audits what already left: the full operand for n2 crosses
+     S_I -> S_N at step 4, and the next step blows a budget of 4. *)
+  let missed = medical () in
+  (match F.query ~deadline:4 missed M.example_query_sql with
+   | Error (F.Deadline_exceeded { spent; budget }) ->
+     check Alcotest.int "spent" 5 spent;
+     check Alcotest.int "budget" 4 budget
+   | Ok _ -> Alcotest.fail "served within four logical steps"
+   | Error e -> Alcotest.failf "wrong error: %a" F.pp_error e);
+  check Alcotest.int "the one emission is audited" 1
+    (List.length (F.audit_log missed));
   match F.query ~deadline:0 fed M.example_query_sql with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-positive deadline accepted"
