@@ -424,11 +424,14 @@ let run_chase_bench () =
 (* Certificate-checker overhead: the independent linear-time checker
    must be strictly cheaper than the engine whose verdict it validates,
    at every measured point — otherwise proof-carrying mode would double
-   the cost it is meant to bound. Three families of points: chase
-   closure vs derivation-trace replay, planning + safety re-proof vs
-   plan-certificate check, and log saturation vs join-tree
-   counterexample checks. Written to BENCH_certify.json; each point
-   asserts checker < engine and that every certificate checks. *)
+   the cost it is meant to bound. Three families of points pit an
+   engine against its checker: chase closure vs derivation-trace
+   replay, planning + safety re-proof vs plan-certificate check, and
+   log saturation vs join-tree counterexample checks; each asserts
+   checker < engine and that every certificate checks. A fourth family
+   times certificate emission against a warm chase handle vs checking
+   the emitted certificate, and asserts the median emit takes at most
+   3x its check. Written to BENCH_certify.json. *)
 
 let run_certify_bench () =
   let module C = Analysis.Certificate in
@@ -449,19 +452,21 @@ let run_certify_bench () =
            "certify bench: checker not below engine at %s (%.9f >= %.9f)"
            what checker engine)
   in
-  (* Chase points (the BENCH_chase sweep): closing the policy vs
-     replaying its recorded derivation trace. *)
-  let chase_point relations density =
+  let chase_case relations density =
     let rng = Rng.make ~seed:(41 * relations) in
     let sys =
       System_gen.generate rng ~relations ~servers:relations ~extra:2
         ~topology:System_gen.Chain
     in
-    let policy =
+    ( sys,
       Authz_gen.generate
         (Rng.make ~seed:(relations + 1))
-        ~max_path:2 ~attr_keep:1.0 ~density sys
-    in
+        ~max_path:2 ~attr_keep:1.0 ~density sys )
+  in
+  (* Chase points (the BENCH_chase sweep): closing the policy vs
+     replaying its recorded derivation trace. *)
+  let chase_point relations density =
+    let sys, policy = chase_case relations density in
     let joins = sys.System_gen.join_graph in
     let _, trace = Authz.Chase.close_trace ~joins policy in
     let rules = C.rules_of_trace policy trace in
@@ -477,6 +482,84 @@ let run_certify_bench () =
     Printf.sprintf
       {|{"kind":"chase","relations":%d,"rules":%d,"engine_seconds":%.9f,"checker_seconds":%.9f,"ratio":%.2f}|}
       relations (List.length rules) engine checker (engine /. checker)
+  in
+  (* Emit points (the chase points' policies): emitting a certificate
+     against the warm handle vs checking it, per call on the monotonic
+     clock. Emission walks back from the flow witnesses through the
+     handle's derivation table, so like the check it costs time in
+     proportion to the certificate, not the closure: a point fails when
+     the median plan's emit takes more than 3x its check. *)
+  let per_call f =
+    let batch n =
+      let t0 = Monotonic_clock.get () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      (Monotonic_clock.get () -. t0) /. 1e9
+    in
+    (* Calls per sample: enough to fill a millisecond. *)
+    let rec size n = if n >= 1 lsl 20 || batch n >= 1e-3 then n else size (2 * n) in
+    let n = size 1 in
+    fun () -> batch n /. float_of_int n
+  in
+  let median l = List.nth (List.sort Float.compare l) (List.length l / 2) in
+  let emit_point relations density =
+    let sys, policy = chase_case relations density in
+    let catalog = sys.System_gen.catalog in
+    let joins = sys.System_gen.join_graph in
+    let closed = Authz.Chase.closed_policy ~joins policy in
+    let closure = Authz.Chase.closure closed in
+    let certified =
+      List.filter_map
+        (fun seed ->
+          Option.bind
+            (Query_gen.generate_plan (Rng.make ~seed) ~joins:(2 + (seed mod 3))
+               sys)
+            (fun plan ->
+              match Planner.Safe_planner.plan ~closed catalog closure plan with
+              | Error _ -> None
+              | Ok { assignment; _ } -> (
+                match C.certify ~closed catalog closure plan assignment with
+                | Ok (Some cert) when cert.C.flows <> [] ->
+                  Some (plan, assignment, cert)
+                | Ok _ -> None
+                | Error msg -> failwith ("certify bench: emission failed: " ^ msg))))
+        (List.init 16 Fun.id)
+      |> List.filteri (fun i _ -> i < 4)
+    in
+    if certified = [] then
+      failwith
+        (Printf.sprintf "certify bench: no certified plan at %d relations"
+           relations);
+    let timed =
+      List.map
+        (fun (plan, assignment, cert) ->
+          let emit =
+            per_call (fun () -> C.emit_plan ~closed catalog closure plan assignment)
+          and check =
+            per_call (fun () -> C.check_plan ~joins catalog policy plan cert)
+          in
+          (* Alternate the two so drift hits both alike. *)
+          let samples = List.init 9 (fun _ -> (emit (), check ())) in
+          (median (List.map fst samples), median (List.map snd samples)))
+        certified
+    in
+    let ratios = List.map (fun (e, c) -> e /. c) timed in
+    let ratio = median ratios in
+    if ratio > 3.0 then
+      failwith
+        (Printf.sprintf
+           "certify bench: emit takes %.1fx its check at %d relations (gate 3x)"
+           ratio relations);
+    Printf.sprintf
+      {|{"kind":"emit","relations":%d,"rules":%d,"plans":%d,"emit_seconds":%.9f,"checker_seconds":%.9f,"ratio":%.2f,"max_ratio":%.2f}|}
+      relations
+      (Authz.Policy.cardinality closure)
+      (List.length timed)
+      (median (List.map fst timed))
+      (median (List.map snd timed))
+      ratio
+      (List.fold_left Float.max 0. ratios)
   in
   (* Plan points (the planner chain cases): planning + the independent
      safety re-proof vs checking the emitted certificate. *)
@@ -589,6 +672,10 @@ let run_certify_bench () =
       chase_point 9 0.4;
       chase_point 12 0.35;
       chase_point 15 0.3;
+      emit_point 6 0.5;
+      emit_point 9 0.4;
+      emit_point 12 0.35;
+      emit_point 15 0.3;
       plan_point 2;
       plan_point 4;
       plan_point 8;
@@ -841,11 +928,14 @@ let run_service_bench () =
     sweep ~relations:18 ~max_path:3 ~joins_per_query:5 ~pool_size:12
       ~draws:300
   in
+  (* The storm's stale-execution check runs before the throughput gate,
+     so a failing gate never skips it. *)
+  let st = storm ~relations:6 ~rounds:25 in
   if speedup < 100.0 then
     failwith
       (Printf.sprintf
          "service bench: cached speedup %.1fx below the 100x budget" speedup);
-  let entries = [ z1; z2; storm ~relations:6 ~rounds:25 ] in
+  let entries = [ z1; z2; st ] in
   let oc = open_out "BENCH_service.json" in
   Printf.fprintf oc {|{"bench":"federation-service","entries":[%s]}|}
     (String.concat "," entries);
@@ -1056,12 +1146,6 @@ let run_health_bench () =
   let rates = [ 0.0; 0.25; 0.5; 1.0 ] in
   let points = List.map sweep_rate rates in
   let _, top_speedup = List.nth points (List.length points - 1) in
-  if top_speedup < 5.0 then
-    failwith
-      (Printf.sprintf
-         "health bench: breaker speedup %.1fx below the 5x budget at full \
-          fault rate"
-         top_speedup);
   (* Deadline-hit profile: the budget a clean run needs, doubled, and
      the fraction of queries that meet it per fault rate under the
      breaker-enabled service. *)
@@ -1105,6 +1189,14 @@ let run_health_bench () =
           (float_of_int !hit /. float_of_int (max 1 (!hit + !missed))))
       rates
   in
+  (* Gated last: every point's post-quarantine checks and the deadline
+     profile have run whatever the throughput shows. *)
+  if top_speedup < 5.0 then
+    failwith
+      (Printf.sprintf
+         "health bench: breaker speedup %.1fx below the 5x budget at full \
+          fault rate"
+         top_speedup);
   let entries = List.map fst points @ deadline_profile in
   let oc = open_out "BENCH_health.json" in
   Printf.fprintf oc {|{"bench":"service-resilience","entries":[%s]}|}

@@ -1314,16 +1314,24 @@ let serve_cmd =
              with Invalid_argument msg -> usage_error (D.Step lineno) "%s" msg)
           | "revoke" ->
             let a = parse_rule lineno "revoke" rest in
+            let in_base = Authz.Policy.mem a (Federation.base_policy service) in
             let before = (Federation.stats service).Federation.invalidations in
             (try
                Federation.revoke service a;
                let after =
                  (Federation.stats service).Federation.invalidations
                in
-               Fmt.pr "l%d: revoked %a (epoch %d, %d plan(s) invalidated)@."
-                 lineno Authz.Authorization.pp a
-                 (Federation.epoch service)
-                 (after - before)
+               if in_base then
+                 Fmt.pr "l%d: revoked %a (epoch %d, %d plan(s) invalidated)@."
+                   lineno Authz.Authorization.pp a
+                   (Federation.epoch service)
+                   (after - before)
+               else
+                 Fmt.pr
+                   "l%d: %a is not in the base policy, nothing revoked \
+                    (epoch %d)@."
+                   lineno Authz.Authorization.pp a
+                   (Federation.epoch service)
              with Invalid_argument msg -> usage_error (D.Step lineno) "%s" msg)
           | "stats" ->
             Fmt.pr "l%d:@.%a@." lineno Federation.pp_stats

@@ -26,7 +26,7 @@ let epoch =
 (* ------------------------------------------------------------------ *)
 (* The language.                                                       *)
 
-type justification =
+type justification = Chase.justification =
   | Granted
   | Composed of { left : int; right : int; via : Joinpath.Cond.t }
 
@@ -366,48 +366,18 @@ let check_leak ?(revalidate = false) ~joins catalog policy ~deliveries
 (* ------------------------------------------------------------------ *)
 (* Emission.                                                           *)
 
-(* Base rules first (as [Granted]), then the trace in order. The trace
-   is chronological, so premises always resolve to earlier indices; a
-   step whose premise escaped the trace (impossible for [close_trace],
-   defensive for hand-built traces) is dropped — the witness lookup
-   will then fail loudly instead of silently certifying. *)
-let universe base trace =
-  let index = Hashtbl.create 64 in
-  let rules = ref [] in
-  let count = ref 0 in
-  let push auth just rid =
-    Hashtbl.add index rid !count;
-    rules := { auth; just } :: !rules;
-    incr count
-  in
-  List.iter
-    (fun a ->
-      let rid = Policy.Index.rule_id a in
-      if not (Hashtbl.mem index rid) then push a Granted rid)
-    (Policy.authorizations base);
-  List.iter
-    (fun (d : Chase.derivation) ->
-      let rid = Policy.Index.rule_id d.derived in
-      if not (Hashtbl.mem index rid) then
-        match
-          ( Hashtbl.find_opt index (Policy.Index.rule_id d.left),
-            Hashtbl.find_opt index (Policy.Index.rule_id d.right) )
-        with
-        | Some left, Some right ->
-          push d.derived (Composed { left; right; via = d.via }) rid
-        | _ -> ())
-    trace;
-  (List.rev !rules, index)
-
-let rules_of_trace base trace = fst (universe base trace)
+let rules_of_trace base trace =
+  List.map
+    (fun (auth, just) -> { auth; just })
+    (Chase.entries (Chase.table_of_trace base trace))
 
 let ( let* ) = Result.bind
 
 let emit_plan ?(third_party = false) ?closed catalog policy plan assignment =
-  let base, trace, closure =
+  let base, closure, table =
     match closed with
-    | Some c -> (Chase.policy c, Chase.derivations c, Chase.closure c)
-    | None -> (policy, [], policy)
+    | Some c -> (Chase.policy c, Chase.closure c, Chase.table c)
+    | None -> (policy, policy, Chase.table_of_trace policy [])
   in
   if Policy.is_open base then
     Error "certificates apply to closed policies only"
@@ -415,8 +385,6 @@ let emit_plan ?(third_party = false) ?closed catalog policy plan assignment =
     match Safety.flows ~third_party catalog plan assignment with
     | Error e -> Error (Fmt.str "%a" Safety.pp_error e)
     | Ok flows ->
-      let rules, index = universe base trace in
-      let rules = Array.of_list rules in
       let rec evidence acc = function
         | [] -> Ok (List.rev acc)
         | (f : Safety.flow) :: rest -> (
@@ -426,7 +394,7 @@ let emit_plan ?(third_party = false) ?closed catalog policy plan assignment =
               (Fmt.str "no witnessing rule for the flow at n%d to %a" f.at
                  Server.pp f.receiver)
           | Some w -> (
-            match Hashtbl.find_opt index (Policy.Index.rule_id w) with
+            match Chase.position table w with
             | None ->
               Error
                 (Fmt.str "witness for n%d is outside the derivation trace" f.at)
@@ -443,50 +411,40 @@ let emit_plan ?(third_party = false) ?closed catalog policy plan assignment =
                 rest))
       in
       let* evidenced = evidence [] flows in
-      (* Prune the universe to the rules the evidence transitively
-         references: witnesses, then (walking conclusions to premises,
-         which always point backwards) their whole derivation chains. *)
-      let keep = Array.make (Array.length rules) false in
-      List.iter (fun ev -> keep.(ev.witness) <- true) evidenced;
-      for i = Array.length rules - 1 downto 0 do
-        if keep.(i) then
-          match rules.(i).just with
-          | Granted -> ()
-          | Composed { left; right; _ } ->
-            keep.(left) <- true;
-            keep.(right) <- true
-      done;
-      let remap = Array.make (Array.length rules) (-1) in
-      let next = ref 0 in
-      Array.iteri
-        (fun i k ->
-          if k then begin
-            remap.(i) <- !next;
-            incr next
-          end)
-        keep;
-      let pruned = ref [] in
-      Array.iteri
-        (fun i r ->
-          if keep.(i) then
-            let just =
-              match r.just with
-              | Granted -> Granted
-              | Composed { left; right; via } ->
-                Composed { left = remap.(left); right = remap.(right); via }
-            in
-            pruned := { r with just } :: !pruned)
-        rules;
-      let evidenced =
-        List.map (fun ev -> { ev with witness = remap.(ev.witness) }) evidenced
+      (* Keep the rules the witnesses transitively cite — walking back
+         from the witnesses only, so the cost follows the certificate,
+         not the closure — renumbered in table order. *)
+      let remap = Hashtbl.create 16 in
+      let rec keep i =
+        if not (Hashtbl.mem remap i) then begin
+          Hashtbl.add remap i 0;
+          match Chase.entry table i with
+          | _, Granted -> ()
+          | _, Composed { left; right; _ } ->
+            keep left;
+            keep right
+        end
+      in
+      List.iter (fun ev -> keep ev.witness) evidenced;
+      let kept = List.sort compare (Hashtbl.fold (fun i _ l -> i :: l) remap []) in
+      List.iteri (fun n i -> Hashtbl.replace remap i n) kept;
+      let rule i =
+        match Chase.entry table i with
+        | auth, Granted -> { auth; just = Granted }
+        | auth, Composed { left; right; via } ->
+          let left = Hashtbl.find remap left and right = Hashtbl.find remap right in
+          { auth; just = Composed { left; right; via } }
       in
       Ok
         {
           epoch = epoch base;
           third_party;
           assignment;
-          rules = List.rev !pruned;
-          flows = evidenced;
+          rules = List.map rule kept;
+          flows =
+            List.map
+              (fun ev -> { ev with witness = Hashtbl.find remap ev.witness })
+              evidenced;
         }
 
 let certify ?third_party ?closed catalog policy plan assignment =

@@ -43,7 +43,7 @@ val epoch : Policy.t -> string
 (** Why a rule of the certificate holds. [Composed] premises are
     indices of {e strictly earlier} rules in the certificate's rule
     list, so checking is a single left-to-right pass. *)
-type justification =
+type justification = Chase.justification =
   | Granted  (** explicit in the base policy *)
   | Composed of { left : int; right : int; via : Joinpath.Cond.t }
       (** one Figure-4 merge step of two earlier rules on [via] *)
@@ -184,16 +184,17 @@ val check_leak :
 
 (** {1 Emission} *)
 
-(** The full derivation universe of a closure: the base policy's rules
-    as [Granted] followed by the recorded trace as [Composed], in
-    chronological (hence checkable) order. Steps whose premises fell
-    outside the trace are dropped. *)
+(** The full derivation universe of a closure, in checkable order: the
+    entries of {!Chase.table_of_trace}, the numbering a handle's
+    {!Chase.table} gives every certificate {!emit_plan} emits. *)
 val rules_of_trace : Policy.t -> Chase.derivation list -> rule list
 
 (** [emit_plan ~third_party ?closed catalog policy plan assignment]
     derives the plan's flows structurally and witnesses each with the
     authorizing rule of the (closed) policy. With [closed], witnesses
-    may be chase-derived and arrive with their derivation chains; the
+    may be chase-derived and arrive with their derivation chains,
+    walked back from the witnesses through the handle's {!Chase.table}
+    (time in proportion to the certificate, not the closure); the
     certificate's epoch pins the {e base} policy under the handle.
     Without it, [policy] itself (which must be closed-mode) is the
     base and every witness is [Granted]. Errors on open-mode policies,

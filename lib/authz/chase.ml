@@ -213,27 +213,63 @@ let close_naive ?(max_rules = default_max_rules) ~joins policy =
   in
   fixpoint policy
 
-(* Incremental handle: the closure is computed at most once per policy
-   state and shared by every consumer holding the handle. *)
+type justification =
+  | Granted
+  | Composed of { left : int; right : int; via : Joinpath.Cond.t }
+
+type table = {
+  position : (int, int) Hashtbl.t;
+  entries : (Authorization.t * justification) array;
+}
+
+(* A trace is chronological, so premises resolve to earlier positions;
+   only a hand-built trace can have a step this drops. *)
+let table_of_trace base trace =
+  let position = Hashtbl.create 64 and entries = ref [] in
+  let push auth just =
+    let rid = Policy.Index.rule_id auth in
+    if not (Hashtbl.mem position rid) then begin
+      Hashtbl.add position rid (Hashtbl.length position);
+      entries := (auth, just) :: !entries
+    end
+  in
+  List.iter (fun a -> push a Granted) (Policy.authorizations base);
+  List.iter
+    (fun d ->
+      match
+        ( Hashtbl.find_opt position (Policy.Index.rule_id d.left),
+          Hashtbl.find_opt position (Policy.Index.rule_id d.right) )
+      with
+      | Some left, Some right -> push d.derived (Composed { left; right; via = d.via })
+      | _ -> ())
+    trace;
+  { position; entries = Array.of_list (List.rev !entries) }
+
+let position t a = Hashtbl.find_opt t.position (Policy.Index.rule_id a)
+let entry t i = t.entries.(i)
+let entries t = Array.to_list t.entries
+
+(* Incremental handle: the closure and its derivation table are built at
+   most once per policy state and shared by every holder of the handle. *)
 type closed = {
   base : Policy.t;
   joins : Joinpath.Cond.t list;
   max_rules : int;
   closure : (Policy.t * derivation list) Lazy.t;
+  table : table Lazy.t;
 }
 
+let handle ~max_rules ~joins base closure =
+  let table = lazy (table_of_trace base (snd (Lazy.force closure))) in
+  { base; joins; max_rules; closure; table }
+
 let closed_policy ?(max_rules = default_max_rules) ~joins policy =
-  {
-    base = policy;
-    joins;
-    max_rules;
-    closure = lazy (close_trace ~max_rules ~joins policy);
-  }
+  handle ~max_rules ~joins policy (lazy (close_trace ~max_rules ~joins policy))
 
 let policy t = t.base
 let joins t = t.joins
 let closure t = fst (Lazy.force t.closure)
-let derivations t = snd (Lazy.force t.closure)
+let table t = Lazy.force t.table
 let can_view t profile s = Policy.can_view (closure t) profile s
 
 let add a t =
@@ -259,12 +295,13 @@ let add a t =
            (p, trace @ List.rev !acc))
       else lazy (close_trace ~max_rules:t.max_rules ~joins:t.joins base)
     in
-    { t with base; closure }
+    handle ~max_rules:t.max_rules ~joins:t.joins base closure
 
 let revoke a t =
   (* Removal invalidates: derived rules may lose their support, so the
      closure is recomputed from the shrunk base on next use. *)
-  closed_policy ~max_rules:t.max_rules ~joins:t.joins (Policy.remove a t.base)
+  if not (Policy.mem a t.base) then t
+  else closed_policy ~max_rules:t.max_rules ~joins:t.joins (Policy.remove a t.base)
 
 let derives ~joins policy profile s =
   can_view (closed_policy ~joins policy) profile s

@@ -65,6 +65,23 @@ val close_trace :
   Policy.t ->
   Policy.t * derivation list
 
+(** Why entry [i] of a {!table} holds: explicit in the base policy, or
+    one merge step of two strictly earlier entries on [via]. *)
+type justification =
+  | Granted
+  | Composed of { left : int; right : int; via : Joinpath.Cond.t }
+
+(** A derivation table numbers a closure's evidence: the base rules in
+    {!Policy.authorizations} order, then the trace's conclusions in
+    order. The first occurrence of a rule id wins ({!position} looks
+    rules up by id); a step citing a premise outside it is dropped. *)
+type table
+
+val table_of_trace : Policy.t -> derivation list -> table
+val position : table -> Authorization.t -> int option
+val entry : table -> int -> Authorization.t * justification
+val entries : table -> (Authorization.t * justification) list
+
 (** The seed (naive) engine: every round rescans (all × all) rule
     pairs. Kept as the executable reference — the differential tests
     prove [close ≡ close_naive] on randomized policies, and the chase
@@ -93,10 +110,12 @@ val joins : closed -> Joinpath.Cond.t list
 (** The closed policy; computed on first call, cached afterwards. *)
 val closure : closed -> Policy.t
 
-(** The merge steps behind {!closure}, chronological (premises before
-    conclusions); forces the closure. After {!add} on a cached handle
-    the list extends the previous trace with the incremental steps. *)
-val derivations : closed -> derivation list
+(** {!table_of_trace} over the base and the trace behind {!closure}
+    (after {!add} on a cached handle, the previous trace extended by the
+    incremental steps). The handle owns it: built on first call, once
+    per policy state; {!closed_policy}, {!add}, {!revoke} and
+    {!closure} never build it. *)
+val table : closed -> table
 
 (** [can_view t profile s] — Definition 3.3 against the cached
     closure. *)
@@ -111,7 +130,8 @@ val add : Authorization.t -> closed -> closed
 
 (** [revoke a t] — handle over [Policy.remove a (policy t)]. Removal
     invalidates the cache: derived rules may lose their support, so the
-    closure is recomputed lazily from the shrunk base. *)
+    closure is recomputed lazily from the shrunk base. [t] itself when
+    [a] is not in the base (a derived rule, say): nothing changes. *)
 val revoke : Authorization.t -> closed -> closed
 
 (** [derives ~joins policy profile s] — convenience: does the closure

@@ -385,38 +385,40 @@ let grant t auth =
 let revoke t auth =
   if Authz.Policy.is_open t.policy then
     invalid_arg "Federation.revoke: open-mode (DENY) policies have no epochs";
-  let dead = Authz.Policy.Index.rule_id auth in
-  (match t.chase with
-   | Some h ->
-     let h = Authz.Chase.revoke auth h in
-     t.chase <- Some h;
-     t.policy <- Authz.Chase.closure h
-   | None -> t.policy <- Authz.Policy.remove auth t.policy);
   t.service_epoch <- t.service_epoch + 1;
-  t.last_revoke_epoch <- t.service_epoch;
-  (* Incremental invalidation: a cached proof can only break if it
-     cites the revoked rule — every Composed chain bottoms out in
-     Granted base rules that are also listed in [c_rule_ids], so plans
-     whose support avoids [dead] keep replaying against the shrunk
-     base and are re-stamped in place. Uncertified entries (open-mode
-     leftovers) have no proof to re-check and are dropped. *)
-  let doomed =
-    Hashtbl.fold
-      (fun key c acc ->
-        let cites =
-          match c.c_certificate with
-          | Some _ -> List.mem dead c.c_rule_ids
-          | None -> true
-        in
-        if cites then key :: acc
-        else begin
-          c.c_epoch <- t.service_epoch;
-          acc
-        end)
-      t.plan_cache []
-  in
-  List.iter (Hashtbl.remove t.plan_cache) doomed;
-  t.invalidations <- t.invalidations + List.length doomed
+  if Authz.Policy.mem auth (base_policy t) then begin
+    let dead = Authz.Policy.Index.rule_id auth in
+    (match t.chase with
+     | Some h ->
+       let h = Authz.Chase.revoke auth h in
+       t.chase <- Some h;
+       t.policy <- Authz.Chase.closure h
+     | None -> t.policy <- Authz.Policy.remove auth t.policy);
+    t.last_revoke_epoch <- t.service_epoch;
+    (* Incremental invalidation: a cached proof can only break if it
+       cites the revoked rule — every Composed chain bottoms out in
+       Granted base rules that are also listed in [c_rule_ids], so plans
+       whose support avoids [dead] keep replaying against the shrunk
+       base and are re-stamped in place. Uncertified entries (open-mode
+       leftovers) have no proof to re-check and are dropped. *)
+    let doomed =
+      Hashtbl.fold
+        (fun key c acc ->
+          let cites =
+            match c.c_certificate with
+            | Some _ -> List.mem dead c.c_rule_ids
+            | None -> true
+          in
+          if cites then key :: acc
+          else begin
+            c.c_epoch <- t.service_epoch;
+            acc
+          end)
+        t.plan_cache []
+    in
+    List.iter (Hashtbl.remove t.plan_cache) doomed;
+    t.invalidations <- t.invalidations + List.length doomed
+  end
 
 (* ------------------------------------------------------------------ *)
 

@@ -208,7 +208,8 @@ val grant : t -> Authz.Authorization.t -> unit
     interned rule id, see {!Analysis.Certificate.rule_ids}) are
     invalidated, to be re-planned and re-proved on next use; every
     other entry's proof still replays against the shrunk base policy
-    and is re-stamped in place.
+    and is re-stamped in place. Revoking a rule absent from the base (a
+    chase-derived one, say) only bumps the epoch: nothing is invalidated.
 
     @raise Invalid_argument on an open-mode (DENY) policy. *)
 val revoke : t -> Authz.Authorization.t -> unit

@@ -471,6 +471,270 @@ let test_federation_response_certified () =
       (C.check_plan ~joins:M.join_graph M.catalog M.policy r3.Federation.plan
          cert)
 
+(* ------------------------------------------------------------------ *)
+(* Emission differential.                                              *)
+
+module Ch = Authz.Chase
+module P = Authz.Policy
+
+(* The reference emitter, with no derivation table: it numbers the
+   whole rule universe of [(base, trace)] — base rules, then the
+   trace, the first occurrence of a rule id winning — looks each flow's
+   witness up in it, then prunes it by one backward sweep to the rules
+   the witnesses transitively cite, renumbered in universe order. *)
+let reference_emit ~third_party ~base ~trace ~closure catalog plan assignment =
+  let rid = P.Index.rule_id in
+  let index = Hashtbl.create 64 and universe = ref [] in
+  let push auth just =
+    Hashtbl.add index (rid auth) (Hashtbl.length index);
+    universe := { C.auth; just } :: !universe
+  in
+  List.iter
+    (fun a -> if not (Hashtbl.mem index (rid a)) then push a C.Granted)
+    (P.authorizations base);
+  List.iter
+    (fun (d : Ch.derivation) ->
+      if not (Hashtbl.mem index (rid d.derived)) then
+        match
+          (Hashtbl.find_opt index (rid d.left), Hashtbl.find_opt index (rid d.right))
+        with
+        | Some left, Some right ->
+          push d.derived (C.Composed { left; right; via = d.via })
+        | _ -> ())
+    trace;
+  let rules = Array.of_list (List.rev !universe) in
+  let witness (f : Planner.Safety.flow) =
+    match
+      Option.bind (P.authorizing_rule closure f.profile f.receiver) (fun w ->
+          Hashtbl.find_opt index (rid w))
+    with
+    | Some i -> i
+    | None -> Alcotest.failf "reference: no witness for the flow at n%d" f.at
+  in
+  let evidenced =
+    List.map
+      (fun (f : Planner.Safety.flow) ->
+        {
+          C.at = f.at;
+          sender = f.sender;
+          receiver = f.receiver;
+          profile = f.profile;
+          witness = witness f;
+        })
+      (Helpers.check_ok Planner.Safety.pp_error
+         (Planner.Safety.flows ~third_party catalog plan assignment))
+  in
+  let keep = Array.make (Array.length rules) false in
+  List.iter (fun (ev : C.flow_evidence) -> keep.(ev.C.witness) <- true) evidenced;
+  for i = Array.length rules - 1 downto 0 do
+    if keep.(i) then
+      match rules.(i).C.just with
+      | C.Granted -> ()
+      | C.Composed { left; right; _ } ->
+        keep.(left) <- true;
+        keep.(right) <- true
+  done;
+  let remap = Array.make (Array.length rules) (-1) and next = ref 0 in
+  Array.iteri
+    (fun i k ->
+      if k then begin
+        remap.(i) <- !next;
+        incr next
+      end)
+    keep;
+  let renumber (r : C.rule) =
+    match r.C.just with
+    | C.Granted -> r
+    | C.Composed { left; right; via } ->
+      { r with C.just = C.Composed { left = remap.(left); right = remap.(right); via } }
+  in
+  {
+    C.epoch = C.epoch base;
+    third_party;
+    assignment;
+    rules =
+      List.filteri (fun i _ -> keep.(i)) (Array.to_list rules)
+      |> List.map renumber;
+    flows =
+      List.map
+        (fun (ev : C.flow_evidence) -> { ev with C.witness = remap.(ev.C.witness) })
+        evidenced;
+  }
+
+(* The trace a handle's table was built from, read back off the table:
+   the only view of an incrementally extended trace. The reference
+   renumbers the universe of the handle's base and this trace itself, so
+   a table built over a stale base disagrees with it, and one built over
+   a stale trace lacks the witnesses the grown closure cites. *)
+let trace_of_table table =
+  let entries = Array.of_list (Ch.entries table) in
+  List.filter_map
+    (function
+      | derived, Ch.Composed { left; right; via } ->
+        Some { Ch.derived; left = fst entries.(left); right = fst entries.(right); via }
+      | _, Ch.Granted -> None)
+    (Array.to_list entries)
+
+(* [emit_plan ~closed] prints exactly what the reference prints over
+   [trace]; returns the certificate. *)
+let emits_as_reference ?(third_party = false) ~trace closed catalog plan
+    assignment =
+  let closure = Ch.closure closed in
+  let expected =
+    reference_emit ~third_party ~base:(Ch.policy closed) ~trace ~closure
+      catalog plan assignment
+  in
+  match C.emit_plan ~third_party ~closed catalog closure plan assignment with
+  | Error msg -> Alcotest.failf "emission failed: %s" msg
+  | Ok cert ->
+    check Alcotest.string "byte-identical to the reference emitter"
+      (C.plan_to_json expected) (C.plan_to_json cert);
+    cert
+
+let test_emission_differential_medical () =
+  let closed = Ch.closed_policy ~joins:M.join_graph M.policy in
+  let _, trace = Ch.close_trace ~joins:M.join_graph M.policy in
+  let closure = Ch.closure closed in
+  List.iter
+    (fun sql ->
+      let plan = Query.to_plan (Sql_parser.parse_exn M.catalog sql) in
+      (match Planner.Safe_planner.plan ~closed M.catalog closure plan with
+       | Error _ -> ()
+       | Ok { assignment; _ } ->
+         ignore (emits_as_reference ~trace closed M.catalog plan assignment));
+      (match
+         Planner.Third_party.plan ~helpers:[] ~closed M.catalog closure plan
+       with
+       | Error _ -> ()
+       | Ok r ->
+         ignore
+           (emits_as_reference ~third_party:(r.Planner.Third_party.rescues <> [])
+              ~trace closed M.catalog plan r.Planner.Third_party.assignment));
+      (* Without a handle the table numbers the base rules alone. *)
+      match Planner.Safe_planner.plan M.catalog M.policy plan with
+      | Error _ -> ()
+      | Ok { assignment; _ } ->
+        check Alcotest.string (sql ^ ": no-handle emission")
+          (C.plan_to_json
+             (reference_emit ~third_party:false ~base:M.policy ~trace:[]
+                ~closure:M.policy M.catalog plan assignment))
+          (C.plan_to_json
+             (Helpers.check_ok Fmt.string
+                (C.emit_plan M.catalog M.policy plan assignment))))
+    [
+      M.example_query_sql;
+      "SELECT Citizen, HealthAid FROM Nat_registry JOIN Hospital ON Citizen = \
+       Patient";
+      "SELECT Holder, Plan, Citizen, HealthAid FROM Insurance JOIN \
+       Nat_registry ON Holder = Citizen";
+      "SELECT Plan, HealthAid, Disease FROM Insurance JOIN Nat_registry ON \
+       Holder = Citizen JOIN Hospital ON Holder = Patient";
+    ]
+
+(* A 4–5-relation chain, the rules grants draw from (every connected
+   subtree up to [max_path] edges, at every server), a base holding
+   about half of them, and a few plans. *)
+let churn_case seed =
+  let open Workload in
+  let rng = Rng.make ~seed in
+  let relations = 4 + (seed mod 2) in
+  let sys =
+    System_gen.generate rng ~relations ~servers:relations ~extra:1
+      ~topology:System_gen.Chain
+  in
+  let pool =
+    P.authorizations
+      (Authz_gen.generate rng ~max_path:(2 + (seed mod 2)) ~attr_keep:1.0
+         ~density:1.0 sys)
+  in
+  let base = P.of_list (Rng.subset rng ~p:0.5 pool) in
+  let plans =
+    List.filter_map
+      (fun joins -> Query_gen.generate_plan rng ~joins sys)
+      [ 1; 2; 3 ]
+  in
+  (sys, pool, base, plans)
+
+(* After a grant the table must be the grown closure's: the certificate
+   below cites a witness derived only once [g] is granted, which a table
+   left over from before the grant lacks ("witness ... outside the
+   derivation trace"). *)
+let test_emission_after_grant () =
+  let sys, pool, base, plans = churn_case 0 in
+  let catalog = sys.Workload.System_gen.catalog in
+  let before = Ch.closed_policy ~joins:sys.Workload.System_gen.join_graph base in
+  ignore (Ch.table before);
+  let fresh_witness g plan =
+    let after = Ch.add g before in
+    let closure = Ch.closure after in
+    match Planner.Safe_planner.plan ~closed:after catalog closure plan with
+    | Error _ -> false
+    | Ok r ->
+      let trace = trace_of_table (Ch.table after) in
+      let cert =
+        emits_as_reference ~trace after catalog plan
+          r.Planner.Safe_planner.assignment
+      in
+      List.exists
+        (fun (ev : C.flow_evidence) ->
+          let w = List.nth cert.C.rules ev.C.witness in
+          w.C.just <> C.Granted && not (P.mem w.C.auth (Ch.closure before)))
+        cert.C.flows
+  in
+  check Alcotest.bool "a grant derives a new witness" true
+    (List.exists
+       (fun g ->
+         (not (P.mem g base)) && List.exists (fresh_witness g) plans)
+       pool)
+
+(* Random grant/revoke churn through one handle, emitting for every
+   plan at every state. The reference reads the trace from scratch
+   ([close_trace]) where the handle was closed from scratch, and off the
+   handle's own table after an incremental grant. *)
+let prop_emission_under_churn =
+  QCheck.Test.make ~count:100 ~name:"emit_plan = reference emitter under churn"
+    QCheck.(
+      pair small_nat (list_of_size Gen.(1 -- 5) (pair bool small_nat)))
+    (fun (seed, ops) ->
+      let sys, pool, base, plans = churn_case seed in
+      let catalog = sys.Workload.System_gen.catalog in
+      let joins = sys.Workload.System_gen.join_graph in
+      let emit_all h ~scratch =
+        let closure = Ch.closure h in
+        let trace =
+          if scratch then snd (Ch.close_trace ~joins (Ch.policy h))
+          else trace_of_table (Ch.table h)
+        in
+        List.iter
+          (fun plan ->
+            match Planner.Safe_planner.plan ~closed:h catalog closure plan with
+            | Error _ -> ()
+            | Ok r ->
+              ignore
+                (emits_as_reference ~trace h catalog plan
+                   r.Planner.Safe_planner.assignment))
+          plans
+      in
+      let step (h, scratch) (grant, k) =
+        let nth l = List.nth l (k mod List.length l) in
+        let h, scratch =
+          if grant then
+            match List.filter (fun a -> not (P.mem a (Ch.policy h))) pool with
+            | [] -> (h, scratch)
+            | absent -> (Ch.add (nth absent) h, false)
+          else
+            match P.authorizations (Ch.policy h) with
+            | [] -> (h, scratch)
+            | present -> (Ch.revoke (nth present) h, true)
+        in
+        emit_all h ~scratch;
+        (h, scratch)
+      in
+      let h = Ch.closed_policy ~joins base in
+      emit_all h ~scratch:true;
+      ignore (List.fold_left step (h, true) ops);
+      true)
+
 let suite =
   [
     c "chase trace replays" `Quick test_chase_trace_checks;
@@ -492,4 +756,9 @@ let suite =
     c "failover replans carry certificates" `Quick test_recover_certifies;
     c "federation responses carry certificates" `Quick
       test_federation_response_certified;
+    c "emission matches the reference on Medical" `Quick
+      test_emission_differential_medical;
+    c "emission after a grant cites the new derivation" `Quick
+      test_emission_after_grant;
+    Helpers.qcheck prop_emission_under_churn;
   ]

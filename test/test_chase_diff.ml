@@ -125,7 +125,20 @@ let test_revoke_recomputes () =
       let scratch = Chase.close ~joins (Policy.remove rule policy) in
       check Alcotest.bool "revoke = close of shrunk base" true
         (Policy.equal after scratch))
-    (Policy.authorizations policy)
+    (Policy.authorizations policy);
+  (* A derived rule is not in the base: revoking it changes nothing, so
+     the handle, its closure and its table all survive. *)
+  let derived =
+    List.filter
+      (fun a -> not (Policy.mem a policy))
+      (Policy.authorizations (Chase.closure handle))
+  in
+  check Alcotest.bool "the closure derives rules" true (derived <> []);
+  List.iter
+    (fun d ->
+      check Alcotest.bool "revoking a derived rule keeps the handle" true
+        (Chase.revoke d handle == handle))
+    derived
 
 (* ------------------------------------------------------------------ *)
 (* Budget regressions: [max_rules] bounds DISTINCT rules. The seed

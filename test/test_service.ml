@@ -175,7 +175,52 @@ let test_revoke_invalidates_exactly () =
   F.grant fed dead;
   let r = serve fed M.example_query_sql in
   check Alcotest.bool "same answer as before the churn" true
-    (Relation.equal ra.F.result r.F.result)
+    (Relation.equal ra.F.result r.F.result);
+  (* A rule the base does not grant — here a chase-derived rule that a
+     cached certificate cites — revokes nothing: neither the base nor
+     the closure changes, so no entry is invalidated. *)
+  let open Workload in
+  let rng = Rng.make ~seed:1 in
+  let sys =
+    System_gen.generate rng ~relations:6 ~servers:6 ~extra:2
+      ~topology:System_gen.Chain
+  in
+  let policy =
+    Authz_gen.generate rng ~max_path:2 ~attr_keep:1.0 ~density:0.8 sys
+  in
+  let chain =
+    F.create ~catalog:sys.System_gen.catalog ~policy
+      ~close_under:sys.System_gen.join_graph
+      ~instances:(Data_gen.instances rng ~rows:3 sys) ()
+  in
+  let rec cites_derived tries =
+    if tries = 0 then Alcotest.fail "no certificate cites a derived rule"
+    else
+      match Query_gen.generate rng ~joins:2 sys with
+      | None -> cites_derived (tries - 1)
+      | Some q -> (
+        let sql = Query.to_string q in
+        match F.query chain sql with
+        | Ok { F.certificate = Some cert; _ } -> (
+          match
+            List.find_opt (fun (r : C.rule) -> r.C.just <> C.Granted) cert.C.rules
+          with
+          | Some r -> (sql, r.C.auth)
+          | None -> cites_derived (tries - 1))
+        | _ -> cites_derived (tries - 1))
+  in
+  let sql, derived = cites_derived 50 in
+  let cached = List.length (F.cached_plans chain) in
+  let base = F.base_policy chain and epoch = F.epoch chain in
+  F.revoke chain derived;
+  check Alcotest.int "revoking a derived rule invalidates nothing" 0
+    (F.stats chain).F.invalidations;
+  check Alcotest.int "every plan stays cached" cached
+    (List.length (F.cached_plans chain));
+  check Alcotest.bool "the base is unchanged" true (F.base_policy chain == base);
+  check Alcotest.int "the epoch still moves" (epoch + 1) (F.epoch chain);
+  check Alcotest.bool "the citing plan still serves from cache" true
+    (serve chain sql).F.from_cache
 
 let test_explain_from_cache () =
   let fed = medical () in
