@@ -368,19 +368,27 @@ let run_inference_bench () =
    derive the longer paths round by round, which is exactly where
    rescanning every pair hurts). Written to BENCH_chase.json so
    successive PRs can compare. Each point also asserts the two
-   closures are identical — the bench doubles as a differential. *)
+   closures are identical — the bench doubles as a differential.
+
+   Each point also revokes up to 12 evenly spaced path rules from a
+   forced handle and times each revoke (closure forced) against
+   [Chase.close] of the shrunk base, asserting the two closures are
+   equal. A revoke re-closes only the revoked rule's server, so the
+   point fails when the median revoke takes more than half a
+   from-scratch close. Times are best of 3 on the monotonic clock. *)
 
 let run_chase_bench () =
   let measure f =
     let best = ref infinity in
     for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
+      let t0 = Monotonic_clock.get () in
       ignore (Sys.opaque_identity (f ()));
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = (Monotonic_clock.get () -. t0) /. 1e9 in
       if dt < !best then best := dt
     done;
     !best
   in
+  let median l = List.nth (List.sort Float.compare l) (List.length l / 2) in
   let point relations density =
     let rng = Rng.make ~seed:(41 * relations) in
     let sys =
@@ -401,13 +409,50 @@ let run_chase_bench () =
            relations);
     let seminaive = measure (fun () -> Authz.Chase.close ~joins policy) in
     let naive = measure (fun () -> Authz.Chase.close_naive ~joins policy) in
+    let closed = Authz.Chase.closed_policy ~joins policy in
+    ignore (Authz.Chase.closure closed);
+    let path_rules =
+      List.filter
+        (fun (a : Authz.Authorization.t) -> not (Joinpath.is_empty a.path))
+        (Authz.Policy.authorizations policy)
+    in
+    let n = List.length path_rules in
+    let k = min 12 n in
+    let revoked = List.init k (fun i -> List.nth path_rules (i * n / k)) in
+    let ratios =
+      List.map
+        (fun rule ->
+          let shrunk = Authz.Policy.remove rule policy in
+          if
+            not
+              (Authz.Policy.equal
+                 (Authz.Chase.closure (Authz.Chase.revoke rule closed))
+                 (Authz.Chase.close ~joins shrunk))
+          then
+            failwith
+              (Printf.sprintf
+                 "chase bench: revoke differs from scratch at %d relations"
+                 relations);
+          measure (fun () ->
+              Authz.Chase.closure (Authz.Chase.revoke rule closed))
+          /. measure (fun () -> Authz.Chase.close ~joins shrunk))
+        revoked
+    in
+    let ratio_median = median ratios in
+    let ratio_max = List.fold_left Float.max 0. ratios in
+    if ratio_median > 0.5 then
+      failwith
+        (Printf.sprintf
+           "chase bench: median revoke/close ratio %.3f > 0.5 at %d relations"
+           ratio_median relations);
     Printf.sprintf
-      {|{"relations":%d,"servers":%d,"joins":%d,"density":%.2f,"base_rules":%d,"closed_rules":%d,"seminaive_seconds":%.9f,"naive_seconds":%.9f,"speedup":%.2f}|}
+      {|{"relations":%d,"servers":%d,"joins":%d,"density":%.2f,"base_rules":%d,"closed_rules":%d,"seminaive_seconds":%.9f,"naive_seconds":%.9f,"speedup":%.2f,"revokes":%d,"revoke_ratio_median":%.3f,"revoke_ratio_max":%.3f}|}
       relations relations (List.length joins) density
       (Authz.Policy.cardinality policy)
       (Authz.Policy.cardinality fast)
       seminaive naive
       (naive /. seminaive)
+      k ratio_median ratio_max
   in
   let entries =
     [ point 6 0.5; point 9 0.4; point 12 0.35; point 15 0.3 ]

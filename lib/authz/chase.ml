@@ -12,10 +12,10 @@ open Relalg
 
 let default_max_rules = 100_000
 
-(* One application of the merge rule, in the order the engine performed
-   it. The list produced by a closure is chronological, so every
-   premise of a step is either a base rule or the [derived] of an
-   earlier step — exactly the shape the certificate checker
+(* One application of the merge rule. A closure's list of steps is
+   grouped by server, each group in the order the engine performed it,
+   so every premise of a step is either a base rule or the [derived] of
+   an earlier step — exactly the shape the certificate checker
    ({!Analysis.Certificate}) replays in one linear pass. *)
 type derivation = {
   derived : Authorization.t;
@@ -154,13 +154,25 @@ let rec rounds ?(record = fun (_ : derivation) -> ()) ~max_rules ~joins
 let close ?(max_rules = default_max_rules) ~joins policy =
   rounds ~max_rules ~joins policy (Policy.authorizations policy)
 
-let close_trace ?(max_rules = default_max_rules) ~joins policy =
+(* The merge rule joins two rules of one server, and [rounds] finds
+   partners, admits and dedupes through that server's rules alone: the
+   run restricted to one server is that server's own run, in the same
+   order. So traces are grouped by server, each group in derivation
+   order, and [revoke] re-derives one group in its slot. *)
+let by_server =
+  List.stable_sort (fun d1 d2 -> Server.compare d1.derived.server d2.derived.server)
+
+let rounds_trace ~max_rules ~joins policy frontier =
   let acc = ref [] in
   let record d = acc := d :: !acc in
-  let closure =
-    rounds ~record ~max_rules ~joins policy (Policy.authorizations policy)
-  in
+  let closure = rounds ~record ~max_rules ~joins policy frontier in
   (closure, List.rev !acc)
+
+let close_trace ?(max_rules = default_max_rules) ~joins policy =
+  let closure, trace =
+    rounds_trace ~max_rules ~joins policy (Policy.authorizations policy)
+  in
+  (closure, by_server trace)
 
 (* The seed engine, kept as the reference implementation for the
    differential tests and the old-vs-new benchmark. It carries its own
@@ -286,22 +298,41 @@ let add a t =
            consumer of a policy observes. *)
         let prev, trace = Lazy.force t.closure in
         lazy
-          (let acc = ref [] in
-           let record d = acc := d :: !acc in
-           let p =
-             rounds ~record ~max_rules:t.max_rules ~joins:t.joins
+          (let p, steps =
+             rounds_trace ~max_rules:t.max_rules ~joins:t.joins
                (Policy.add a prev) [ a ]
            in
-           (p, trace @ List.rev !acc))
+           (p, trace @ steps))
       else lazy (close_trace ~max_rules:t.max_rules ~joins:t.joins base)
     in
     handle ~max_rules:t.max_rules ~joins:t.joins base closure
 
+(* Only [a]'s server [s] can lose derived rules (see [by_server]): the
+   others keep their rules and steps, and [s] restarts from its base
+   rules, left in the base's bucket order, so on a from-scratch handle
+   its group comes out step for step as from scratch. *)
 let revoke a t =
-  (* Removal invalidates: derived rules may lose their support, so the
-     closure is recomputed from the shrunk base on next use. *)
   if not (Policy.mem a t.base) then t
-  else closed_policy ~max_rules:t.max_rules ~joins:t.joins (Policy.remove a t.base)
+  else
+    let base = Policy.remove a t.base in
+    if not (Lazy.is_val t.closure) then
+      closed_policy ~max_rules:t.max_rules ~joins:t.joins base
+    else
+      let s = a.server and prev, trace = Lazy.force t.closure in
+      let drop p r = if Policy.mem r base then p else Policy.remove r p in
+      let closure =
+        lazy
+          (let p, steps =
+             rounds_trace ~max_rules:t.max_rules ~joins:t.joins
+               (List.fold_left drop prev (Policy.view prev s))
+               (Policy.view base s)
+           in
+           let others =
+             List.filter (fun d -> not (Server.equal d.derived.server s)) trace
+           in
+           (p, by_server (others @ steps)))
+      in
+      handle ~max_rules:t.max_rules ~joins:t.joins base closure
 
 let derives ~joins policy profile s =
   can_view (closed_policy ~joins policy) profile s

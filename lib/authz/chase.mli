@@ -54,11 +54,12 @@ type derivation = {
   via : Joinpath.Cond.t;
 }
 
-(** [close_trace ~joins policy] — [close], plus the chronological list
-    of merge steps that produced each derived rule. Every premise of a
-    step is a base rule or the [derived] of an {e earlier} step, so the
-    trace replays in one linear pass against the base policy — the
-    evidence consumed by {!Analysis.Certificate}. *)
+(** [close_trace ~joins policy] — [close], plus the merge steps that
+    produced each derived rule, grouped by server (in server order),
+    each group in derivation order. Every premise of a step is a base
+    rule or the [derived] of an {e earlier} step, so the trace replays
+    in one linear pass against the base policy — the evidence consumed
+    by {!Analysis.Certificate}. *)
 val close_trace :
   ?max_rules:int ->
   joins:Joinpath.Cond.t list ->
@@ -73,8 +74,9 @@ type justification =
 
 (** A derivation table numbers a closure's evidence: the base rules in
     {!Policy.authorizations} order, then the trace's conclusions in
-    order. The first occurrence of a rule id wins ({!position} looks
-    rules up by id); a step citing a premise outside it is dropped. *)
+    order (grouped by server, see {!close_trace}). The first occurrence
+    of a rule id wins ({!position} looks rules up by id); a step citing
+    a premise outside it is dropped. *)
 type table
 
 val table_of_trace : Policy.t -> derivation list -> table
@@ -112,7 +114,8 @@ val closure : closed -> Policy.t
 
 (** {!table_of_trace} over the base and the trace behind {!closure}
     (after {!add} on a cached handle, the previous trace extended by the
-    incremental steps). The handle owns it: built on first call, once
+    incremental steps; after {!revoke}, the revoked server's group
+    re-derived in its slot). The handle owns it: built on first call, once
     per policy state; {!closed_policy}, {!add}, {!revoke} and
     {!closure} never build it. *)
 val table : closed -> table
@@ -128,10 +131,14 @@ val can_view : closed -> Profile.t -> Server.t -> bool
     but admits exactly the same releases. *)
 val add : Authorization.t -> closed -> closed
 
-(** [revoke a t] — handle over [Policy.remove a (policy t)]. Removal
-    invalidates the cache: derived rules may lose their support, so the
-    closure is recomputed lazily from the shrunk base. [t] itself when
-    [a] is not in the base (a derived rule, say): nothing changes. *)
+(** [revoke a t] — handle over [Policy.remove a (policy t)]; [t] itself
+    when [a] is not in the base (a derived rule, say). Only derived
+    rules of [a]'s server can lose their support, so if the closure was
+    computed, only that server is re-closed (lazily) from its remaining
+    base rules: the cost follows that server's closure, every other
+    server keeps its rules and steps, and on a handle closed from
+    scratch the result is exactly {!close_trace} of the shrunk base.
+    Otherwise the closure is recomputed lazily from the shrunk base. *)
 val revoke : Authorization.t -> closed -> closed
 
 (** [derives ~joins policy profile s] — convenience: does the closure

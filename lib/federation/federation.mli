@@ -210,6 +210,7 @@ val grant : t -> Authz.Authorization.t -> unit
     other entry's proof still replays against the shrunk base policy
     and is re-stamped in place. Revoking a rule absent from the base (a
     chase-derived one, say) only bumps the epoch: nothing is invalidated.
+    Under [close_under], only [a]'s server is re-closed ({!Authz.Chase.revoke}).
 
     @raise Invalid_argument on an open-mode (DENY) policy. *)
 val revoke : t -> Authz.Authorization.t -> unit

@@ -20,31 +20,25 @@ let support ?closed catalog policy plan assignment =
 
 (* Chase-aware revocation: feasibility of "policy minus rule" must be
    judged against the closure of the shrunk policy (a revoked rule
-   also takes down every derivation it supported), so each candidate
-   removal goes through [Chase.revoke], which invalidates the cached
-   closure and re-closes lazily. The baseline closure is computed once
-   on the shared handle. *)
-let leave_one_out ~joins policy rule =
-  Chase.revoke rule (Chase.closed_policy ~joins policy)
+   also takes down every derivation it supported). The closure is
+   computed once, on a shared handle, and each candidate removal is a
+   [Chase.revoke] from it, which re-closes only the candidate's server. *)
+let forced ~joins policy =
+  let closed = Chase.closed_policy ~joins policy in
+  ignore (Chase.closure closed);
+  closed
 
 let load_bearing ?joins catalog policy plan =
+  let closed = Option.map (fun joins -> forced ~joins policy) joins in
   let feasible_without =
-    match joins with
+    match closed with
     | None ->
       fun rule -> Safe_planner.feasible catalog (Policy.remove rule policy) plan
-    | Some joins ->
+    | Some c ->
       fun rule ->
-        Safe_planner.feasible ~closed:(leave_one_out ~joins policy rule)
-          catalog policy plan
+        Safe_planner.feasible ~closed:(Chase.revoke rule c) catalog policy plan
   in
-  let feasible_now =
-    match joins with
-    | None -> Safe_planner.feasible catalog policy plan
-    | Some joins ->
-      Safe_planner.feasible ~closed:(Chase.closed_policy ~joins policy)
-        catalog policy plan
-  in
-  if not feasible_now then []
+  if not (Safe_planner.feasible ?closed catalog policy plan) then []
   else
     List.filter
       (fun rule -> not (feasible_without rule))
@@ -57,7 +51,7 @@ type impact = {
 }
 
 let impact ?joins catalog policy plans =
-  let closed = Option.map (fun joins -> Chase.closed_policy ~joins policy) joins in
+  let closed = Option.map (fun joins -> forced ~joins policy) joins in
   let feasible_plans =
     List.filter
       (fun p -> Safe_planner.feasible ?closed catalog policy p)
@@ -67,12 +61,12 @@ let impact ?joins catalog policy plans =
   Policy.authorizations policy
   |> List.map (fun rule ->
          let feasible_without =
-           match joins with
+           match closed with
            | None ->
              let without = Policy.remove rule policy in
              fun p -> Safe_planner.feasible catalog without p
-           | Some joins ->
-             let closed = leave_one_out ~joins policy rule in
+           | Some c ->
+             let closed = Chase.revoke rule c in
              fun p -> Safe_planner.feasible ~closed catalog policy p
          in
          let broken =

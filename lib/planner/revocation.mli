@@ -33,8 +33,8 @@ val support :
     infeasible have no load-bearing rules.
 
     [joins] makes the analysis chase-aware: feasibility is judged
-    against closed policies, and each candidate removal goes through
-    {!Chase.revoke} — revoking a rule also takes down every derivation
+    against closed policies, and each candidate removal is a
+    {!Chase.revoke} from one computed closure — revoking a rule also takes down every derivation
     it supported, so a rule can be load-bearing through a derived rule
     that cites it. *)
 val load_bearing :

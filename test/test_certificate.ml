@@ -690,7 +690,11 @@ let test_emission_after_grant () =
 (* Random grant/revoke churn through one handle, emitting for every
    plan at every state. The reference reads the trace from scratch
    ([close_trace]) where the handle was closed from scratch, and off the
-   handle's own table after an incremental grant. *)
+   handle's own table after an incremental grant. A revoke re-closes
+   only the revoked rule's server, so it keeps a from-scratch handle
+   from scratch (exactly [close_trace] of the shrunk base, numbering
+   included) and a grown one grown; every certificate emitted after a
+   revoke must also check against the shrunk base. *)
 let prop_emission_under_churn =
   QCheck.Test.make ~count:100 ~name:"emit_plan = reference emitter under churn"
     QCheck.(
@@ -699,7 +703,7 @@ let prop_emission_under_churn =
       let sys, pool, base, plans = churn_case seed in
       let catalog = sys.Workload.System_gen.catalog in
       let joins = sys.Workload.System_gen.join_graph in
-      let emit_all h ~scratch =
+      let emit_all ?(revoked = false) h ~scratch =
         let closure = Ch.closure h in
         let trace =
           if scratch then snd (Ch.close_trace ~joins (Ch.policy h))
@@ -710,9 +714,14 @@ let prop_emission_under_churn =
             match Planner.Safe_planner.plan ~closed:h catalog closure plan with
             | Error _ -> ()
             | Ok r ->
-              ignore
-                (emits_as_reference ~trace h catalog plan
-                   r.Planner.Safe_planner.assignment))
+              let cert =
+                emits_as_reference ~trace h catalog plan
+                  r.Planner.Safe_planner.assignment
+              in
+              if revoked then
+                no_failures "a certificate emitted after a revoke checks"
+                  (C.check_plan ~revalidate:true ~joins catalog (Ch.policy h)
+                     plan cert))
           plans
       in
       let step (h, scratch) (grant, k) =
@@ -725,9 +734,9 @@ let prop_emission_under_churn =
           else
             match P.authorizations (Ch.policy h) with
             | [] -> (h, scratch)
-            | present -> (Ch.revoke (nth present) h, true)
+            | present -> (Ch.revoke (nth present) h, scratch)
         in
-        emit_all h ~scratch;
+        emit_all ~revoked:(not grant) h ~scratch;
         (h, scratch)
       in
       let h = Ch.closed_policy ~joins base in

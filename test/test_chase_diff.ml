@@ -109,23 +109,60 @@ let test_incremental_add_extensional () =
         Alcotest.failf "seed %d: incremental closure drifted" seed
   done
 
-let test_revoke_recomputes () =
+(* Two tables agree when they number the same rules in the same order
+   with the same justifications. *)
+let same_entries t1 t2 =
+  let just_equal j1 j2 =
+    match (j1, j2) with
+    | Chase.Granted, Chase.Granted -> true
+    | Chase.Composed c1, Chase.Composed c2 ->
+      c1.left = c2.left && c1.right = c2.right
+      && Joinpath.Cond.equal c1.via c2.via
+    | _ -> false
+  in
+  List.equal
+    (fun (a1, j1) (a2, j2) -> Authorization.equal a1 a2 && just_equal j1 j2)
+    (Chase.entries t1) (Chase.entries t2)
+
+let from_scratch_table ~joins base =
+  Chase.table_of_trace base (snd (Chase.close_trace ~joins base))
+
+let revoke_case () =
   let rng = Workload.Rng.make ~seed:11 in
   let sys =
     Workload.System_gen.generate rng ~relations:4 ~servers:4 ~extra:1
       ~topology:Workload.System_gen.Chain
   in
   let joins = sys.Workload.System_gen.join_graph in
-  let policy = Workload.Authz_gen.generate rng ~max_path:2 ~density:0.5 sys in
+  (joins, Workload.Authz_gen.generate rng ~max_path:2 ~density:0.5 sys)
+
+let test_revoke_recomputes () =
+  let joins, policy = revoke_case () in
   let handle = Chase.closed_policy ~joins policy in
   ignore (Chase.closure handle);
   List.iter
     (fun rule ->
-      let after = Chase.closure (Chase.revoke rule handle) in
-      let scratch = Chase.close ~joins (Policy.remove rule policy) in
+      let revoked = Chase.revoke rule handle in
+      let shrunk = Policy.remove rule policy in
+      let scratch = Chase.close ~joins shrunk in
       check Alcotest.bool "revoke = close of shrunk base" true
-        (Policy.equal after scratch))
+        (Policy.equal (Chase.closure revoked) scratch);
+      check Alcotest.bool "revoke = table of the shrunk base's trace" true
+        (same_entries (Chase.table revoked) (from_scratch_table ~joins shrunk)))
     (Policy.authorizations policy);
+  (* A from-scratch handle stays from scratch across successive
+     revokes, each forced before the next. *)
+  ignore
+    (List.fold_left
+       (fun h rule ->
+         let h = Chase.revoke rule h in
+         check Alcotest.bool "successive revokes = from scratch" true
+           (Policy.equal (Chase.closure h) (Chase.close ~joins (Chase.policy h))
+           && same_entries (Chase.table h)
+                (from_scratch_table ~joins (Chase.policy h)));
+         h)
+       handle
+       (List.filteri (fun i _ -> i mod 2 = 0) (Policy.authorizations policy)));
   (* A derived rule is not in the base: revoking it changes nothing, so
      the handle, its closure and its table all survive. *)
   let derived =
@@ -139,6 +176,78 @@ let test_revoke_recomputes () =
       check Alcotest.bool "revoking a derived rule keeps the handle" true
         (Chase.revoke d handle == handle))
     derived
+
+let test_revoke_stays_on_server () =
+  (* The merge rule joins rules of one server, so a revoke on a forced
+     handle re-derives nothing elsewhere: every other server's rules
+     are the very values of the old closure, not fresh copies. *)
+  let joins, policy = revoke_case () in
+  let handle = Chase.closed_policy ~joins policy in
+  let before = Policy.authorizations (Chase.closure handle) in
+  List.iter
+    (fun (rule : Authorization.t) ->
+      List.iter
+        (fun (a : Authorization.t) ->
+          if not (Server.equal a.server rule.server) then
+            check Alcotest.bool "other servers' rules are kept" true
+              (List.memq a before))
+        (Policy.authorizations (Chase.closure (Chase.revoke rule handle))))
+    (Policy.authorizations policy)
+
+(* Random grant/revoke churn through one forced handle over a 4–6-
+   relation chain: a pool of every subtree rule at every server, a base
+   holding about half of it. *)
+let prop_revoke_churn =
+  QCheck.Test.make ~count:60 ~name:"grant/revoke churn keeps the closure"
+    QCheck.(pair small_nat (list_of_size Gen.(1 -- 6) (pair bool small_nat)))
+    (fun (seed, ops) ->
+      let rng = Workload.Rng.make ~seed in
+      let relations = 4 + (seed mod 3) in
+      let sys =
+        Workload.System_gen.generate rng ~relations ~servers:relations ~extra:1
+          ~topology:Workload.System_gen.Chain
+      in
+      let joins = sys.Workload.System_gen.join_graph in
+      let pool =
+        Policy.authorizations
+          (Workload.Authz_gen.generate rng ~max_path:2 ~attr_keep:1.0
+             ~density:1.0 sys)
+      in
+      let base = Policy.of_list (Workload.Rng.subset rng ~p:0.5 pool) in
+      let nth l k = List.nth l (k mod List.length l) in
+      let step h (grant, k) =
+        let h, revoked =
+          if grant then
+            match List.filter (fun a -> not (Policy.mem a (Chase.policy h))) pool with
+            | [] -> (h, None)
+            | absent -> (Chase.add (nth absent k) h, None)
+          else
+            match Policy.authorizations (Chase.policy h) with
+            | [] -> (h, None)
+            | present ->
+              let a = nth present k in
+              (Chase.revoke a h, Some a.Authorization.server)
+        in
+        let closure = Chase.closure h in
+        let scratch = Chase.close ~joins (Chase.policy h) in
+        if not (sem_equal closure scratch) then
+          QCheck.Test.fail_reportf "seed %d: closure drifted from scratch" seed;
+        (match revoked with
+         | Some s ->
+           let on_s p = Policy.of_list (Policy.view p s) in
+           if not (Policy.equal (on_s closure) (on_s scratch)) then
+             QCheck.Test.fail_reportf "seed %d: revoked server %a differs" seed
+               Server.pp s
+         | None -> ());
+        if relations <= 4
+           && not (sem_equal closure (Chase.close_naive ~joins (Chase.policy h)))
+        then QCheck.Test.fail_reportf "seed %d: closure differs from naive" seed;
+        h
+      in
+      let h = Chase.closed_policy ~joins base in
+      ignore (Chase.closure h);
+      ignore (List.fold_left step h ops);
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Budget regressions: [max_rules] bounds DISTINCT rules. The seed
@@ -180,6 +289,46 @@ let test_budget_counts_distinct () =
     Chase.close_naive ~max_rules:3 ~joins:[ ab_join ] symmetric_policy
   in
   check Alcotest.bool "naive agrees" true (Policy.equal closed naive)
+
+let test_revoke_budget () =
+  (* [wide] admits both merges of [a]/[au] with [b], so revoking it
+     grows the closure from 5 to 6 rules (server T's rule included).
+     On a from-scratch handle the revoke fits a budget of exactly 6 and
+     overflows 5: the bound counts the whole closure, not only the
+     re-closed server. *)
+  let s = Server.make "S" and t = Server.make "T" in
+  let ax = Attribute.make ~relation:"A" "X"
+  and au = Attribute.make ~relation:"A" "U"
+  and by = Attribute.make ~relation:"B" "Y" in
+  let rule attrs path srv =
+    Authorization.make_exn ~attrs:(Attribute.Set.of_list attrs) ~path srv
+  in
+  let wide = rule [ ax; au; by ] (Joinpath.singleton ab_join) s in
+  let policy =
+    Policy.of_list
+      [
+        rule [ ax ] Joinpath.empty s;
+        rule [ ax; au ] Joinpath.empty s;
+        rule [ by ] Joinpath.empty s;
+        wide;
+        rule [ ax ] Joinpath.empty t;
+      ]
+  in
+  let joins = [ ab_join ] in
+  let shrunk = Chase.close ~joins (Policy.remove wide policy) in
+  check Alcotest.int "closure size" 5
+    (Policy.cardinality (Chase.close ~joins policy));
+  check Alcotest.int "shrunk closure size" 6 (Policy.cardinality shrunk);
+  let revoked max_rules =
+    let h = Chase.closed_policy ~max_rules ~joins policy in
+    ignore (Chase.closure h);
+    Chase.closure (Chase.revoke wide h)
+  in
+  check Alcotest.bool "fits a budget of exactly its size" true
+    (Policy.equal (revoked 6) shrunk);
+  match revoked 5 with
+  | exception Invalid_argument _ -> ()
+  | p -> Alcotest.failf "budget 5 not enforced (%d rules)" (Policy.cardinality p)
 
 let test_merge_skips_noop () =
   (* A rule merged with a same-path rule it subsumes derives nothing
@@ -225,6 +374,10 @@ let suite =
     c "incremental add is extensionally faithful" `Quick
       test_incremental_add_extensional;
     c "revoke recomputes from the shrunk base" `Quick test_revoke_recomputes;
+    c "revoke re-derives only the revoked server" `Quick
+      test_revoke_stays_on_server;
+    Helpers.qcheck prop_revoke_churn;
+    c "revoke obeys the whole-closure budget" `Quick test_revoke_budget;
     c "budget counts distinct rules" `Quick test_budget_counts_distinct;
     c "no-op merges are skipped" `Quick test_merge_skips_noop;
     c "medical policy differential" `Quick test_medical_differential;

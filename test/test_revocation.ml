@@ -119,6 +119,72 @@ let test_policy_remove () =
   check Alcotest.int "idempotent" 14
     (Authz.Policy.cardinality (Authz.Policy.remove (nth_auth 9) p))
 
+(* The chase-aware analyses revoke each candidate from one computed
+   closure; the oracle closes [policy - r] from scratch for every rule
+   [r] and plans against that closure as a plain policy. Impacts are
+   compared per rule (their order is checked above). *)
+let check_against_oracle what ~joins catalog policy plans =
+  let module P = Authz.Policy in
+  let feasible policy p =
+    Safe_planner.feasible catalog (Authz.Chase.close ~joins policy) p
+  in
+  List.iter
+    (fun p ->
+      check
+        Alcotest.(list Helpers.authorization)
+        (what ^ ": load_bearing ~joins")
+        (if not (feasible policy p) then []
+         else
+           List.filter
+             (fun rule -> not (feasible (P.remove rule policy) p))
+             (P.authorizations policy))
+        (Revocation.load_bearing ~joins catalog policy p))
+    plans;
+  let feasible_plans = List.filter (feasible policy) plans in
+  check
+    Alcotest.(list (triple Helpers.authorization int int))
+    (what ^ ": impact ~joins")
+    (List.map
+       (fun rule ->
+         ( rule,
+           List.length feasible_plans,
+           List.length
+             (List.filter
+                (fun p -> not (feasible (P.remove rule policy) p))
+                feasible_plans) ))
+       (P.authorizations policy))
+    (Revocation.impact ~joins catalog policy plans
+    |> List.map (fun (i : Revocation.impact) -> (i.rule, i.total, i.broken))
+    |> List.sort (fun (a, _, _) (b, _, _) -> Authz.Authorization.compare a b))
+
+let test_chase_aware_matches_oracle () =
+  let plans =
+    List.map
+      (fun sql -> Query.to_plan (Sql_parser.parse_exn M.catalog sql))
+      [
+        M.example_query_sql;
+        "SELECT Citizen, HealthAid FROM Nat_registry JOIN Hospital ON \
+         Citizen = Patient";
+        "SELECT Plan, HealthAid, Disease FROM Insurance JOIN Nat_registry ON \
+         Holder = Citizen JOIN Hospital ON Holder = Patient";
+      ]
+  in
+  check_against_oracle "medical" ~joins:M.join_graph M.catalog M.policy plans;
+  let open Workload in
+  let rng = Rng.make ~seed:5 in
+  let sys =
+    System_gen.generate rng ~relations:5 ~servers:5 ~extra:1
+      ~topology:System_gen.Chain
+  in
+  let policy = Authz_gen.generate rng ~max_path:2 ~density:0.6 sys in
+  let plans =
+    List.filter_map
+      (fun joins -> Query_gen.generate_plan rng ~joins sys)
+      [ 1; 2; 2; 3; 4 ]
+  in
+  check_against_oracle "chain" ~joins:sys.System_gen.join_graph
+    sys.System_gen.catalog policy plans
+
 let suite =
   [
     c "support set of the paper's assignment" `Quick
@@ -131,4 +197,6 @@ let suite =
       test_removing_load_bearing_breaks;
     c "impact over a workload" `Quick test_impact_over_workload;
     c "Policy.remove keeps the index consistent" `Quick test_policy_remove;
+    c "chase-aware analyses match a from-scratch oracle" `Quick
+      test_chase_aware_matches_oracle;
   ]
