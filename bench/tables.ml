@@ -136,15 +136,16 @@ let comm_cost () =
         Data_gen.instances (Rng.make ~seed:5) ~rows:1000 ~domain_scale:scale
           sys
       in
-      let bytes assignment =
-        match Distsim.Engine.execute sys.catalog ~instances plan assignment with
-        | Ok { network; _ } -> Distsim.Network.total_bytes network
-        | Error e -> Fmt.failwith "%a" Distsim.Engine.pp_error e
-      in
-      let reg = bytes regular_assignment in
-      let semi = bytes semi_assignment in
-      Fmt.pr "%-18.2f %-16d %-16d %-10.2f@." (1.0 /. scale) reg semi
-        (float_of_int reg /. float_of_int (max 1 semi)))
+      let outcome a = Distsim.Engine.execute sys.catalog ~instances plan a in
+      let regular = outcome regular_assignment in
+      let semi = outcome semi_assignment in
+      match (regular, semi) with
+      | Error e, _ | _, Error e -> Harness.fail "%a" Distsim.Engine.pp_error e
+      | Ok regular, Ok semi ->
+        let reg = Distsim.Network.total_bytes regular.network in
+        let semi = Distsim.Network.total_bytes semi.network in
+        Fmt.pr "%-18.2f %-16d %-16d %-10.2f@." (1.0 /. scale) reg semi
+          (float_of_int reg /. float_of_int (max 1 semi)))
     [ 1.0; 2.0; 5.0; 10.0; 20.0 ]
 
 (* Medical example, as reported by the paper's own assignment. *)
@@ -313,11 +314,12 @@ let planner_scaling () =
       | None -> ()
       | Some plan ->
         let iterations = 200 in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to iterations do
-          ignore (Planner.Safe_planner.plan sys.catalog policy plan)
-        done;
-        let dt = Unix.gettimeofday () -. t0 in
+        let (), dt =
+          Harness.time (fun () ->
+              for _ = 1 to iterations do
+                ignore (Planner.Safe_planner.plan sys.catalog policy plan)
+              done)
+        in
         let per_plan = dt /. float_of_int iterations *. 1e6 in
         Fmt.pr "%-10d %-12d %-16.1f %-16.2f@." joins (Plan.size plan) per_plan
           (per_plan /. float_of_int joins))
@@ -419,31 +421,29 @@ let makespan_crossover () =
   let instances =
     Data_gen.instances (Rng.make ~seed:5) ~rows:1000 ~domain_scale:10.0 sys
   in
-  let outcome a =
-    match Distsim.Engine.execute sys.catalog ~instances plan a with
-    | Ok o -> o
-    | Error e -> Fmt.failwith "%a" Distsim.Engine.pp_error e
-  in
-  let semi_o = outcome semi and regular_o = outcome regular in
-  Fmt.pr "%-14s %-14s %-16s %-16s %-8s@." "latency (ms)" "bandwidth"
-    "semi-join (ms)" "regular (ms)" "winner";
-  List.iter
-    (fun (latency, bandwidth, label) ->
-      let model = Distsim.Des.uniform ~latency ~bandwidth () in
-      let m a o =
-        (Distsim.Des.makespan model plan a o).Distsim.Des.makespan
-      in
-      let sm = m semi semi_o and rm = m regular regular_o in
-      Fmt.pr "%-14.1f %-14s %-16.3f %-16.3f %-8s@." (latency *. 1000.0) label
-        (sm *. 1000.0) (rm *. 1000.0)
-        (if sm < rm then "semi" else "regular"))
-    [
-      (0.001, 100.0, "100 B/s");
-      (0.001, 1000.0, "1 KB/s");
-      (0.010, 10e3, "10 KB/s");
-      (0.010, 10e6, "10 MB/s");
-      (0.100, 10e6, "10 MB/s");
-    ]
+  let outcome a = Distsim.Engine.execute sys.catalog ~instances plan a in
+  match (outcome semi, outcome regular) with
+  | Error e, _ | _, Error e -> Harness.fail "%a" Distsim.Engine.pp_error e
+  | Ok semi_o, Ok regular_o ->
+    Fmt.pr "%-14s %-14s %-16s %-16s %-8s@." "latency (ms)" "bandwidth"
+      "semi-join (ms)" "regular (ms)" "winner";
+    List.iter
+      (fun (latency, bandwidth, label) ->
+        let model = Distsim.Des.uniform ~latency ~bandwidth () in
+        let m a o =
+          (Distsim.Des.makespan model plan a o).Distsim.Des.makespan
+        in
+        let sm = m semi semi_o and rm = m regular regular_o in
+        Fmt.pr "%-14.1f %-14s %-16.3f %-16.3f %-8s@." (latency *. 1000.0)
+          label (sm *. 1000.0) (rm *. 1000.0)
+          (if sm < rm then "semi" else "regular"))
+      [
+        (0.001, 100.0, "100 B/s");
+        (0.001, 1000.0, "1 KB/s");
+        (0.010, 10e3, "10 KB/s");
+        (0.010, 10e6, "10 MB/s");
+        (0.100, 10e6, "10 MB/s");
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* EXP-E extension: coordinator vs proxy rescue on the research
@@ -532,44 +532,44 @@ let concurrent_workload () =
     | Ok r -> r.Planner.Safe_planner.assignment
     | Error _ -> assert false
   in
-  let outcome =
-    match Distsim.Engine.execute M.catalog ~instances:M.instances plan assignment with
-    | Ok o -> o
-    | Error e -> Fmt.failwith "%a" Distsim.Engine.pp_error e
-  in
-  let model = Distsim.Des.uniform () in
-  let solo =
-    (Distsim.Des.simulate
-       (Distsim.Des.tasks_of_execution model plan assignment outcome))
-      .Distsim.Des.makespan
-  in
-  Fmt.pr
-    "N copies of the medical query released together; solo makespan %.3f \
-     ms@."
-    (solo *. 1000.0);
-  Fmt.pr "%-6s %-16s %-12s %-24s@." "N" "makespan (ms)" "vs N x solo"
-    "busiest resource";
-  List.iter
-    (fun n ->
-      let tasks =
-        List.concat_map
-          (fun i ->
-            Distsim.Des.tasks_of_execution
-              ~prefix:(Printf.sprintf "q%d" i)
-              model plan assignment outcome)
-          (List.init n (fun i -> i))
-      in
-      let run = Distsim.Des.simulate tasks in
-      let busiest =
-        List.fold_left
-          (fun (br, bu) (r, u) -> if u > bu then (r, u) else (br, bu))
-          ("-", 0.0) run.Distsim.Des.utilization
-      in
-      Fmt.pr "%-6d %-16.3f %-12.2f %s (%.0f%%)@." n
-        (run.Distsim.Des.makespan *. 1000.0)
-        (run.Distsim.Des.makespan /. (float_of_int n *. solo))
-        (fst busiest) (snd busiest *. 100.0))
-    [ 1; 2; 4; 8; 16; 32 ]
+  match
+    Distsim.Engine.execute M.catalog ~instances:M.instances plan assignment
+  with
+  | Error e -> Harness.fail "%a" Distsim.Engine.pp_error e
+  | Ok outcome ->
+    let model = Distsim.Des.uniform () in
+    let solo =
+      (Distsim.Des.simulate
+         (Distsim.Des.tasks_of_execution model plan assignment outcome))
+        .Distsim.Des.makespan
+    in
+    Fmt.pr
+      "N copies of the medical query released together; solo makespan %.3f \
+       ms@."
+      (solo *. 1000.0);
+    Fmt.pr "%-6s %-16s %-12s %-24s@." "N" "makespan (ms)" "vs N x solo"
+      "busiest resource";
+    List.iter
+      (fun n ->
+        let tasks =
+          List.concat_map
+            (fun i ->
+              Distsim.Des.tasks_of_execution
+                ~prefix:(Printf.sprintf "q%d" i)
+                model plan assignment outcome)
+            (List.init n (fun i -> i))
+        in
+        let run = Distsim.Des.simulate tasks in
+        let busiest =
+          List.fold_left
+            (fun (br, bu) (r, u) -> if u > bu then (r, u) else (br, bu))
+            ("-", 0.0) run.Distsim.Des.utilization
+        in
+        Fmt.pr "%-6d %-16.3f %-12.2f %s (%.0f%%)@." n
+          (run.Distsim.Des.makespan *. 1000.0)
+          (run.Distsim.Des.makespan /. (float_of_int n *. solo))
+          (fst busiest) (snd busiest *. 100.0))
+      [ 1; 2; 4; 8; 16; 32 ]
 
 (* ------------------------------------------------------------------ *)
 (* EXP-J: replication — feasibility and communication. *)

@@ -47,10 +47,13 @@
    live base policy; shed/quota rejections stay typed and off the audit
    log; blown deadlines surface as the typed error.
 
-   Exits non-zero on any failure. Slower than the unit suite; run on
-   demand (`dune exec bin/soak.exe -- --cases N --fault-cases M
-   --knowledge-cases K --certify-cases C`) or bounded via
-   `dune build @soak`.
+   The slices run through the bench harness (bench/harness): a failed
+   check prints its message on stderr and is counted, every slice
+   still runs, and the exit status is then 1; stdout holds the counts
+   alone. Slower than the unit suite; run on demand (`dune exec
+   bin/soak.exe -- --cases N --fault-cases M --knowledge-cases K
+   --certify-cases C`) or bounded via `dune build @soak`, which also
+   diffs stdout against bin/soak.expected.
 
    Historical note: the clean slice is what exposed the co-location gap
    in the paper's Figure-6 pseudo-code (see DESIGN.md, "Local joins"). *)
@@ -65,37 +68,13 @@ let service_cases = ref 500
 let health_cases = ref 300
 let exec_cases = ref 500
 
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--cases" :: v :: rest ->
-      cases := int_of_string v;
-      parse rest
-    | "--fault-cases" :: v :: rest ->
-      fault_cases := int_of_string v;
-      parse rest
-    | "--knowledge-cases" :: v :: rest ->
-      knowledge_cases := int_of_string v;
-      parse rest
-    | "--certify-cases" :: v :: rest ->
-      certify_cases := int_of_string v;
-      parse rest
-    | "--service-cases" :: v :: rest ->
-      service_cases := int_of_string v;
-      parse rest
-    | "--health-cases" :: v :: rest ->
-      health_cases := int_of_string v;
-      parse rest
-    | "--exec-cases" :: v :: rest ->
-      exec_cases := int_of_string v;
-      parse rest
-    | arg :: _ ->
-      Fmt.epr "soak: unknown argument %s@." arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-let failures = ref 0
+(* The topology of case [seed]: chain, star or a random spanning tree
+   plus [extra_edges] chords, by [seed mod 3]. *)
+let topology ~extra_edges seed =
+  match seed mod 3 with
+  | 0 -> System_gen.Chain
+  | 1 -> System_gen.Star
+  | _ -> System_gen.Random { extra_edges }
 
 (* ------------------------------------------------------------------ *)
 (* Clean slice.                                                        *)
@@ -104,12 +83,7 @@ let clean_slice () =
   let planned = ref 0 and total = ref 0 in
   for seed = 1 to !cases do
     let rng = Rng.make ~seed in
-    let topology =
-      match seed mod 3 with
-      | 0 -> System_gen.Chain
-      | 1 -> System_gen.Star
-      | _ -> System_gen.Random { extra_edges = 2 }
-    in
+    let topology = topology ~extra_edges:2 seed in
     let relations = 4 + (seed mod 4) in
     let sys =
       System_gen.generate ~replication:(if seed mod 5 = 0 then 0.5 else 0.0)
@@ -123,33 +97,29 @@ let clean_slice () =
       incr total;
       (match Planner.Safe_planner.plan sys.catalog policy plan with
        | Error _ ->
-         if Plan.join_count plan <= 3
-            && Planner.Exhaustive.feasible sys.catalog policy plan then begin
-           incr failures;
-           Fmt.pr "INCOMPLETE greedy at seed %d@." seed
-         end
+         Harness.check
+           (not
+              (Plan.join_count plan <= 3
+              && Planner.Exhaustive.feasible sys.catalog policy plan))
+           "INCOMPLETE greedy at seed %d" seed
        | Ok { assignment; _ } ->
          incr planned;
          (match Planner.Safety.check sys.catalog policy plan assignment with
           | Ok _ -> ()
-          | Error _ ->
-            incr failures;
-            Fmt.pr "UNSAFE plan at seed %d@." seed);
+          | Error _ -> Harness.fail "UNSAFE plan at seed %d" seed);
          let instances = Data_gen.instances rng ~rows:12 sys in
          (match Distsim.Engine.execute sys.catalog ~instances plan assignment with
           | Error e ->
-            incr failures;
-            Fmt.pr "ENGINE error at seed %d: %a@." seed Distsim.Engine.pp_error e
+            Harness.fail "ENGINE error at seed %d: %a" seed
+              Distsim.Engine.pp_error e
           | Ok { result; network; _ } ->
             let reference = Distsim.Engine.centralized ~instances plan in
-            if not (Relation.equal result reference) then begin
-              incr failures;
-              Fmt.pr "WRONG RESULT at seed %d@." seed
-            end;
-            if not (Distsim.Audit.is_clean policy network) then begin
-              incr failures;
-              Fmt.pr "AUDIT failure at seed %d@." seed
-            end))
+            Harness.check
+              (Relation.equal result reference)
+              "WRONG RESULT at seed %d" seed;
+            Harness.check
+              (Distsim.Audit.is_clean policy network)
+              "AUDIT failure at seed %d" seed))
   done;
   Fmt.pr "soak (clean): %d cases, %d planned@." !total !planned
 
@@ -165,12 +135,7 @@ let exec_slice () =
   let total = ref 0 in
   for seed = 1 to !exec_cases do
     let rng = Rng.make ~seed:(300_000 + seed) in
-    let topology =
-      match seed mod 3 with
-      | 0 -> System_gen.Chain
-      | 1 -> System_gen.Star
-      | _ -> System_gen.Random { extra_edges = 2 }
-    in
+    let topology = topology ~extra_edges:2 seed in
     let relations = 4 + (seed mod 4) in
     let sys =
       System_gen.generate rng ~relations ~servers:relations ~extra:2 ~topology
@@ -197,8 +162,7 @@ let exec_slice () =
         let baseline_messages = ref None in
         (match Distsim.Engine.execute sys.catalog ~instances plan assignment with
          | Error e ->
-           incr failures;
-           Fmt.pr "EXEC baseline error at seed %d: %a@." seed
+           Harness.fail "EXEC baseline error at seed %d: %a" seed
              Distsim.Engine.pp_error e
          | Ok { network; _ } ->
            baseline_messages := Some (Distsim.Network.message_count network));
@@ -209,25 +173,19 @@ let exec_slice () =
                 plan assignment
             with
             | Error e ->
-              incr failures;
-              Fmt.pr "EXEC %s error at seed %d: %a@." what seed
+              Harness.fail "EXEC %s error at seed %d: %a" what seed
                 Distsim.Engine.pp_error e
             | Ok { result; network; _ } ->
-              if not (Relation.equal result reference) then begin
-                incr failures;
-                Fmt.pr "EXEC %s WRONG RESULT at seed %d@." what seed
-              end;
-              if not (Distsim.Audit.is_clean policy network) then begin
-                incr failures;
-                Fmt.pr "EXEC %s AUDIT failure at seed %d@." what seed
-              end;
-              if
-                !baseline_messages
-                <> Some (Distsim.Network.message_count network)
-              then begin
-                incr failures;
-                Fmt.pr "EXEC %s protocol drift at seed %d@." what seed
-              end)
+              Harness.check
+                (Relation.equal result reference)
+                "EXEC %s WRONG RESULT at seed %d" what seed;
+              Harness.check
+                (Distsim.Audit.is_clean policy network)
+                "EXEC %s AUDIT failure at seed %d" what seed;
+              Harness.check
+                (!baseline_messages
+                = Some (Distsim.Network.message_count network))
+                "EXEC %s protocol drift at seed %d" what seed)
           variants)
   done;
   Fmt.pr "soak (exec): %d cases x 3 executor variants@." !total
@@ -241,12 +199,7 @@ let exec_slice () =
    crashes something to fail over to. *)
 let fault_case seed =
   let rng = Rng.make ~seed:(900_000 + seed) in
-  let topology =
-    match seed mod 3 with
-    | 0 -> System_gen.Chain
-    | 1 -> System_gen.Star
-    | _ -> System_gen.Random { extra_edges = 2 }
-  in
+  let topology = topology ~extra_edges:2 seed in
   let relations = 4 + (seed mod 3) in
   let sys =
     System_gen.generate ~replication:0.6 rng ~relations ~servers:relations
@@ -307,14 +260,12 @@ let fault_slice () =
          incr recovered;
          if r.Distsim.Recover.failovers <> [] then incr failed_over;
          let reference = Distsim.Engine.centralized ~instances plan in
-         if not (Relation.equal r.Distsim.Recover.result reference) then begin
-           incr failures;
-           Fmt.pr "FAULT WRONG RESULT at seed %d@." seed
-         end;
-         if not (Distsim.Audit.is_clean policy r.Distsim.Recover.log) then begin
-           incr failures;
-           Fmt.pr "FAULT AUDIT failure at seed %d (recovered run)@." seed
-         end;
+         Harness.check
+           (Relation.equal r.Distsim.Recover.result reference)
+           "FAULT WRONG RESULT at seed %d" seed;
+         Harness.check
+           (Distsim.Audit.is_clean policy r.Distsim.Recover.log)
+           "FAULT AUDIT failure at seed %d (recovered run)" seed;
          (* Proof-carrying failover: the assignment that answered, and
             the replacement assignment of every failover on the way,
             must carry a certificate the independent checker accepts. *)
@@ -323,17 +274,15 @@ let fault_slice () =
            let joins = sys.System_gen.join_graph in
            let recheck what = function
              | None ->
-               incr failures;
-               Fmt.pr "FAULT MISSING %s certificate at seed %d@." what seed
+               Harness.fail "FAULT MISSING %s certificate at seed %d" what seed
              | Some cert -> (
                match
                  C.check_plan ~joins sys.System_gen.catalog policy plan cert
                with
                | [] -> ()
                | f :: _ ->
-                 incr failures;
-                 Fmt.pr "FAULT %s certificate rejected at seed %d: %a@." what
-                   seed C.pp_failure f)
+                 Harness.fail "FAULT %s certificate rejected at seed %d: %a"
+                   what seed C.pp_failure f)
            in
            recheck "final" r.Distsim.Recover.certificate;
            List.iter
@@ -345,10 +294,9 @@ let fault_slice () =
          incr degraded;
          (* Typed failure is acceptable; an unauthorized emission on
             the way down is not. *)
-         if not (Distsim.Audit.is_clean policy d.Distsim.Recover.log) then begin
-           incr failures;
-           Fmt.pr "FAULT AUDIT failure at seed %d (degraded run)@." seed
-         end);
+         Harness.check
+           (Distsim.Audit.is_clean policy d.Distsim.Recover.log)
+           "FAULT AUDIT failure at seed %d (degraded run)" seed);
       if seed mod 50 = 0 then begin
         (* Replay determinism: rebuild the case from scratch and demand
            an identical transcript. *)
@@ -357,10 +305,9 @@ let fault_slice () =
         | None -> ()
         | Some (sys', policy', plan', instances', fault') ->
           let again = run_case sys' policy' plan' instances' fault' in
-          if render outcome <> render again then begin
-            incr failures;
-            Fmt.pr "NON-DETERMINISTIC replay at seed %d@." seed
-          end
+          Harness.check
+            (render outcome = render again)
+            "NON-DETERMINISTIC replay at seed %d" seed
       end
   done;
   Fmt.pr
@@ -398,12 +345,7 @@ let knowledge_slice () =
     incr seed;
     let seed = !seed in
     let rng = Rng.make ~seed:(500_000 + seed) in
-    let topology =
-      match seed mod 3 with
-      | 0 -> System_gen.Chain
-      | 1 -> System_gen.Star
-      | _ -> System_gen.Random { extra_edges = 1 }
-    in
+    let topology = topology ~extra_edges:1 seed in
     let relations = 3 + (seed mod 3) in
     let sys =
       System_gen.generate rng ~relations ~servers:relations ~extra:2
@@ -431,33 +373,24 @@ let knowledge_slice () =
             let joins = sys.join_graph in
             let static = K.of_flow_batches sys.catalog [ flows ] in
             let runtime = Distsim.Audit.knowledge sys.catalog network in
-            if not (K.equal static runtime) then begin
-              incr failures;
-              Fmt.pr "KNOWLEDGE static/runtime drift at seed %d@." seed
-            end;
+            Harness.check (K.equal static runtime)
+              "KNOWLEDGE static/runtime drift at seed %d" seed;
             let fast = K.saturate ~joins static in
             let slow = K.saturate_naive ~joins static in
-            if verdicts policy fast <> verdicts policy slow then begin
-              incr failures;
-              Fmt.pr "KNOWLEDGE indexed/naive verdict drift at seed %d@." seed
-            end;
-            if
-              not
-                (K.subset fast.K.knowledge slow.K.knowledge
-                && K.covered_by slow.K.knowledge fast.K.knowledge)
-            then begin
-              incr failures;
-              Fmt.pr "KNOWLEDGE coverage failure at seed %d@." seed
-            end;
+            Harness.check
+              (verdicts policy fast = verdicts policy slow)
+              "KNOWLEDGE indexed/naive verdict drift at seed %d" seed;
+            Harness.check
+              (K.subset fast.K.knowledge slow.K.knowledge
+              && K.covered_by slow.K.knowledge fast.K.knowledge)
+              "KNOWLEDGE coverage failure at seed %d" seed;
             let batch_diags = K.lint ~joins policy static in
             let cursor_diags =
               Distsim.Audit.inference ~joins sys.catalog policy network
             in
-            if diag_verdicts batch_diags <> diag_verdicts cursor_diags
-            then begin
-              incr failures;
-              Fmt.pr "KNOWLEDGE cursor/batch verdict drift at seed %d@." seed
-            end;
+            Harness.check
+              (diag_verdicts batch_diags = diag_verdicts cursor_diags)
+              "KNOWLEDGE cursor/batch verdict drift at seed %d" seed;
             if verdicts policy fast <> [] then incr leaking)))
   done;
   Fmt.pr "soak (knowledge): %d cases, %d with findings@." !total !leaking
@@ -473,12 +406,7 @@ let certify_slice () =
     incr seed;
     let seed = !seed in
     let rng = Rng.make ~seed:(700_000 + seed) in
-    let topology =
-      match seed mod 3 with
-      | 0 -> System_gen.Chain
-      | 1 -> System_gen.Star
-      | _ -> System_gen.Random { extra_edges = 2 }
-    in
+    let topology = topology ~extra_edges:2 seed in
     let relations = 4 + (seed mod 3) in
     let sys =
       System_gen.generate rng ~relations ~servers:relations ~extra:2 ~topology
@@ -511,35 +439,29 @@ let certify_slice () =
            match closed with Some c -> Authz.Chase.policy c | None -> policy
          in
          match C.emit_plan ?closed sys.catalog serving plan assignment with
-         | Error msg ->
-           incr failures;
-           Fmt.pr "CERT EMIT failure at seed %d: %s@." seed msg
+         | Error msg -> Harness.fail "CERT EMIT failure at seed %d: %s" seed msg
          | Ok cert ->
            (match C.check_plan ~joins sys.catalog base plan cert with
             | [] -> ()
             | f :: _ ->
-              incr failures;
-              Fmt.pr "CERT CHECK failure at seed %d: %a@." seed C.pp_failure f);
+              Harness.fail "CERT CHECK failure at seed %d: %a" seed
+                C.pp_failure f);
            (* The JSON round-trip must preserve checkability. *)
            (match C.plan_of_json (C.plan_to_json cert) with
             | Error msg ->
-              incr failures;
-              Fmt.pr "CERT JSON failure at seed %d: %s@." seed msg
+              Harness.fail "CERT JSON failure at seed %d: %s" seed msg
             | Ok cert' ->
-              if C.check_plan ~joins sys.catalog base plan cert' <> [] then begin
-                incr failures;
-                Fmt.pr "CERT ROUND-TRIP failure at seed %d@." seed
-              end);
+              Harness.check
+                (C.check_plan ~joins sys.catalog base plan cert' = [])
+                "CERT ROUND-TRIP failure at seed %d" seed);
            (* Every 50th certified case replays seeded forgeries; the
               checker must reject each (CISQP050 territory). *)
            if !total mod 50 = 0 then begin
              incr mutated;
              let reject what forged =
-               if C.check_plan ~joins sys.catalog base plan forged = []
-               then begin
-                 incr failures;
-                 Fmt.pr "CERT FORGERY (%s) accepted at seed %d@." what seed
-               end
+               Harness.check
+                 (C.check_plan ~joins sys.catalog base plan forged <> [])
+                 "CERT FORGERY (%s) accepted at seed %d" what seed
              in
              reject "stale epoch" { cert with C.epoch = "deadbeef" };
              match cert.C.flows with
@@ -582,12 +504,7 @@ let service_slice () =
     incr seed;
     let seed = !seed in
     let rng = Rng.make ~seed:(800_000 + seed) in
-    let topology =
-      match seed mod 3 with
-      | 0 -> System_gen.Chain
-      | 1 -> System_gen.Star
-      | _ -> System_gen.Random { extra_edges = 1 }
-    in
+    let topology = topology ~extra_edges:1 seed in
     let relations = 4 + (seed mod 2) in
     let sys =
       System_gen.generate rng ~relations ~servers:relations ~extra:2 ~topology
@@ -643,8 +560,8 @@ let service_slice () =
           incr served;
           match r.F.certificate with
           | None ->
-            incr failures;
-            Fmt.pr "SERVICE uncertified response at seed %d (%s)@." seed what
+            Harness.fail "SERVICE uncertified response at seed %d (%s)" seed
+              what
           | Some cert -> (
             match
               C.check_plan ~revalidate:true ~joins sys.System_gen.catalog
@@ -652,24 +569,20 @@ let service_slice () =
             with
             | [] -> ()
             | f :: _ ->
-              incr failures;
-              Fmt.pr "SERVICE STALE EXECUTION at seed %d (%s): %a@." seed what
-                C.pp_failure f)
+              Harness.fail "SERVICE STALE EXECUTION at seed %d (%s): %a" seed
+                what C.pp_failure f)
         in
         let run_query what sql =
           let a = F.query svc sql and b = F.query twin sql in
-          if classify a <> classify b then begin
-            incr failures;
-            Fmt.pr
-              "SERVICE cached/plan-per-call drift at seed %d (%s): %s vs %s@."
-              seed what (classify a) (classify b)
-          end;
+          Harness.check
+            (classify a = classify b)
+            "SERVICE cached/plan-per-call drift at seed %d (%s): %s vs %s" seed
+            what (classify a) (classify b);
           match (a, b) with
           | Ok ra, Ok rb ->
-            if not (Relation.equal ra.F.result rb.F.result) then begin
-              incr failures;
-              Fmt.pr "SERVICE WRONG RESULT at seed %d (%s)@." seed what
-            end;
+            Harness.check
+              (Relation.equal ra.F.result rb.F.result)
+              "SERVICE WRONG RESULT at seed %d (%s)" seed what;
             check_fresh what ra
           | _ -> ()
         in
@@ -706,19 +619,18 @@ let service_slice () =
               match cp.F.certificate with
               | None -> ()
               | Some cert -> (
-                if cp.F.stamped_at > F.epoch svc then begin
-                  incr failures;
-                  Fmt.pr "SERVICE stamp ahead of epoch at seed %d@." seed
-                end;
+                Harness.check
+                  (cp.F.stamped_at <= F.epoch svc)
+                  "SERVICE stamp ahead of epoch at seed %d" seed;
                 match
                   C.check_plan ~revalidate:true ~joins sys.System_gen.catalog
                     (F.base_policy svc) cp.F.plan cert
                 with
                 | [] -> ()
                 | f :: _ ->
-                  incr failures;
-                  Fmt.pr "SERVICE cached plan fails re-proof at seed %d: %a@."
-                    seed C.pp_failure f))
+                  Harness.fail
+                    "SERVICE cached plan fails re-proof at seed %d: %a" seed
+                    C.pp_failure f))
             (F.cached_plans svc)
         end
         else begin
@@ -738,15 +650,12 @@ let service_slice () =
         end;
         (* Bookkeeping invariants: epochs moved in lockstep, and a
            degraded run is impossible without fault injection. *)
-        if F.epoch svc <> F.epoch twin then begin
-          incr failures;
-          Fmt.pr "SERVICE epoch drift at seed %d@." seed
-        end;
-        let s = F.stats svc in
-        if s.F.degraded <> 0 then begin
-          incr failures;
-          Fmt.pr "SERVICE spurious degraded count at seed %d@." seed
-        end
+        Harness.check
+          (F.epoch svc = F.epoch twin)
+          "SERVICE epoch drift at seed %d" seed;
+        Harness.check
+          ((F.stats svc).F.degraded = 0)
+          "SERVICE spurious degraded count at seed %d" seed
       end
     end
   done;
@@ -781,12 +690,7 @@ let health_slice () =
     incr seed;
     let seed = !seed in
     let rng = Rng.make ~seed:(600_000 + seed) in
-    let topology =
-      match seed mod 3 with
-      | 0 -> System_gen.Chain
-      | 1 -> System_gen.Star
-      | _ -> System_gen.Random { extra_edges = 1 }
-    in
+    let topology = topology ~extra_edges:1 seed in
     let relations = 4 + (seed mod 2) in
     (* Heavy replication: quarantining a server must leave the planner
        a replica to reroute to, or the case degenerates to Infeasible
@@ -834,10 +738,9 @@ let health_slice () =
         let check_response what (r : F.response) =
           incr served;
           let reference = Distsim.Engine.centralized ~instances r.F.plan in
-          if not (Relation.equal r.F.result reference) then begin
-            incr failures;
-            Fmt.pr "HEALTH WRONG RESULT at seed %d (%s)@." seed what
-          end;
+          Harness.check
+            (Relation.equal r.F.result reference)
+            "HEALTH WRONG RESULT at seed %d (%s)" seed what;
           (* No response may be served by a quarantined executor. *)
           let quarantined = F.quarantined_servers svc in
           let uses s = List.exists (Server.equal s) quarantined in
@@ -850,16 +753,13 @@ let health_slice () =
                 || Option.fold ~none:false ~some:uses
                      e.Planner.Assignment.coordinator
               in
-              if bad then begin
-                incr failures;
-                Fmt.pr "HEALTH QUARANTINED EXECUTOR at seed %d (%s)@." seed
-                  what
-              end)
+              Harness.check (not bad)
+                "HEALTH QUARANTINED EXECUTOR at seed %d (%s)" seed what)
             (Planner.Assignment.bindings r.F.assignment);
           match r.F.certificate with
           | None ->
-            incr failures;
-            Fmt.pr "HEALTH uncertified response at seed %d (%s)@." seed what
+            Harness.fail "HEALTH uncertified response at seed %d (%s)" seed
+              what
           | Some cert -> (
             match
               C.check_plan ~revalidate:true ~joins sys.System_gen.catalog
@@ -867,8 +767,7 @@ let health_slice () =
             with
             | [] -> ()
             | f :: _ ->
-              incr failures;
-              Fmt.pr "HEALTH STALE/UNSAFE plan at seed %d (%s): %a@." seed
+              Harness.fail "HEALTH STALE/UNSAFE plan at seed %d (%s): %a" seed
                 what C.pp_failure f)
         in
         (* Crash-injected stream: repeated victim crashes trip the
@@ -885,19 +784,16 @@ let health_slice () =
           | Error (F.Degraded _ | F.Infeasible _ | F.Deadline_exceeded _) ->
             () (* typed degradation is the contract, not a failure *)
           | Error (F.Rejected _) ->
-            incr failures;
-            Fmt.pr "HEALTH spurious rejection at seed %d@." seed
+            Harness.fail "HEALTH spurious rejection at seed %d" seed
           | Error e ->
-            incr failures;
-            Fmt.pr "HEALTH unexpected error at seed %d: %a@." seed
+            Harness.fail "HEALTH unexpected error at seed %d: %a" seed
               F.pp_error e
         done;
         (* Breaker accounting must be visible in stats. *)
-        let s = F.stats svc in
-        if s.F.quarantined <> List.length (F.quarantined_servers svc) then begin
-          incr failures;
-          Fmt.pr "HEALTH stats/quarantine drift at seed %d@." seed
-        end;
+        Harness.check
+          ((F.stats svc).F.quarantined
+          = List.length (F.quarantined_servers svc))
+          "HEALTH stats/quarantine drift at seed %d" seed;
         (* Shed and quota rejections: typed, and the rejected call
            leaves the audit log untouched (nothing was planned, nothing
            was emitted). The first probe burns the burst token — its
@@ -908,13 +804,10 @@ let health_slice () =
         let audit_before = List.length (F.audit_log svc) in
         (match F.query svc (List.hd pool) with
          | Error (F.Rejected { reason = F.Overload }) -> ()
-         | _ ->
-           incr failures;
-           Fmt.pr "HEALTH admission failed to shed at seed %d@." seed);
-        if List.length (F.audit_log svc) <> audit_before then begin
-          incr failures;
-          Fmt.pr "HEALTH shed request reached the audit log at seed %d@." seed
-        end;
+         | _ -> Harness.fail "HEALTH admission failed to shed at seed %d" seed);
+        Harness.check
+          (List.length (F.audit_log svc) = audit_before)
+          "HEALTH shed request reached the audit log at seed %d" seed;
         F.clear_admission svc;
         F.set_quota svc "soak-tenant" ~rate:0.0 ~burst:1.0;
         ignore (F.query ~tenant:"soak-tenant" svc (List.hd pool));
@@ -923,32 +816,23 @@ let health_slice () =
          | Error (F.Rejected { reason = F.Quota { tenant } })
            when tenant = "soak-tenant" ->
            ()
-         | _ ->
-           incr failures;
-           Fmt.pr "HEALTH quota failed to reject at seed %d@." seed);
-        if List.length (F.audit_log svc) <> audit_before then begin
-          incr failures;
-          Fmt.pr "HEALTH quota-rejected request reached the audit log at \
-                  seed %d@."
-            seed
-        end;
+         | _ -> Harness.fail "HEALTH quota failed to reject at seed %d" seed);
+        Harness.check
+          (List.length (F.audit_log svc) = audit_before)
+          "HEALTH quota-rejected request reached the audit log at seed %d" seed;
         F.clear_quota svc "soak-tenant";
         (* A 1-step deadline on a multi-node plan must blow, typed. *)
         incr deadline_checked;
         (match F.query ~deadline:1 svc (List.hd pool) with
          | Ok r when r.F.steps <= 1 -> ()
          | Ok _ ->
-           incr failures;
-           Fmt.pr "HEALTH over-budget response served at seed %d@." seed
+           Harness.fail "HEALTH over-budget response served at seed %d" seed
          | Error (F.Deadline_exceeded { spent; budget }) ->
-           if spent <= budget then begin
-             incr failures;
-             Fmt.pr "HEALTH deadline miss without overspend at seed %d@." seed
-           end
+           Harness.check (spent > budget)
+             "HEALTH deadline miss without overspend at seed %d" seed
          | Error (F.Infeasible _ | F.Degraded _) -> ()
          | Error e ->
-           incr failures;
-           Fmt.pr "HEALTH unexpected deadline-path error at seed %d: %a@."
+           Harness.fail "HEALTH unexpected deadline-path error at seed %d: %a"
              seed F.pp_error e)
       end
     end
@@ -959,13 +843,24 @@ let health_slice () =
     !total !served !rerouted !shed_checked !deadline_checked
 
 let () =
-  clean_slice ();
-  exec_slice ();
-  fault_slice ();
-  knowledge_slice ();
-  certify_slice ();
-  service_slice ();
-  health_slice ();
-  if !failures = 0 then Fmt.pr "soak: all checks passed@."
-  else Fmt.pr "soak: %d FAILURES@." !failures;
-  exit (if !failures = 0 then 0 else 1)
+  Harness.parse_argv ~prog:"soak"
+    [
+      Harness.Count ("--cases", cases);
+      Harness.Count ("--fault-cases", fault_cases);
+      Harness.Count ("--knowledge-cases", knowledge_cases);
+      Harness.Count ("--certify-cases", certify_cases);
+      Harness.Count ("--service-cases", service_cases);
+      Harness.Count ("--health-cases", health_cases);
+      Harness.Count ("--exec-cases", exec_cases);
+    ];
+  exit
+    (Harness.run ~prog:"soak"
+       [
+         ("clean", clean_slice);
+         ("exec", exec_slice);
+         ("fault", fault_slice);
+         ("knowledge", knowledge_slice);
+         ("certify", certify_slice);
+         ("service", service_slice);
+         ("health", health_slice);
+       ])
