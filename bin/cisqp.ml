@@ -277,6 +277,12 @@ let with_chase chase fed =
     let handle = Authz.Chase.closed_policy ~joins:fed.joins fed.policy in
     ({ fed with policy = Authz.Chase.closure handle }, Some handle)
 
+(* The policy certificates are checked against: the pre-chase one when
+   the chase ran. *)
+let base_policy fed = function
+  | Some handle -> Authz.Chase.policy handle
+  | None -> fed.policy
+
 let certify_flag =
   Arg.(
     value & flag
@@ -296,47 +302,43 @@ let cert_out_arg =
           "With --certify, also write the certificate as JSON to $(docv) \
            (re-checkable later with $(b,cisqp certify)).")
 
-(* Emit, optionally persist, and independently check a plan
-   certificate. The check runs against the *base* policy: pre-chase
-   when [handle] is present, the federation's own policy otherwise. *)
-let do_certify fed handle ~third_party plan assignment cert_out =
-  let module C = Analysis.Certificate in
-  if Authz.Policy.is_open fed.policy then begin
+(* Certify a planned assignment before any of its messages is sent, as
+   [Federation.query] does on a cache miss: emit the certificate, then
+   check it against the base policy. Returns the certificate, [None]
+   under an open-mode policy, and the joins a helper rescued. *)
+let certify_plan fed handle plan assignment =
+  let rescues = Planner.Third_party.rescues_of plan assignment in
+  match
+    Analysis.Certificate.certify ~third_party:(rescues <> []) ?closed:handle
+      fed.catalog (base_policy fed handle) plan assignment
+  with
+  | Ok certificate -> (certificate, rescues)
+  | Error detail ->
+    Fmt.epr "%a@." D.pp
+      (D.make "CISQP050" D.Whole "certification failed: %s" detail);
+    exit 1
+
+(* Report (and optionally persist) a certificate [certify_plan] or the
+   recovery supervisor already emitted and checked. *)
+let report_certificate cert_out = function
+  | None ->
     Fmt.epr "%a@." D.pp
       (D.make "CISQP051" D.Whole
          "open-mode policies are outside the certificate language; nothing \
           to certify");
     exit 1
-  end;
-  let base =
-    match handle with Some h -> Authz.Chase.policy h | None -> fed.policy
-  in
-  match
-    C.emit_plan ~third_party ?closed:handle fed.catalog fed.policy plan
-      assignment
-  with
-  | Error msg ->
-    Fmt.epr "%a@." D.pp
-      (D.make "CISQP050" D.Whole "certificate emission failed: %s" msg);
-    exit 1
-  | Ok cert ->
-    (match cert_out with
-     | None -> ()
-     | Some path ->
-       let oc = open_out_bin path in
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () ->
-           output_string oc (C.plan_to_json cert);
-           output_char oc '\n'));
-    (match C.check_plan ~joins:fed.joins fed.catalog base plan cert with
-     | [] ->
-       Fmt.pr "Certificate: OK (%d rule(s), %d flow(s) checked)@."
-         (List.length cert.C.rules)
-         (List.length cert.C.flows)
-     | failures ->
-       List.iter (fun d -> Fmt.epr "%a@." D.pp d) (C.to_diagnostics failures);
-       exit 1)
+  | Some (cert : Analysis.Certificate.plan_cert) ->
+    Option.iter
+      (fun path ->
+        let oc = open_out_bin path in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            output_string oc (Analysis.Certificate.plan_to_json cert);
+            output_char oc '\n'))
+      cert_out;
+    Fmt.pr "Certificate: OK (%d rule(s), %d flow(s) checked)@."
+      (List.length cert.rules) (List.length cert.flows)
 
 let plan_query fed query ~third_party ~no_semijoins ~optimize =
   let config =
@@ -407,7 +409,8 @@ let plan_cmd =
         trace;
       Fmt.pr "Assignment:@.%a@." Planner.Assignment.pp assignment;
       if certify then
-        do_certify fed handle ~third_party plan assignment cert_out
+        report_certificate cert_out
+          (fst (certify_plan fed handle plan assignment))
     end
   in
   Cmd.v
@@ -517,50 +520,6 @@ let run_cmd =
         Fmt.(list ~sep:(any "@\n") Distsim.Audit.pp_violation)
         violations
   in
-  let run_faulty fed handle plan fault ~third_party ~makespan ~certify
-      ~deadline ~executor ~bloom cert_out =
-    let helpers = if third_party then fed.helpers else [] in
-    match
-      Distsim.Recover.execute ~helpers ~executor ?bloom ?deadline fed.catalog
-        fed.policy ~instances:fed.instances ~fault plan
-    with
-    | Error (d : Distsim.Recover.degraded) ->
-      List.iter
-        (fun f -> Fmt.pr "Failover: %a@." Distsim.Recover.pp_failover f)
-        d.Distsim.Recover.failovers;
-      Fmt.pr "Degraded: %a@." Distsim.Recover.pp_reason d.Distsim.Recover.reason;
-      (match d.Distsim.Recover.partial with
-       | [] -> ()
-       | ps ->
-         Fmt.pr "Partial sub-results: %a@."
-           Fmt.(list ~sep:comma (fmt "n%d"))
-           (List.map fst ps));
-      report_audit fed d.Distsim.Recover.log;
-      exit 1
-    | Ok (r : Distsim.Recover.recovered) ->
-      List.iter
-        (fun f -> Fmt.pr "Failover: %a@." Distsim.Recover.pp_failover f)
-        r.Distsim.Recover.failovers;
-      Fmt.pr
-        "Recovered: %d attempt(s), %d retransmission(s), %.3f s of backoff@.@."
-        r.Distsim.Recover.attempts r.Distsim.Recover.retries
-        r.Distsim.Recover.delay;
-      Fmt.pr "Assignment:@.%a@.@.Result (at %a):@.%a@.@.Data flows (all \
-              attempts):@.%a@."
-        Planner.Assignment.pp r.Distsim.Recover.assignment Server.pp
-        r.Distsim.Recover.location Relation.pp r.Distsim.Recover.result
-        Distsim.Network.pp r.Distsim.Recover.log;
-      report_audit fed r.Distsim.Recover.log;
-      if makespan then
-        Fmt.pr "@.Makespan (1 ms latency, 10 MB/s, retries priced):@.%.6f s@."
-          (Distsim.Recover.makespan (Distsim.Des.uniform ()) fault plan r);
-      if certify then
-        (* Certify the assignment that actually answered, third-party
-           iff a helper had to step in during recovery. *)
-        do_certify fed handle
-          ~third_party:(r.Distsim.Recover.rescues <> [])
-          plan r.Distsim.Recover.assignment cert_out
-  in
   let run fed sql third_party no_semijoins optimize chase certify cert_out
       makespan crashes drop corrupt fault_seed retries deadline exec_choice
       bloom =
@@ -584,8 +543,9 @@ let run_cmd =
       | `Batch -> (module Relalg.Batch.Exec : Relalg.Exec.S)
     in
     let fault = fault_of crashes drop corrupt fault_seed retries in
-    (* The supervisor plans (and re-plans on failover) itself, so the
-       planning flags would be silently ignored under fault injection. *)
+    (* The supervisor replans every failover itself, with the default
+       planner configuration, so these planning flags would be silently
+       dropped after the first death. *)
     if Option.is_some fault && (no_semijoins || optimize) then begin
       let flag = if optimize then "--optimize" else "--no-semijoins" in
       usage_error (D.Flag flag)
@@ -596,43 +556,58 @@ let run_cmd =
     end;
     let fed, handle = with_chase chase fed in
     let query = parse_query fed sql in
-    match fault with
-    | Some fault ->
-      let plan = Query.to_plan query in
-      run_faulty fed handle plan fault ~third_party ~makespan ~certify
-        ~deadline ~executor ~bloom cert_out
-    | None ->
-      let plan, assignment, _ =
-        plan_query fed query ~third_party ~no_semijoins ~optimize
-      in
-      (match
-         Distsim.Engine.execute ~third_party ~executor ?bloom ?deadline
-           fed.catalog ~instances:fed.instances plan assignment
-       with
-       | Error e -> die "execution error: %a" Distsim.Engine.pp_error e
-       | Ok ({ result; location; network; _ } as outcome) ->
-         Fmt.pr "Assignment:@.%a@.@.Result (at %a):@.%a@.@.Data flows:@.%a@."
-           Planner.Assignment.pp assignment Server.pp location Relation.pp
-           result Distsim.Network.pp network;
-         report_audit fed network;
-         if makespan then begin
-           let schedule =
-             Distsim.Des.makespan (Distsim.Des.uniform ()) plan
-               assignment outcome
-           in
-           Fmt.pr "@.Makespan (1 ms latency, 10 MB/s):@.%a@."
-             Distsim.Des.pp_schedule schedule
-         end;
-         if certify then
-           do_certify fed handle ~third_party plan assignment cert_out)
+    let plan, assignment, _ =
+      plan_query fed query ~third_party ~no_semijoins ~optimize
+    in
+    let certificate, rescues = certify_plan fed handle plan assignment in
+    let fault = Option.value fault ~default:Distsim.Fault.reliable in
+    (* One path for every run, the one [Federation.query] takes: the
+       certified assignment seeds attempt 1, and any failover is
+       replanned and re-certified against the base policy. *)
+    let outcome =
+      Distsim.Recover.execute
+        ~helpers:(if third_party then fed.helpers else [])
+        ~executor ?bloom ?closed:handle ?deadline
+        ~seed:(assignment, certificate, rescues)
+        fed.catalog (base_policy fed handle) ~instances:fed.instances ~fault
+        plan
+    in
+    (match outcome with
+     | Ok { failovers; _ } | Error { failovers; _ } ->
+       List.iter
+         (fun f -> Fmt.pr "Failover: %a@." Distsim.Recover.pp_failover f)
+         failovers);
+    match outcome with
+    | Error d ->
+      Fmt.pr "Degraded: %a@." Distsim.Recover.pp_reason d.reason;
+      if d.partial <> [] then
+        Fmt.pr "Partial sub-results: %s@."
+          (String.concat ", "
+             (List.map (fun (id, _) -> Printf.sprintf "n%d" id) d.partial));
+      report_audit fed d.log;
+      exit 1
+    | Ok r ->
+      Fmt.pr
+        "Execution: %d attempt(s), %d retransmission(s), %.3f s of backoff@.@."
+        r.attempts r.retries r.delay;
+      Fmt.pr "Assignment:@.%a@.@.Result (at %a):@.%a@.@.Data flows:@.%a@."
+        Planner.Assignment.pp r.assignment Server.pp r.location Relation.pp
+        r.result Distsim.Network.pp r.log;
+      report_audit fed r.log;
+      if makespan then
+        Fmt.pr "@.Makespan (1 ms latency, 10 MB/s):@.%a@."
+          Distsim.Des.pp_schedule
+          (Distsim.Recover.makespan (Distsim.Des.uniform ()) fault plan r);
+      if certify then report_certificate cert_out r.certificate
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "Plan a query, execute it on the simulator and audit the flows. \
-          With --crash/--drop/--corrupt/--fault-seed/--retries the execution \
-          runs under deterministic fault injection and safe recovery, which \
-          plans the query itself: --no-semijoins and --optimize are refused \
+         "Plan a query, certify the plan, execute it under the recovery \
+          supervisor and audit the flows. With \
+          --crash/--drop/--corrupt/--fault-seed/--retries the execution runs \
+          under deterministic fault injection, and the supervisor replans \
+          every failover itself: --no-semijoins and --optimize are refused \
           there.")
     Term.(
       const run $ federation_term $ sql_arg $ third_party_flag

@@ -419,23 +419,6 @@ let materialize sources_reg st =
       PMap.add e.info.p { profile = e.info.p; sources; via } acc)
     st.entries PMap.empty
 
-let saturate ?(budget = default_budget) ~joins t =
-  let jinfos, sides = joinfo_of joins in
-  let sources_reg = Hashtbl.create 64 in
-  let exhausted = ref [] in
-  let knowledge =
-    Server.Map.mapi
-      (fun server table ->
-        let st = seed_state ~sides sources_reg table in
-        drain ~budget jinfos st;
-        if st.hit_budget then exhausted := server :: !exhausted;
-        materialize sources_reg st)
-      t
-  in
-  (* Deduped and sorted: one CISQP031 per exhausted server, however
-     many times its budget was hit. *)
-  { knowledge; exhausted = List.sort_uniq Server.compare !exhausted }
-
 (* ------------------------------------------------------------------ *)
 (* Incremental cursor: the audit path feeds one message at a time and
    re-saturates only from that message's frontier. *)
@@ -520,6 +503,9 @@ let snapshot c =
     |> List.sort_uniq Server.compare
   in
   { knowledge; exhausted }
+
+(* Batch saturation is a cursor fed nothing beyond its seeds. *)
+let saturate ?budget ~joins t = snapshot (cursor ?budget ~joins t)
 
 (* Reconstruct the join tree behind a derived profile from the
    recorded provenance: origins bottom out in stored relations and
@@ -737,14 +723,11 @@ let diagnostics ~budget ?closed policy { knowledge; exhausted } =
   in
   leak_diags @ budget_diags
 
-let lint ?budget ?closed ~joins policy t =
-  let budget_value =
-    match budget with Some b -> b | None -> default_budget
-  in
-  diagnostics ~budget:budget_value ?closed policy (saturate ?budget ~joins t)
-
 let cursor_lint ?closed policy c =
   diagnostics ~budget:c.c_budget ?closed policy (snapshot c)
+
+let lint ?budget ?closed ~joins policy t =
+  cursor_lint ?closed policy (cursor ?budget ~joins t)
 
 let subset a b =
   Server.Map.for_all

@@ -111,7 +111,10 @@ type outcome = {
     before it spawns candidates ({e subsumption pruning}). Pruning
     preserves {!lint} verdicts but not the exact profile set — the
     saturated base is a minimal antichain-ish cover of the naive
-    closure; use {!covered_by} to compare saturated results. *)
+    closure; use {!covered_by} to compare saturated results.
+
+    It is the {!snapshot} of a fresh {!cursor} over [t]: batch and
+    incremental saturation share one seed-and-drain loop. *)
 val saturate : ?budget:int -> joins:Joinpath.Cond.t list -> t -> outcome
 
 (** The pre-index reference engine — structural membership tests, one

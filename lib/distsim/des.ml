@@ -55,7 +55,7 @@ let pp_graph_error ppf = function
     Fmt.pf ppf "%S depends on unknown task %S" task dep
   | Dependency_cycle ids ->
     Fmt.pf ppf "dependency cycle among %a"
-      Fmt.(list ~sep:comma (quote string))
+      Fmt.(list ~sep:(any ", ") (fmt "%S"))
       ids
 
 let () =

@@ -218,16 +218,19 @@ let wire_time model network =
     0.0 (Network.messages network)
 
 let makespan model fplan plan (r : recovered) =
-  let backoff = Fault.backoff fplan in
   let final =
-    (Des.makespan ~backoff model plan r.assignment r.outcome).Des.makespan
+    Des.makespan ~backoff:(Fault.backoff fplan) model plan r.assignment
+      r.outcome
   in
   (* Aborted attempts: their emissions cost wire time even though the
-     work was discarded. *)
+     work was discarded, and the final attempt starts after them. *)
   let aborted =
     wire_time model r.log -. wire_time model r.outcome.Engine.network
   in
-  final +. aborted
+  {
+    Des.finish = List.map (fun (id, t) -> (id, t +. aborted)) final.Des.finish;
+    makespan = final.Des.makespan +. aborted;
+  }
 
 let pp_failover ppf f =
   Fmt.pf ppf "attempt %d: %a died at n%d (%s); replanned without it"
@@ -237,22 +240,22 @@ let pp_failover ppf f =
 let pp_reason ppf = function
   | No_safe_replan { dead; failed_at } ->
     Fmt.pf ppf "no safe replan without %a (blocked at n%d)"
-      Fmt.(list ~sep:comma Server.pp)
+      Fmt.(list ~sep:(any ", ") Server.pp)
       dead failed_at
   | Replan_unsafe { dead } ->
     Fmt.pf ppf "replan without %a failed the independent safety re-proof"
-      Fmt.(list ~sep:comma Server.pp)
+      Fmt.(list ~sep:(any ", ") Server.pp)
       dead
   | Replan_uncertified { dead; detail } ->
     Fmt.pf ppf "replan without %a failed certification: %s"
-      Fmt.(list ~sep:comma Server.pp)
+      Fmt.(list ~sep:(any ", ") Server.pp)
       dead detail
   | Transfer_failed { sender; receiver; node; attempts } ->
     Fmt.pf ppf "link %a -> %a never delivered at n%d (%d attempts)" Server.pp
       sender Server.pp receiver node attempts
   | Failover_limit { dead } ->
     Fmt.pf ppf "failover limit reached; dead: %a"
-      Fmt.(list ~sep:comma Server.pp)
+      Fmt.(list ~sep:(any ", ") Server.pp)
       dead
   | Deadline_exceeded { spent; budget } ->
     Fmt.pf ppf "deadline exceeded: %d logical steps spent, budget %d" spent

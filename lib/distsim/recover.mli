@@ -122,8 +122,8 @@ type outcome = (recovered, degraded) result
 
 (** [execute catalog policy ~instances ~fault plan] plans and runs
     [plan] under [fault]. It is the one execution path of a served
-    query: {!Federation.query} runs every query through it, under
-    {!Fault.reliable} when the caller names no fault plan. [helpers]
+    query: {!Federation.query} and [cisqp run] run every query through
+    it, under {!Fault.reliable} when the caller names no fault plan. [helpers]
     are offered to the planner (initial plan and every replan alike).
     Failovers are bounded by the catalog's server count: one more
     death {e during this recovery} ends it with {!Failover_limit}.
@@ -145,9 +145,10 @@ type outcome = (recovered, degraded) result
     count against the failover limit.
 
     [seed] supplies attempt 1 with an assignment (+ certificate +
-    rescues) the caller already certified — e.g. a federation's cached
-    plan whose epoch gate just passed — skipping the initial replan
-    and re-proof. Failovers still replan and re-prove from scratch.
+    rescues) the caller already certified — a federation's cached plan
+    whose epoch gate just passed, or the assignment [cisqp run]
+    planned with its own flags — skipping the initial replan and
+    re-proof. Failovers still replan and re-prove from scratch.
 
     [executor] and [bloom] are passed to every {!Engine.execute}
     attempt unchanged (see there). *)
@@ -169,13 +170,15 @@ val execute :
   Plan.t ->
   outcome
 
-(** Total makespan of a recovered faulty run: the final attempt priced
-    by {!Des.makespan} with the fault plan's backoff schedule, plus
-    the wire time of every aborted attempt's emissions (their work was
-    spent even though it was thrown away). An upper bound — attempts
-    are sequential. *)
+(** The schedule of a recovered run: the final attempt priced by
+    {!Des.makespan} with the fault plan's backoff schedule, every
+    finish time (the root's, so the makespan, included) shifted by the
+    wire time of the aborted attempts' emissions (their work was spent
+    even though it was thrown away). An upper bound — attempts are
+    sequential. Without failovers nothing is shifted: a run under
+    {!Fault.reliable} gets exactly {!Des.makespan}'s schedule. *)
 val makespan :
-  Des.model -> Fault.plan -> Plan.t -> recovered -> float
+  Des.model -> Fault.plan -> Plan.t -> recovered -> Des.schedule
 
 val pp_failover : failover Fmt.t
 val pp_reason : reason Fmt.t

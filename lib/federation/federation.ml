@@ -206,7 +206,7 @@ let pp_error ppf = function
      | [] -> Fmt.pf ppf "; no answer"
      | ps ->
        Fmt.pf ppf "; partial answer only (sub-results for %a)"
-         Fmt.(list ~sep:comma (fmt "n%d"))
+         Fmt.(list ~sep:(any ", ") (fmt "n%d"))
          (List.map fst ps))
   | Audit_violation msg -> Fmt.pf ppf "AUDIT VIOLATION: %s" msg
   | Uncertified msg -> Fmt.pf ppf "CERTIFICATION FAILED: %s" msg

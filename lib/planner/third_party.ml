@@ -16,10 +16,7 @@ type result = {
   trace : Safe_planner.trace;
 }
 
-type failure = {
-  failed_at : int;
-  tried : Server.t list;
-}
+type failure = { failed_at : int }
 
 (* A join was rescued when its master is neither operand's executor
    (proxy) or when a coordinator was recorded. *)
@@ -46,7 +43,7 @@ let plan ?excluded ?closed ~helpers catalog policy p =
   | Ok { assignment; trace } ->
     Ok { assignment; rescues = rescues_of p assignment; trace }
   | Error (f : Safe_planner.failure) ->
-    Error { failed_at = f.failed_at; tried = helpers }
+    Error { failed_at = f.failed_at }
 
 let pp_rescue ppf r =
   Fmt.pf ppf "join n%d rescued by third party %a (as %s)" r.node Server.pp

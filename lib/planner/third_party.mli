@@ -3,12 +3,15 @@
     When no operand server can safely execute a join, "a safe
     assignment could exist in case of a third party acting either as a
     proxy for one of the two operands or as a coordinator for them".
-    This module retries a failed plan allowing, at each blocked join, an
-    outside server [T] (drawn from [helpers]) that is authorized to view
-    {e both} operands in full: both executors ship their results to [T],
-    which computes a regular join and continues as the node's executor.
+    {!plan} lets the planner fall back, at a join no operand server
+    can execute, on an outside server [T] drawn from [helpers]: as a
+    proxy when [T] may view {e both} operands in full (both executors
+    ship their results to [T], which computes a regular join and
+    continues as the node's executor), or as a coordinator when [T] may
+    view both operands' join columns (it matches them for an operand
+    server that runs the join).
 
-    The resulting assignment is validated by
+    An assignment with a rescue is validated by
     [Safety.check ~third_party:true]. *)
 
 open Relalg
@@ -28,22 +31,19 @@ type rescue = {
 
 type result = {
   assignment : Assignment.t;
-  rescues : rescue list;  (** empty when the greedy planner succeeded *)
+  rescues : rescue list;  (** empty when no join needed a helper *)
   trace : Safe_planner.trace;  (** the planner's trace of [assignment] *)
 }
 
-type failure = {
-  failed_at : int;
-  tried : Server.t list;  (** helpers that could not view both operands *)
-}
+type failure = { failed_at : int  (** the node no server could execute *) }
 
-(** [plan ~helpers catalog policy p] — first the plain Figure-6
-    algorithm; on failure, candidate lists of blocked joins are extended
-    with viable helpers and the traversal retried. [excluded] (default
-    none) bars servers from every role, as in {!Safe_planner.plan} —
-    the failover path of {!Distsim.Recover}. [closed] passes a
-    {!Chase.closed} handle through to the planner so retries share one
-    cached closure. *)
+(** [plan ~helpers catalog policy p] — one Figure-6 traversal,
+    {!Safe_planner.plan} with [~helpers], whose rescues are read off
+    the resulting assignment with {!rescues_of}. [excluded]
+    (default none) bars servers from every role, as in
+    {!Safe_planner.plan} — the failover path of {!Distsim.Recover}.
+    [closed] passes a {!Chase.closed} handle through to the planner so
+    replans share one cached closure. *)
 val plan :
   ?excluded:Server.t list ->
   ?closed:Chase.closed ->
@@ -52,5 +52,14 @@ val plan :
   Policy.t ->
   Plan.t ->
   (result, failure) Stdlib.result
+
+(** [rescues_of plan assignment] — the joins of [plan] that
+    [assignment] gives a third party: a recorded coordinator, or a
+    master that is neither operand's executor (proxy). In node order;
+    empty iff the assignment needs no [Safety.check ~third_party:true].
+    This is how a caller that planned with {!Safe_planner.plan} itself
+    learns what to certify ({!Analysis.Certificate.certify}
+    [~third_party:(rescues <> [])]). *)
+val rescues_of : Plan.t -> Assignment.t -> rescue list
 
 val pp_rescue : rescue Fmt.t

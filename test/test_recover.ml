@@ -187,7 +187,7 @@ let test_faulty_makespan_dominates_clean () =
   let fplan, r = lossy_recovered 1 in
   let model = Des.uniform () in
   let plan = M.example_plan () in
-  let faulty = Recover.makespan model fplan plan r in
+  let faulty = (Recover.makespan model fplan plan r).Des.makespan in
   let clean =
     match Planner.Safe_planner.plan M.catalog M.policy plan with
     | Error f -> Alcotest.failf "%a" Planner.Safe_planner.pp_failure f
@@ -200,6 +200,130 @@ let test_faulty_makespan_dominates_clean () =
     (Fmt.str "faulty %.6f > clean %.6f" faulty clean)
     true (faulty > clean);
   check Alcotest.bool "backoff delay was accrued" true (r.Recover.delay > 0.0)
+
+(* A federation whose first attempt must ship before its master can
+   die: A is stored at SA alone, B at SB and SC, and only SB and SC may
+   join them. Killing the planner's master after A reached it leaves
+   that shipment aborted, and the failover ships A again to the other
+   replica of B. *)
+let trio () =
+  let text = Text.Line_reader.pp_error in
+  let sys =
+    Helpers.check_ok text
+      (Text.Schema_text.parse
+         "relation A at SA (Ax*, Adata)\n\
+          relation B at SB, SC (Bx*, Bdata)\n\
+          join Ax = Bx\n")
+  in
+  let catalog = sys.Text.Schema_text.catalog in
+  let policy =
+    Helpers.check_ok text
+      (Text.Authz_text.parse catalog
+         "[{Ax, Adata}, -] -> SB\n\
+          [{Ax, Adata, Bx, Bdata}, {<Ax, Bx>}] -> SB\n\
+          [{Ax, Adata}, -] -> SC\n\
+          [{Ax, Adata, Bx, Bdata}, {<Ax, Bx>}] -> SC\n")
+  in
+  let instances =
+    Helpers.check_ok text
+      (Text.Data_text.parse catalog
+         "@relation A\nAx, Adata\nx1, a1\nx2, a2\n\n\
+          @relation B\nBx, Bdata\nx1, b1\nx3, b3\n")
+  in
+  let plan =
+    Query.to_plan
+      (Sql_parser.parse_exn catalog
+         "SELECT Adata, Bdata FROM A JOIN B ON Ax = Bx")
+  in
+  (catalog, policy, instances, plan)
+
+(* The first crash step of the trio's master that leaves the failover
+   aborted emissions to price. *)
+let failover_after_emissions () =
+  let catalog, policy, instances, plan = trio () in
+  let master =
+    match Planner.Third_party.plan ~helpers:[] catalog policy plan with
+    | Ok { assignment; _ } ->
+      (Planner.Assignment.find assignment (Plan.root plan).Plan.id)
+        .Planner.Assignment.master
+    | Error _ -> Alcotest.fail "trio plan infeasible"
+  in
+  let rec from at =
+    if at > 20 then Alcotest.fail "no crash step leaves aborted emissions"
+    else
+      let fault = Fault.make ~crashes:[ Fault.crash master ~at ] ~seed:1 () in
+      match Recover.execute catalog policy ~instances ~fault plan with
+      | Ok r
+        when r.Recover.failovers <> []
+             && Network.message_count r.Recover.log
+                > Network.message_count r.Recover.outcome.Engine.network ->
+        (plan, fault, r)
+      | _ -> from (at + 1)
+  in
+  from 0
+
+let test_failover_makespan_schedule () =
+  let plan, fault, r = failover_after_emissions () in
+  let model = Des.uniform () in
+  let s = Recover.makespan model fault plan r in
+  check (Alcotest.float 0.0) "root finish is the makespan" s.Des.makespan
+    (List.assoc (Plan.root plan).Plan.id s.Des.finish);
+  (* The total is the final attempt's makespan plus the aborted
+     attempts' wire time, the same float as before the schedule was
+     returned; every node is shifted by that same wire time. *)
+  let wire net =
+    List.fold_left
+      (fun acc m -> acc +. Des.wire model m)
+      0.0 (Network.messages net)
+  in
+  let aborted =
+    wire r.Recover.log -. wire r.Recover.outcome.Engine.network
+  in
+  let final =
+    Des.makespan ~backoff:(Fault.backoff fault) model plan r.Recover.assignment
+      r.Recover.outcome
+  in
+  check Alcotest.bool "aborted attempts cost wire time" true (aborted > 0.0);
+  check (Alcotest.float 0.0) "total unchanged"
+    (final.Des.makespan +. aborted)
+    s.Des.makespan;
+  List.iter2
+    (fun (id, shifted) (id', t) ->
+      check Alcotest.int "same node" id' id;
+      check (Alcotest.float 0.0) (Fmt.str "n%d shifted" id) (t +. aborted)
+        shifted)
+    s.Des.finish final.Des.finish
+
+(* Degradation reasons and the errors that carry them are one-line
+   reports, however many servers or nodes they list: their lists are
+   joined with a plain ", ", never a break hint that wraps them. *)
+let test_reasons_render_on_one_line () =
+  let dead =
+    List.map (fun i -> Server.make (Fmt.str "Server_%d" i)) [ 1; 2; 3; 4; 5 ]
+  in
+  let partial = List.map (fun id -> (id, reference ())) [ 2; 4; 5 ] in
+  let one_line what text =
+    check Alcotest.bool
+      (Fmt.str "%s on one line: %S" what text)
+      false (String.contains text '\n')
+  in
+  List.iter
+    (fun reason ->
+      one_line "reason" (Fmt.str "%a" Recover.pp_reason reason);
+      one_line "federation error"
+        (Fmt.str "%a" Federation.pp_error
+           (Federation.Degraded
+              { reason; failovers = 4; partial; failed_node = Some 6 })))
+    [
+      Recover.No_safe_replan { dead; failed_at = 3 };
+      Recover.Replan_unsafe { dead };
+      Recover.Replan_uncertified { dead; detail = "no witnessing rule" };
+      Recover.Failover_limit { dead };
+    ];
+  one_line "graph error"
+    (Fmt.str "%a" Des.pp_graph_error
+       (Des.Dependency_cycle
+          (List.map (Fmt.str "query-%d/transfer-to-master") [ 1; 2; 3; 4; 5 ])))
 
 let test_des_prices_retry_chains () =
   (* The DES sees each failed attempt as its own link task; with the
@@ -240,4 +364,6 @@ let suite =
     c "faulty makespan dominates clean" `Quick
       test_faulty_makespan_dominates_clean;
     c "DES prices retry chains" `Quick test_des_prices_retry_chains;
+    c "failover makespan schedule" `Quick test_failover_makespan_schedule;
+    c "reasons render on one line" `Quick test_reasons_render_on_one_line;
   ]

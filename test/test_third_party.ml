@@ -34,10 +34,7 @@ let test_unqualified_helper () =
       (SC.pricing_plan ())
   with
   | Ok _ -> Alcotest.fail "unqualified helper accepted"
-  | Error f ->
-    check
-      Alcotest.(list Helpers.server)
-      "tried helpers recorded" [ SC.s_l ] f.Third_party.tried
+  | Error f -> check Alcotest.int "failing node" 1 f.Third_party.failed_at
 
 let test_no_rescue_needed () =
   (* A feasible plan gains no rescues even with helpers available. *)
