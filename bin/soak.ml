@@ -674,9 +674,10 @@ let service_slice () =
    open breaker's quarantine — still equals the centralized reference
    and carries a certificate that re-proves (revalidate mode) against
    the *base* policy as it stands now; shed and quota rejections are
-   typed and leave the audit log untouched; a blown deadline surfaces
-   as the typed [Deadline_exceeded], never as a silent wrong answer;
-   and no response is ever served by a currently-quarantined master. *)
+   typed and leave the exact audit count unchanged; a blown deadline
+   surfaces as the typed [Deadline_exceeded], never as a silent wrong
+   answer; and no response is ever served by a currently-quarantined
+   master. *)
 let health_slice () =
   let module C = Analysis.Certificate in
   let module F = Federation in
@@ -795,30 +796,30 @@ let health_slice () =
           = List.length (F.quarantined_servers svc))
           "HEALTH stats/quarantine drift at seed %d" seed;
         (* Shed and quota rejections: typed, and the rejected call
-           leaves the audit log untouched (nothing was planned, nothing
-           was emitted). The first probe burns the burst token — its
+           leaves the audit count unchanged (nothing was planned,
+           nothing was emitted). The first probe burns the burst token — its
            outcome may be anything the planner says under quarantine. *)
         incr shed_checked;
         F.set_admission svc ~rate:0.0 ~burst:1.0;
         ignore (F.query svc (List.hd pool));
-        let audit_before = List.length (F.audit_log svc) in
+        let audit_before = F.audited svc in
         (match F.query svc (List.hd pool) with
          | Error (F.Rejected { reason = F.Overload }) -> ()
          | _ -> Harness.fail "HEALTH admission failed to shed at seed %d" seed);
         Harness.check
-          (List.length (F.audit_log svc) = audit_before)
+          (F.audited svc = audit_before)
           "HEALTH shed request reached the audit log at seed %d" seed;
         F.clear_admission svc;
         F.set_quota svc "soak-tenant" ~rate:0.0 ~burst:1.0;
         ignore (F.query ~tenant:"soak-tenant" svc (List.hd pool));
-        let audit_before = List.length (F.audit_log svc) in
+        let audit_before = F.audited svc in
         (match F.query ~tenant:"soak-tenant" svc (List.hd pool) with
          | Error (F.Rejected { reason = F.Quota { tenant } })
            when tenant = "soak-tenant" ->
            ()
          | _ -> Harness.fail "HEALTH quota failed to reject at seed %d" seed);
         Harness.check
-          (List.length (F.audit_log svc) = audit_before)
+          (F.audited svc = audit_before)
           "HEALTH quota-rejected request reached the audit log at seed %d" seed;
         F.clear_quota svc "soak-tenant";
         (* A 1-step deadline on a multi-node plan must blow, typed. *)

@@ -1,7 +1,9 @@
 (* The runtime audit as the last line of defence.
 
    Runs the paper's query with its safe assignment (audit clean, every
-   flow cited with the authorization admitting it), then tampers with
+   flow recorded with its sender, receiver, join node, size and the
+   authorization admitting it; the record keeps no data, the rule
+   bounds what the receiver saw), then tampers with
    the assignment — forcing a regular join that ships the whole
    Nat_registry to the insurance server — and shows the audit catching
    the unauthorized flow that the planner would never have produced.

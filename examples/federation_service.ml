@@ -3,8 +3,9 @@
    A mixed batch of queries hits the medical federation: feasible ones
    execute (with plan caching), blocked ones come back with the policy
    advisor's repair proposal, and the operator-facing artifacts — the
-   cumulative audit log and the service counters — are printed at the
-   end.
+   service counters and the compliance window, the last
+   [Federation.audit_window] flows with the rule that admitted each —
+   are printed at the end.
 
    Run with: dune exec examples/federation_service.exe *)
 
@@ -45,14 +46,14 @@ let () =
   Fmt.pr "@.=== service counters ===@.%a@." Federation.pp_stats
     (Federation.stats fed);
 
-  Fmt.pr "@.=== cumulative audit log (%d entries) ===@."
-    (List.length (Federation.audit_log fed));
+  Fmt.pr "@.=== compliance window (%d of %d flows audited) ===@."
+    (List.length (Federation.audit_log fed))
+    (Federation.audited fed);
   List.iter
     (fun (e : Distsim.Audit.entry) ->
       match e.admitted_by with
       | Some rule ->
-        Fmt.pr "  %a -> %a: admitted by %a@." Relalg.Server.pp
-          e.message.Distsim.Network.sender Relalg.Server.pp
-          e.message.Distsim.Network.receiver Authz.Authorization.pp rule
+        Fmt.pr "  %a -> %a: admitted by %a@." Relalg.Server.pp e.sender
+          Relalg.Server.pp e.receiver Authz.Authorization.pp rule
       | None -> ())
     (Federation.audit_log fed)

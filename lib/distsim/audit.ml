@@ -14,32 +14,57 @@ type violation = {
 }
 
 type entry = {
-  message : Network.message;
+  request : int;
+  seq : int;
+  sender : Server.t;
+  receiver : Server.t;
+  join : int;
   admitted_by : Authorization.t option;
+  rows : int;
+  bytes : int;
 }
 
-let check_message policy (m : Network.message) =
+let entry ~request admitted_by (m : Network.message) =
+  {
+    request;
+    seq = m.seq;
+    sender = m.sender;
+    receiver = m.receiver;
+    join = Network.join_of m.purpose;
+    admitted_by;
+    rows = Relation.cardinality m.data;
+    bytes = Network.wire_bytes m;
+  }
+
+(* One policy probe per flow. Under a closed policy the rule that
+   admits the flow is the verdict: [Some] admits and is cited, [None]
+   is a violation. An open policy has no positive rule to cite; it
+   admits whatever no denial matches. *)
+let check_message ~request policy (m : Network.message) =
   let header = Relation.attribute_set m.data in
   let claimed = m.profile.Profile.pi in
   if not (Attribute.Set.equal header claimed) then
     Error { message = m; reason = Header_mismatch { header; claimed } }
-  else if Policy.can_view policy m.profile m.receiver then
-    (* [admitted_by] is [None] for open policies: no positive rule
-       exists, the flow is admitted because no denial matches. *)
-    Ok { message = m; admitted_by = Policy.authorizing_rule policy m.profile m.receiver }
-  else Error { message = m; reason = Unauthorized }
+  else if Policy.is_open policy then
+    if Policy.can_view policy m.profile m.receiver then
+      Ok (entry ~request None m)
+    else Error { message = m; reason = Unauthorized }
+  else
+    match Policy.authorizing_rule policy m.profile m.receiver with
+    | Some _ as rule -> Ok (entry ~request rule m)
+    | None -> Error { message = m; reason = Unauthorized }
 
-let run policy network =
-  let entries, violations =
-    List.fold_left
-      (fun (es, vs) m ->
-        match check_message policy m with
-        | Ok e -> (e :: es, vs)
-        | Error v -> (es, v :: vs))
-      ([], [])
-      (Network.messages network)
+let run ?(request = 0) policy network =
+  let rec go entries violations = function
+    | m :: rest -> (
+      match check_message ~request policy m with
+      | Ok e -> go (e :: entries) violations rest
+      | Error v -> go entries (v :: violations) rest)
+    | [] ->
+      if violations = [] then Ok (List.rev entries)
+      else Error (List.rev violations)
   in
-  if violations = [] then Ok (List.rev entries) else Error (List.rev violations)
+  go [] [] (Network.messages network)
 
 let is_clean policy network = Result.is_ok (run policy network)
 
@@ -61,11 +86,9 @@ let pp_violation ppf (v : violation) =
   Fmt.pf ppf "VIOLATION %a: %a" Network.pp_message v.message pp_reason v.reason
 
 let pp_entry ppf (e : entry) =
-  match e.admitted_by with
-  | Some rule ->
-    Fmt.pf ppf "%a@,  admitted by %a" Network.pp_message e.message
-      Authorization.pp rule
-  | None -> Network.pp_message ppf e.message
+  Fmt.pf ppf "request %d #%d %a -> %a at n%d: %d tuples, %d bytes" e.request
+    e.seq Server.pp e.sender Server.pp e.receiver e.join e.rows e.bytes;
+  Option.iter (Fmt.pf ppf "@,  admitted by %a" Authorization.pp) e.admitted_by
 
 (* Cumulative-knowledge cross-check: the runtime counterpart of the
    static inference pass. The message log is replayed into per-server

@@ -26,14 +26,35 @@ type violation = {
   reason : reason;
 }
 
-(** A full report: every message paired with the authorization that
-    admitted it. *)
+(** The compliance record of one admitted flow: who sent it to whom,
+    at which join node, under which rule, and how much crossed the
+    wire. It holds no data: no {!Relalg.Relation.t}, no
+    {!Authz.Profile.t} and no note. Who may receive what is the whole
+    guarantee (Definition 3.3), and under it the admitting rule already
+    bounds what the receiver learned: the flow's profile was checked
+    against it, so [R{^π} ∪ R{^σ} ⊆ A] and [R{^join} = J]. A log of
+    entries therefore stays small however much data its flows moved. *)
 type entry = {
-  message : Network.message;
-  admitted_by : Authorization.t option;  (** [None] for violations *)
+  request : int;  (** the request tick the caller passed to {!run} *)
+  seq : int;  (** the message's send order within the execution *)
+  sender : Server.t;
+  receiver : Server.t;
+  join : int;  (** the join node whose protocol step sent it *)
+  admitted_by : Authorization.t option;
+      (** the rule granted to [receiver] that admits the flow; [None]
+          under an open-mode policy, which admits by the absence of a
+          matching denial and has no positive rule to cite *)
+  rows : int;  (** tuples the flow disclosed *)
+  bytes : int;  (** {!Network.wire_bytes} *)
 }
 
-val run : Policy.t -> Network.t -> (entry list, violation list) result
+(** [run ?request policy network] checks every message, delivered or
+    not, and returns one entry per message in send order, each stamped
+    with [request] (default [0]), or every violation. A closed policy
+    costs one {!Authz.Policy.authorizing_rule} probe per message; only
+    an open-mode policy asks {!Authz.Policy.can_view}. *)
+val run :
+  ?request:int -> Policy.t -> Network.t -> (entry list, violation list) result
 
 (** [is_clean policy network] — no violation. *)
 val is_clean : Policy.t -> Network.t -> bool

@@ -32,7 +32,11 @@ type entry = {
   mutable consecutive : int;  (* consecutive failures *)
   mutable successes : int;
   mutable failures : int;
-  mutable recent : bool list;  (* newest first, true = success, bounded *)
+  recent : bool array;
+      (* ring of the last [window] outcomes, true = success; unwritten
+         slots read as successes *)
+  mutable cursor : int;  (* the ring slot the next outcome overwrites *)
+  mutable recent_failures : int;  (* [false] slots in [recent] *)
   mutable att_sum : int;  (* sum of delivery attempt numbers *)
   mutable att_cnt : int;
 }
@@ -58,7 +62,9 @@ let entry t server =
         consecutive = 0;
         successes = 0;
         failures = 0;
-        recent = [];
+        recent = Array.make t.cfg.window true;
+        cursor = 0;
+        recent_failures = 0;
         att_sum = 0;
         att_cnt = 0;
       }
@@ -78,12 +84,14 @@ let resolve t ~now e =
   | _ -> ());
   ignore t
 
-let push t e ok =
-  e.recent <-
-    (let r = ok :: e.recent in
-     if List.length r > t.cfg.window then
-       List.filteri (fun i _ -> i < t.cfg.window) r
-     else r)
+(* Overwrite the oldest outcome in place: a delivered message allocates
+   nothing here. *)
+let push e ok =
+  let i = e.cursor in
+  if not e.recent.(i) then e.recent_failures <- e.recent_failures - 1;
+  e.recent.(i) <- ok;
+  if not ok then e.recent_failures <- e.recent_failures + 1;
+  e.cursor <- (if i + 1 = Array.length e.recent then 0 else i + 1)
 
 let trip t ~now e =
   e.state <- Open { until = now + t.cfg.cooldown };
@@ -92,12 +100,11 @@ let trip t ~now e =
       m "tick %d: breaker OPEN for %a (until tick %d)" now Server.pp e.server
         (now + t.cfg.cooldown))
 
-let record_failure t ~now server =
-  let e = entry t server in
+let fail t ~now e =
   resolve t ~now e;
   e.failures <- e.failures + 1;
   e.consecutive <- e.consecutive + 1;
-  push t e false;
+  push e false;
   match e.state with
   | Closed -> if e.consecutive >= t.cfg.failure_threshold then trip t ~now e
   | Half_open -> trip t ~now e (* failed probe: straight back to Open *)
@@ -105,12 +112,11 @@ let record_failure t ~now server =
     (* already quarantined — extend the cooldown, not a fresh open *)
     e.state <- Open { until = max until (now + t.cfg.cooldown) }
 
-let record_success t ~now server =
-  let e = entry t server in
+let succeed t ~now e =
   resolve t ~now e;
   e.successes <- e.successes + 1;
   e.consecutive <- 0;
-  push t e true;
+  push e true;
   match e.state with
   | Half_open ->
     e.state <- Closed;
@@ -119,17 +125,20 @@ let record_success t ~now server =
           e.server)
   | Closed | Open _ -> ()
 
+let record_failure t ~now server = fail t ~now (entry t server)
+let record_success t ~now server = succeed t ~now (entry t server)
+
+(* One table lookup per message. *)
 let observe_log t ~now network =
   List.iter
     (fun (m : Network.message) ->
+      let e = entry t m.receiver in
       match m.delivery with
       | Network.Delivered ->
-        let e = entry t m.receiver in
         e.att_sum <- e.att_sum + m.attempt;
         e.att_cnt <- e.att_cnt + 1;
-        record_success t ~now m.receiver
-      | Network.Dropped | Network.Corrupted ->
-        record_failure t ~now m.receiver)
+        succeed t ~now e
+      | Network.Dropped | Network.Corrupted -> fail t ~now e)
     (Network.messages network)
 
 let state t ~now server =
@@ -164,7 +173,7 @@ let snapshot_of e =
     condition = e.state;
     ok = e.successes;
     failed = e.failures;
-    recent_failures = List.length (List.filter (fun ok -> not ok) e.recent);
+    recent_failures = e.recent_failures;
     mean_attempts =
       (if e.att_cnt = 0 then 0.0
        else float_of_int e.att_sum /. float_of_int e.att_cnt);

@@ -35,6 +35,70 @@ type stats = {
   deadline_exceeded : int;
 }
 
+(* The compliance window: the last [audit_window] admitted flows, one
+   preallocated array per field, written round-robin. A flow's fields
+   are immediates or pointers to the catalog's servers and the policy's
+   rules, so appending one allocates nothing that outlives the query. *)
+let audit_window = 4096
+
+type window = {
+  w_request : int array;
+  w_seq : int array;
+  w_sender : Server.t array;
+  w_receiver : Server.t array;
+  w_join : int array;
+  w_rule : Authz.Authorization.t array;  (* [no_rule] for [None] *)
+  w_rows : int array;
+  w_bytes : int array;
+  mutable w_appended : int;  (* every flow ever appended *)
+}
+
+(* The filler of unwritten slots, and the rule slot of a flow admitted
+   with no rule to cite (open-mode policies): told apart physically. *)
+let no_server = Server.make "-"
+
+let no_rule =
+  Authz.Authorization.make_denial
+    ~attrs:(Attribute.Set.singleton (Attribute.make ~relation:"-" "-"))
+    ~path:Joinpath.empty no_server
+
+let window () =
+  {
+    w_request = Array.make audit_window 0;
+    w_seq = Array.make audit_window 0;
+    w_sender = Array.make audit_window no_server;
+    w_receiver = Array.make audit_window no_server;
+    w_join = Array.make audit_window 0;
+    w_rule = Array.make audit_window no_rule;
+    w_rows = Array.make audit_window 0;
+    w_bytes = Array.make audit_window 0;
+    w_appended = 0;
+  }
+
+let append w (e : Distsim.Audit.entry) =
+  let i = w.w_appended mod audit_window in
+  w.w_request.(i) <- e.request;
+  w.w_seq.(i) <- e.seq;
+  w.w_sender.(i) <- e.sender;
+  w.w_receiver.(i) <- e.receiver;
+  w.w_join.(i) <- e.join;
+  w.w_rule.(i) <- Option.value e.admitted_by ~default:no_rule;
+  w.w_rows.(i) <- e.rows;
+  w.w_bytes.(i) <- e.bytes;
+  w.w_appended <- w.w_appended + 1
+
+let entry_at w i : Distsim.Audit.entry =
+  {
+    request = w.w_request.(i);
+    seq = w.w_seq.(i);
+    sender = w.w_sender.(i);
+    receiver = w.w_receiver.(i);
+    join = w.w_join.(i);
+    admitted_by = (if w.w_rule.(i) == no_rule then None else Some w.w_rule.(i));
+    rows = w.w_rows.(i);
+    bytes = w.w_bytes.(i);
+  }
+
 type t = {
   catalog : Catalog.t;
   mutable policy : Authz.Policy.t;  (* the serving policy: closure when chased *)
@@ -52,7 +116,7 @@ type t = {
   mutable service_epoch : int;
   mutable last_revoke_epoch : int;
   mutable tick : int;
-  mutable audit_entries : Distsim.Audit.entry list;  (* newest first *)
+  flows : window;
   (* --- resilience layer --- *)
   health : Distsim.Health.t;
   breaker : bool;
@@ -109,7 +173,7 @@ let create ~catalog ~policy ?(helpers = []) ?close_under ?(cache_capacity = 256)
     service_epoch = 0;
     last_revoke_epoch = 0;
     tick = 0;
-    audit_entries = [];
+    flows = window ();
     health = Distsim.Health.create ?config:health_config ();
     breaker;
     health_epoch = 0;
@@ -501,20 +565,22 @@ let plan_sql t sql =
     | Error e -> Error e
     | Ok query -> plan_query t ~sql query)
 
-(* Audit a log (defence in depth) and, on success, fold it into the
-   federation's compliance record. Even a failed run's emissions belong
-   there; an audit violation takes precedence over any other outcome. *)
+(* Audit a log (defence in depth) and, on success, append its flows to
+   the compliance window, stamped with this request's tick. Even a
+   failed run's emissions belong there; an audit violation takes
+   precedence over any other outcome, and nothing of that run is
+   kept. *)
 let audit t network =
-  match Distsim.Audit.run t.policy network with
+  match Distsim.Audit.run ~request:t.clock t.policy network with
   | Error violations ->
     Error
       (Audit_violation
          (Fmt.str "%a"
             Fmt.(list ~sep:(any "; ") Distsim.Audit.pp_violation)
             violations))
-  | Ok entries ->
-    t.audit_entries <- List.rev_append entries t.audit_entries;
-    Ok ()
+  | Ok flows ->
+    List.iter (append t.flows) flows;
+    Ok flows
 
 (* Failures the breakers learn from a recovery: every server the
    supervisor wrote off during {e this} query (quarantined servers it
@@ -592,15 +658,19 @@ let query ?fault ?deadline ?tenant t sql =
            feed_breakers t ~newly_dead:excluded log);
         match r with
         | Ok r ->
-          let* () = audit t r.log in
+          let* flows = audit t r.log in
           (* A response that needed a failover was not served by the
              cached plan — the cache produced the seed attempt, but what
              answered was a fresh replan. Count the hit only when the
              cached assignment itself answered, so [cache_hits] and
              failover work stay disjoint. *)
           let from_cache = from_cache && r.failovers = [] in
-          let messages = Distsim.Network.message_count r.log in
-          let bytes = Distsim.Network.total_bytes r.log in
+          let messages = List.length flows in
+          let bytes =
+            List.fold_left
+              (fun acc (f : Distsim.Audit.entry) -> acc + f.bytes)
+              0 flows
+          in
           t.queries_served <- t.queries_served + 1;
           if from_cache then t.cache_hits <- t.cache_hits + 1;
           t.total_messages <- t.total_messages + messages;
@@ -620,7 +690,7 @@ let query ?fault ?deadline ?tenant t sql =
               steps = r.steps;
             }
         | Error d ->
-          let* () = audit t d.log in
+          let* _ = audit t d.log in
           (match d.reason with
            | Distsim.Recover.Deadline_exceeded { spent; budget } ->
              (* Disjoint from [degraded]: a deadline miss is its own
@@ -683,7 +753,12 @@ let cached_plans t =
   List.map snd
     (List.sort (fun (a, _) (b, _) -> String.compare a b) entries)
 
-let audit_log t = List.rev t.audit_entries
+let audit_log t =
+  let w = t.flows in
+  let n = min w.w_appended audit_window in
+  List.init n (fun k -> entry_at w ((w.w_appended - n + k) mod audit_window))
+
+let audited t = t.flows.w_appended
 
 (* ------------------------------------------------------------------ *)
 (* Health introspection, for the CLI's [health] script line and the

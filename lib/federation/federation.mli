@@ -4,9 +4,10 @@
     optional third-party helpers, and serves queries end to end:
     parse → plan (with a plan cache) → execute → audit. Failures come
     back as typed errors, infeasibility with the policy advisor's
-    repair proposal attached. The federation accumulates the audit
-    entries of everything it ever executed — the compliance log an
-    operator would keep.
+    repair proposal attached. Every flow of everything it executes is
+    audited, counted ({!audited}) and kept in a compliance window of
+    the last {!audit_window} flows ({!audit_log}): who sent what to
+    whom under which rule, never the data itself.
 
     {b The service layer.} A federation is multi-tenant: the policy
     changes while queries are in flight. {!grant} and {!revoke} bump an
@@ -142,8 +143,8 @@ type error =
   | Rejected of { reason : reject_reason }
       (** load shedding, always typed, never a silent drop: the
           request was refused {e before} parsing — it consumed no
-          planning work and emitted no message (the audit log is
-          untouched) *)
+          planning work and emitted no message ({!audited} is
+          unchanged) *)
   | Deadline_exceeded of { spent : int; budget : int }
       (** the query's logical-time budget ran out mid-execution; the
           run was abandoned, its emissions audited, and the outcome
@@ -162,9 +163,9 @@ val pp_error : error Fmt.t
     and the quarantined servers excluded. Message-level faults are
     absorbed by retransmission, dead servers by safe replanning; the
     cumulative log of every attempt — a failed run's included — is
-    audited, accumulated and fed to the circuit breakers. An audit
-    violation takes precedence over any other outcome. Otherwise a
-    failed run maps to:
+    audited, appended to the compliance window ({!audit_log}) and fed
+    to the circuit breakers. An audit violation takes precedence over
+    any other outcome. Otherwise a failed run maps to:
     - {!Deadline_exceeded} for a blown budget, counted as a deadline
       miss and not as degraded;
     - {!Execution_error} for a non-fault engine error;
@@ -246,9 +247,22 @@ type cached_plan = {
     policy. *)
 val cached_plans : t -> cached_plan list
 
-(** All audit entries accumulated across successful executions, oldest
-    first. *)
+(** How many flows the compliance window retains: [4096]. A constant,
+    not a knob: the window bounds a long-running service's memory, and
+    {!audited} keeps the exact count. *)
+val audit_window : int
+
+(** The last {!audit_window} audited flows (all of them until that many
+    were audited), oldest first: request ticks never decrease, and
+    within a request [seq] ascends. The flows of every execution are
+    kept, a degraded run's or a deadline miss's emissions included; an
+    execution with an audit violation keeps none. *)
 val audit_log : t -> Distsim.Audit.entry list
+
+(** Every flow ever appended to the compliance window, including those
+    it no longer retains. A request that was shed, rejected, infeasible
+    or failed its audit leaves it unchanged. *)
+val audited : t -> int
 
 (** {1 The resilience layer: admission, quotas, breakers} *)
 

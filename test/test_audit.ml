@@ -27,11 +27,12 @@ let test_clean_run_cites_rules () =
         | Some rule ->
           (* The cited rule is granted to the message's receiver. *)
           check Helpers.server "rule matches receiver"
-            e.message.Network.receiver rule.Authz.Authorization.server
+            e.receiver rule.Authz.Authorization.server
         | None -> Alcotest.fail "clean entry without a rule")
       entries
 
-let test_unauthorized_flow_flagged () =
+(* Hospital shipped whole to the insurer: no rule admits it. *)
+let unauthorized_network () =
   let n = Network.create () in
   let data = Option.get (M.instances "Hospital") in
   let (_ : Relation.t) =
@@ -40,13 +41,10 @@ let test_unauthorized_flow_flagged () =
       ~purpose:(Network.Full_operand { join = 0 })
       ~note:"leak" data
   in
-  match Audit.run M.policy n with
-  | Error [ v ] ->
-    check Alcotest.bool "unauthorized" true (v.Audit.reason = Audit.Unauthorized)
-  | _ -> Alcotest.fail "leak not flagged"
+  n
 
-let test_header_mismatch_flagged () =
-  (* A message claiming a smaller profile than the data it carries. *)
+(* A message claiming a smaller profile than the data it carries. *)
+let mismatch_network () =
   let n = Network.create () in
   let data = Option.get (M.instances "Insurance") in
   let lying_profile =
@@ -59,7 +57,16 @@ let test_header_mismatch_flagged () =
       ~purpose:(Network.Full_operand { join = 0 })
       ~note:"underdeclared" data
   in
-  match Audit.run M.policy n with
+  n
+
+let test_unauthorized_flow_flagged () =
+  match Audit.run M.policy (unauthorized_network ()) with
+  | Error [ v ] ->
+    check Alcotest.bool "unauthorized" true (v.Audit.reason = Audit.Unauthorized)
+  | _ -> Alcotest.fail "leak not flagged"
+
+let test_header_mismatch_flagged () =
+  match Audit.run M.policy (mismatch_network ()) with
   | Error [ { Audit.reason = Audit.Header_mismatch { header; claimed }; _ } ] ->
     check Alcotest.int "header wider" 2 (Attribute.Set.cardinal header);
     check Alcotest.int "claim narrower" 1 (Attribute.Set.cardinal claimed)
@@ -232,6 +239,147 @@ let test_reason_rendering () =
   has "transmitted but not declared" both;
   has "declared but not transmitted" both
 
+(* ------------------------------------------------------------------ *)
+(* The one-probe audit against the two-probe reference.                *)
+
+type verdict =
+  | Admitted of Authz.Authorization.t option
+  | Denied
+  | Mismatch
+
+(* The reference decision for one message: [can_view] for the verdict,
+   then [authorizing_rule] for the citation, two probes where the audit
+   makes one. *)
+let reference policy (m : Network.message) =
+  if
+    not
+      (Attribute.Set.equal
+         (Relation.attribute_set m.data)
+         m.profile.Authz.Profile.pi)
+  then Mismatch
+  else if Authz.Policy.can_view policy m.profile m.receiver then
+    Admitted (Authz.Policy.authorizing_rule policy m.profile m.receiver)
+  else Denied
+
+let equal_verdict a b =
+  match (a, b) with
+  | Admitted r, Admitted r' -> Option.equal Authz.Authorization.equal r r'
+  | Denied, Denied | Mismatch, Mismatch -> true
+  | (Admitted _ | Denied | Mismatch), _ -> false
+
+(* [Audit.run] agrees with the reference on every message: a clean log
+   yields one entry per message, with the reference's citation and the
+   message's own sender, receiver, join node, rows and bytes; otherwise
+   exactly the messages the reference rejects, for the same reason. *)
+let agrees ~request policy network =
+  let messages = Network.messages network in
+  let expected = List.map (fun m -> (m, reference policy m)) messages in
+  let admitted = function Admitted _ -> true | Denied | Mismatch -> false in
+  match Audit.run ~request policy network with
+  | Ok entries ->
+    List.for_all (fun (_, v) -> admitted v) expected
+    && List.length entries = List.length messages
+    && List.for_all2
+         (fun (e : Audit.entry) ((m : Network.message), v) ->
+           e.request = request && e.seq = m.seq
+           && Server.equal e.sender m.sender
+           && Server.equal e.receiver m.receiver
+           && e.join = Network.join_of m.purpose
+           && e.rows = Relation.cardinality m.data
+           && e.bytes = Network.wire_bytes m
+           && equal_verdict (Admitted e.admitted_by) v)
+         entries expected
+  | Error violations ->
+    let rejected = List.filter (fun (_, v) -> not (admitted v)) expected in
+    List.length violations = List.length rejected
+    && List.for_all2
+         (fun (viol : Audit.violation) ((m : Network.message), v) ->
+           viol.message.seq = m.seq
+           && equal_verdict v
+                (match viol.reason with
+                 | Audit.Unauthorized -> Denied
+                 | Audit.Header_mismatch _ -> Mismatch))
+         violations rejected
+
+(* An open policy whose denials come from a generated closed one: some
+   of its rules denied whole, others cut down to one attribute and no
+   join path, so that many flows match a denial. *)
+let open_of rng policy =
+  Authz.Policy.open_policy
+    (List.filter_map
+       (fun (r : Authz.Authorization.t) ->
+         match Workload.Rng.int rng 3 with
+         | 0 ->
+           Some
+             (Authz.Authorization.make_denial ~attrs:r.attrs ~path:r.path
+                r.server)
+         | 1 ->
+           Some
+             (Authz.Authorization.make_denial
+                ~attrs:
+                  (Attribute.Set.singleton
+                     (Workload.Rng.choose rng
+                        (Attribute.Set.elements r.attrs)))
+                ~path:Joinpath.empty r.server)
+         | _ -> None)
+       (Authz.Policy.authorizations policy))
+
+(* The messages of a planned execution over a generated system, audited
+   against the policy that planned it, a sparser closed policy and two
+   open ones. *)
+let prop_audit_matches_reference =
+  QCheck.Test.make ~count:60
+    ~name:"Audit.run = can_view then authorizing_rule"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let module W = Workload in
+      let rng = W.Rng.make ~seed in
+      let sys =
+        W.System_gen.generate rng ~relations:5 ~servers:5 ~extra:2
+          ~topology:(W.Rng.choose rng W.System_gen.[ Chain; Star ])
+      in
+      let planned = W.Authz_gen.generate rng ~density:0.8 sys in
+      let sparse = W.Authz_gen.generate rng ~density:0.2 sys in
+      let policies =
+        [ planned; sparse; open_of rng planned; Authz.Policy.open_policy [] ]
+      in
+      match W.Query_gen.generate_plan rng ~joins:3 sys with
+      | None -> true
+      | Some plan -> (
+        match Planner.Safe_planner.plan sys.catalog planned plan with
+        | Error _ -> true
+        | Ok { assignment; _ } -> (
+          let instances = W.Data_gen.instances rng ~rows:6 sys in
+          match Engine.execute sys.catalog ~instances plan assignment with
+          | Error _ -> false
+          | Ok { network; _ } ->
+            List.for_all (fun p -> agrees ~request:seed p network) policies)))
+
+(* The fixed networks above, violations included, under the closed
+   medical policy and an open one that denies the insurer the
+   hospital's patients. *)
+let test_audit_matches_reference_fixed () =
+  let open_medical =
+    Authz.Policy.open_policy
+      [
+        Authz.Authorization.make_denial
+          ~attrs:(Attribute.Set.singleton (M.attr "Patient"))
+          ~path:Joinpath.empty M.s_i;
+      ]
+  in
+  List.iter
+    (fun (name, network) ->
+      List.iter
+        (fun (mode, policy) ->
+          check Alcotest.bool (name ^ " under " ^ mode) true
+            (agrees ~request:7 policy network))
+        [ ("closed", M.policy); ("open", open_medical) ])
+    [
+      ("safe run", safe_network ());
+      ("unauthorized", unauthorized_network ());
+      ("header mismatch", mismatch_network ());
+    ]
+
 let suite =
   [
     c "clean run cites admitting rules" `Quick test_clean_run_cites_rules;
@@ -245,4 +393,7 @@ let suite =
     c "corrupted retransmission mismatch" `Quick
       test_corrupted_retransmission_header_mismatch;
     c "every reason variant renders" `Quick test_reason_rendering;
+    c "fixed networks match the reference audit" `Quick
+      test_audit_matches_reference_fixed;
+    Helpers.qcheck prop_audit_matches_reference;
   ]

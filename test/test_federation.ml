@@ -32,17 +32,76 @@ let test_plan_cache () =
     check Alcotest.int "two served" 2 s.Federation.queries_served;
     check Alcotest.int "one hit" 1 s.Federation.cache_hits
 
+let serve_n fed n =
+  for _ = 1 to n do
+    match Federation.query fed M.example_query_sql with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%a" Federation.pp_error e
+  done
+
 let test_audit_log_accumulates () =
   let fed = medical () in
-  let _ = Federation.query fed M.example_query_sql in
-  let _ = Federation.query fed M.example_query_sql in
+  serve_n fed 2;
   (* 3 flows per execution. *)
   check Alcotest.int "six entries" 6 (List.length (Federation.audit_log fed));
   List.iter
     (fun (e : Distsim.Audit.entry) ->
       check Alcotest.bool "every entry cites a rule" true
         (e.admitted_by <> None))
-    (Federation.audit_log fed)
+    (Federation.audit_log fed);
+  (* Overflow the window: it keeps the last [audit_window] flows, oldest
+     first, and [audited] still counts every one. *)
+  let fed = medical () in
+  let queries = (Federation.audit_window / 3) + 10 in
+  serve_n fed queries;
+  let log = Federation.audit_log fed in
+  check Alcotest.int "the window is full" Federation.audit_window
+    (List.length log);
+  check Alcotest.int "every flow counted" (3 * queries) (Federation.audited fed);
+  let rec ordered = function
+    | (a : Distsim.Audit.entry) :: (b :: _ as rest) ->
+      (a.request < b.request || (a.request = b.request && a.seq < b.seq))
+      && ordered rest
+    | [ _ ] | [] -> true
+  in
+  check Alcotest.bool "oldest first" true (ordered log);
+  (match List.rev log with
+   | c3 :: c2 :: c1 :: before :: _ ->
+     check
+       Alcotest.(list int)
+       "the last query's flows close the window" [ 0; 1; 2 ]
+       [ c1.seq; c2.seq; c3.seq ];
+     check Alcotest.bool "all three from the last request" true
+       (c1.request = c3.request && before.request < c1.request)
+   | _ -> Alcotest.fail "window shorter than four flows");
+  List.iter
+    (fun (e : Distsim.Audit.entry) ->
+      match e.admitted_by with
+      | Some rule ->
+        check Helpers.server "the cited rule is the receiver's" e.receiver
+          rule.Authz.Authorization.server
+      | None -> Alcotest.fail "retained flow without a rule")
+    log
+
+(* A long-running service holds a flat heap: live words after a full
+   major collection agree at two and at four windows' worth of flows. *)
+let test_audit_window_heap_plateau () =
+  let fed = medical () in
+  let live_after flows =
+    serve_n fed ((flows - Federation.audited fed) / 3);
+    Gc.full_major ();
+    let words = (Gc.stat ()).live_words in
+    (* The federation must be live while it is measured. *)
+    ignore (Sys.opaque_identity fed);
+    words
+  in
+  let at_two = live_after (2 * Federation.audit_window) in
+  let at_four = live_after (4 * Federation.audit_window) in
+  let drift = float_of_int (abs (at_four - at_two)) /. float_of_int at_two in
+  check Alcotest.bool
+    (Fmt.str "live words %d -> %d (%.2f%% drift)" at_two at_four
+       (100.0 *. drift))
+    true (drift <= 0.02)
 
 let test_parse_error () =
   match Federation.query (medical ()) "SELEC nonsense" with
@@ -210,11 +269,26 @@ let test_query_with_fault_degraded () =
   let fault =
     Distsim.Fault.make ~crashes:[ Distsim.Fault.crash M.s_i ~at:0 ] ~seed:1 ()
   in
+  (match Federation.query ~fault fed M.example_query_sql with
+   | Error
+       (Federation.Degraded { reason = Distsim.Recover.No_safe_replan _; _ })
+     ->
+     ()
+   | Ok _ -> Alcotest.fail "answered without the only copy of Insurance"
+   | Error e -> Alcotest.failf "wrong error: %a" Federation.pp_error e);
+  (* S_H is down from the start, but S_I's operand leaves for S_N before
+     any step needs S_H: the run degrades, and that one emission is
+     still audited, retained and counted. *)
+  let fed = medical () in
+  let fault =
+    Distsim.Fault.make ~crashes:[ Distsim.Fault.crash M.s_h ~at:0 ] ~seed:1 ()
+  in
   match Federation.query ~fault fed M.example_query_sql with
-  | Error (Federation.Degraded { reason = Distsim.Recover.No_safe_replan _; _ })
-    ->
-    ()
-  | Ok _ -> Alcotest.fail "answered without the only copy of Insurance"
+  | Error (Federation.Degraded _) ->
+    check Alcotest.int "the emission is counted" 1 (Federation.audited fed);
+    check Alcotest.int "and retained" 1
+      (List.length (Federation.audit_log fed))
+  | Ok _ -> Alcotest.fail "answered without the only copy of Hospital"
   | Error e -> Alcotest.failf "wrong error: %a" Federation.pp_error e
 
 (* Under every budget from one step to the whole query, naming the
@@ -238,7 +312,7 @@ let test_query_with_reliable_fault_plan () =
         Fmt.str "deadline: %d spent of %d" spent budget
       | Error e -> Fmt.str "%a" Federation.pp_error e
     in
-    (outcome, List.length (Federation.audit_log fed))
+    (outcome, Federation.audited fed)
   in
   List.iter
     (fun sql ->
@@ -267,6 +341,7 @@ let suite =
     c "query end to end" `Quick test_query_end_to_end;
     c "plan cache" `Quick test_plan_cache;
     c "audit log accumulates" `Quick test_audit_log_accumulates;
+    c "audit window holds the heap flat" `Quick test_audit_window_heap_plateau;
     c "parse errors surface" `Quick test_parse_error;
     c "infeasible with repair advice" `Quick test_infeasible_with_advice;
     c "helper rescue through the facade" `Quick

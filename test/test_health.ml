@@ -112,6 +112,32 @@ let test_health_report () =
     check Alcotest.int "one failure" 1 s.H.failed
   | l -> Alcotest.failf "expected one snapshot, got %d" (List.length l)
 
+(* The breaker's outcome ring against a list model: after every
+   outcome, [recent_failures] counts the failures among the last
+   [window] outcomes. *)
+let prop_recent_failures_window =
+  QCheck.Test.make ~count:300 ~name:"recent_failures = list model"
+    QCheck.(pair (int_range 1 20) (list_of_size Gen.(0 -- 60) bool))
+    (fun (window, outcomes) ->
+      let h = H.create ~config:(H.config ~window ()) () in
+      let rec last n = function
+        | x :: rest when n > 0 -> x :: last (n - 1) rest
+        | _ -> []
+      in
+      let model = ref [] in
+      List.for_all
+        (fun ok ->
+          let now = List.length !model + 1 in
+          if ok then H.record_success h ~now sx else H.record_failure h ~now sx;
+          model := ok :: !model;
+          let expected =
+            List.length (List.filter not (last window !model))
+          in
+          match H.report h ~now with
+          | [ s ] -> s.H.recent_failures = expected
+          | _ -> false)
+        outcomes)
+
 let test_health_config_validated () =
   match H.config ~failure_threshold:0 () with
   | exception Invalid_argument _ -> ()
@@ -209,8 +235,8 @@ let test_federation_deadline () =
      check Alcotest.int "budget" 4 budget
    | Ok _ -> Alcotest.fail "served within four logical steps"
    | Error e -> Alcotest.failf "wrong error: %a" F.pp_error e);
-  check Alcotest.int "the one emission is audited" 1
-    (List.length (F.audit_log missed));
+  check Alcotest.int "the one emission is audited" 1 (F.audited missed);
+  check Alcotest.int "and retained" 1 (List.length (F.audit_log missed));
   match F.query ~deadline:0 fed M.example_query_sql with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-positive deadline accepted"
@@ -224,13 +250,13 @@ let test_admission_sheds_typed () =
   (match F.query fed M.example_query_sql with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "burst token refused: %a" F.pp_error e);
-  let audit_before = List.length (F.audit_log fed) in
+  let audit_before = F.audited fed in
   (match F.query fed M.example_query_sql with
    | Error (F.Rejected { reason = F.Overload }) -> ()
    | Ok _ -> Alcotest.fail "admitted past an empty bucket"
    | Error e -> Alcotest.failf "wrong error: %a" F.pp_error e);
   check Alcotest.int "shed request left no audit trace" audit_before
-    (List.length (F.audit_log fed));
+    (F.audited fed);
   let s = F.stats fed in
   check Alcotest.int "one shed" 1 s.F.shed;
   check Alcotest.int "one served" 1 s.F.queries_served;
@@ -441,6 +467,7 @@ let suite =
     c "breaker: half-open probe" `Quick test_breaker_half_open_probe;
     c "health report" `Quick test_health_report;
     c "health config validated" `Quick test_health_config_validated;
+    Helpers.qcheck prop_recent_failures_window;
     c "bucket drains and refills" `Quick test_bucket_drains_and_refills;
     c "bucket validated" `Quick test_bucket_validated;
     c "engine deadline" `Quick test_engine_deadline;
