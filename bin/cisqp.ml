@@ -302,17 +302,16 @@ let cert_out_arg =
           "With --certify, also write the certificate as JSON to $(docv) \
            (re-checkable later with $(b,cisqp certify)).")
 
-(* Certify a planned assignment before any of its messages is sent, as
-   [Federation.query] does on a cache miss: emit the certificate, then
-   check it against the base policy. Returns the certificate, [None]
-   under an open-mode policy, and the joins a helper rescued. *)
+(* Prove a planned assignment before any of its messages is sent, as
+   [Federation.query] does on a cache miss. Returns the certificate,
+   checked against the base policy, or [None] under an open-mode
+   policy. *)
 let certify_plan fed handle plan assignment =
-  let rescues = Planner.Third_party.rescues_of plan assignment in
   match
-    Analysis.Certificate.certify ~third_party:(rescues <> []) ?closed:handle
-      fed.catalog (base_policy fed handle) plan assignment
+    Analysis.Certificate.certify ?closed:handle fed.catalog
+      (base_policy fed handle) plan assignment
   with
-  | Ok certificate -> (certificate, rescues)
+  | Ok certificate -> certificate
   | Error detail ->
     Fmt.epr "%a@." D.pp
       (D.make "CISQP050" D.Whole "certification failed: %s" detail);
@@ -409,8 +408,7 @@ let plan_cmd =
         trace;
       Fmt.pr "Assignment:@.%a@." Planner.Assignment.pp assignment;
       if certify then
-        report_certificate cert_out
-          (fst (certify_plan fed handle plan assignment))
+        report_certificate cert_out (certify_plan fed handle plan assignment)
     end
   in
   Cmd.v
@@ -559,7 +557,8 @@ let run_cmd =
     let plan, assignment, _ =
       plan_query fed query ~third_party ~no_semijoins ~optimize
     in
-    let certificate, rescues = certify_plan fed handle plan assignment in
+    let certificate = certify_plan fed handle plan assignment in
+    let rescues = Planner.Third_party.rescues_of plan assignment in
     let fault = Option.value fault ~default:Distsim.Fault.reliable in
     (* One path for every run, the one [Federation.query] takes: the
        certified assignment seeds attempt 1, and any failover is
@@ -663,15 +662,19 @@ let impact_cmd =
         match Planner.Safe_planner.plan fed.catalog fed.policy plan with
         | Error _ -> Fmt.pr "@.%s: infeasible@." sql
         | Ok { assignment; _ } ->
+          (* The rules its certificate cites: one witness per flow. *)
           (match
-             Planner.Revocation.support fed.catalog fed.policy plan assignment
+             Analysis.Certificate.certify fed.catalog fed.policy plan
+               assignment
            with
-           | Ok rules ->
+           | Ok cert ->
              Fmt.pr "@.%s@.  relies on:@.%a@." sql
                Fmt.(
-                 list ~sep:(any "@\n")
-                   (fun ppf a -> Fmt.pf ppf "    %a" Authz.Authorization.pp a))
-               rules
+                 option
+                   (list ~sep:(any "@\n")
+                      (fun ppf (r : Analysis.Certificate.rule) ->
+                        Fmt.pf ppf "    %a" Authz.Authorization.pp r.auth)))
+               (Option.map (fun c -> c.Analysis.Certificate.rules) cert)
            | Error msg -> Fmt.pr "@.%s: %s@." sql msg))
       sqls plans
   in
@@ -1001,11 +1004,11 @@ let lint_cmd =
         Analysis.Knowledge.lint ~budget:saturation_budget ~joins policy
           (Analysis.Knowledge.of_flow_batches catalog batches)
     in
-    (* --certify: each planned query gets a plan certificate, emitted
-       and independently checked against the policy; each CISQP030
-       leak verdict gets a join-tree counterexample, checked against
-       the actual delivery log and rendered for the user. Failures of
-       either check surface as CISQP050. *)
+    (* --certify: each planned query is proved by [Certificate.certify],
+       as a served query is on a cache miss; each CISQP030 leak verdict
+       gets a join-tree counterexample, checked against the actual
+       delivery log and rendered for the user. Failures of either proof
+       surface as CISQP050. *)
     let module C = Analysis.Certificate in
     let certificate_diags, leak_witnesses =
       if not certify then ([], [])
@@ -1020,23 +1023,18 @@ let lint_cmd =
         let plan_cert_diags =
           if not (want `Plan) then []
           else
-            List.concat_map
+            List.filter_map
               (fun (plan, result) ->
                 match result with
-                | Error _ -> []
+                | Error _ -> None
                 | Ok { Planner.Safe_planner.assignment; _ } -> (
-                  match
-                    C.emit_plan ~third_party catalog policy plan assignment
-                  with
-                  | Error msg ->
-                    [
-                      D.make "CISQP050" D.Whole
-                        "certificate emission failed for query %s: %s"
-                        (Plan.to_string plan) msg;
-                    ]
-                  | Ok cert ->
-                    C.to_diagnostics
-                      (C.check_plan ~joins catalog policy plan cert)))
+                  match C.certify catalog policy plan assignment with
+                  | Ok _ -> None
+                  | Error detail ->
+                    Some
+                      (D.make "CISQP050" D.Whole
+                         "certification failed for query %s: %s"
+                         (Plan.to_string plan) detail)))
               planned
         in
         let leak_cert_diags, witnesses =

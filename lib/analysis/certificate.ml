@@ -447,10 +447,16 @@ let emit_plan ?(third_party = false) ?closed catalog policy plan assignment =
               evidenced;
         }
 
-let certify ?third_party ?closed catalog policy plan assignment =
-  if Policy.is_open policy then Ok None
+let certify ?closed catalog policy plan assignment =
+  let third_party = Planner.Third_party.rescues_of plan assignment <> [] in
+  if Policy.is_open policy then
+    match Safety.check ~third_party catalog policy plan assignment with
+    | Ok _ -> Ok None
+    | Error (`Structure e) -> Error (Fmt.str "%a" Safety.pp_error e)
+    | Error (`Violations vs) ->
+      Error (Fmt.str "%a" Safety.pp_violation (List.hd vs))
   else
-    let* cert = emit_plan ?third_party ?closed catalog policy plan assignment in
+    let* cert = emit_plan ~third_party ?closed catalog policy plan assignment in
     let base, joins =
       match closed with
       | Some c -> (Chase.policy c, Chase.joins c)

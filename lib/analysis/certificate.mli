@@ -209,17 +209,24 @@ val emit_plan :
   Planner.Assignment.t ->
   (plan_cert, string) result
 
-(** [certify ?third_party ?closed catalog policy plan assignment] is
-    the proof-carrying admission step of a freshly planned assignment,
-    taken before any of its messages is sent: {!emit_plan}, then
-    {!check_plan} of the result against the base policy — the one
-    under [closed] and over its join graph when a handle is given, else
-    [policy] with no joins.
-    [Ok None] under an open-mode [policy], which is outside the
-    certificate language; [Error] carries the emission error or the
+(** [certify ?closed catalog policy plan assignment] is the one
+    admission step of a freshly planned assignment, taken before any
+    of its messages is sent. The proof mode is worked out from the
+    assignment: third-party when {!Planner.Third_party.rescues_of}
+    finds a rescued join. [policy] is the base policy (the one under
+    [closed] when a handle is given).
+
+    Under a closed [policy] the proof is {!emit_plan}, then
+    {!check_plan} of the result against the base policy, over the
+    handle's join graph when one is given, else with no joins; the
+    checked certificate is returned. An open-mode [policy] is outside
+    the certificate language: the proof is {!Planner.Safety.check}
+    against its denials, and a safe assignment gives [Ok None].
+
+    [Error] carries the structural error (an incomplete assignment
+    included), the first unauthorized flow, the emission error or the
     first check failure, rendered. *)
 val certify :
-  ?third_party:bool ->
   ?closed:Chase.closed ->
   Catalog.t ->
   Policy.t ->

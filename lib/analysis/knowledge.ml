@@ -660,14 +660,7 @@ type leak = { server : Server.t; item : item }
    directly received unauthorized profiles are CISQP001 / audit
    territory — a composition leak needs at least one message and at
    least one saturation join. *)
-let leaks ?closed policy t =
-  (* With a chase handle the leak check runs against its cached
-     closure; nothing is re-closed per item. *)
-  let policy =
-    match closed with
-    | Some c -> Chase.closure c
-    | None -> policy
-  in
+let leaks policy t =
   Server.Map.fold
     (fun server table acc ->
       PMap.fold
@@ -696,7 +689,7 @@ let pp_item ppf it =
     Fmt.pf ppf " via %a" Fmt.(list ~sep:(any ", ") Joinpath.Cond.pp) conds);
   Fmt.pf ppf "@]"
 
-let diagnostics ~budget ?closed policy { knowledge; exhausted } =
+let diagnostics ~budget policy { knowledge; exhausted } =
   let leak_diags =
     List.map
       (fun { server; item } ->
@@ -709,7 +702,7 @@ let diagnostics ~budget ?closed policy { knowledge; exhausted } =
           item.sources
           Fmt.(list ~sep:(any ", ") Joinpath.Cond.pp)
           item.via)
-      (leaks ?closed policy knowledge)
+      (leaks policy knowledge)
   in
   let budget_diags =
     List.map
@@ -723,11 +716,11 @@ let diagnostics ~budget ?closed policy { knowledge; exhausted } =
   in
   leak_diags @ budget_diags
 
-let cursor_lint ?closed policy c =
-  diagnostics ~budget:c.c_budget ?closed policy (snapshot c)
+let cursor_lint policy c =
+  diagnostics ~budget:c.c_budget policy (snapshot c)
 
-let lint ?budget ?closed ~joins policy t =
-  cursor_lint ?closed policy (cursor ?budget ~joins t)
+let lint ?budget ~joins policy t =
+  cursor_lint policy (cursor ?budget ~joins t)
 
 let subset a b =
   Server.Map.for_all

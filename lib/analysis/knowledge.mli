@@ -178,26 +178,21 @@ val explain :
     [cursor_lint policy c] = [lint ~joins policy accumulated] for the
     accumulated deliveries fed so far (same CISQP030/031 verdicts; the
     witness items may differ by exploration order). *)
-val cursor_lint :
-  ?closed:Chase.closed -> Policy.t -> cursor -> Diagnostic.t list
+val cursor_lint : Policy.t -> cursor -> Diagnostic.t list
 
 type leak = { server : Server.t; item : item }
 
 (** Derived-but-unauthorized profiles, in deterministic (server,
     profile) order. Only items with [sources <> []] and [via <> []]
-    qualify — see the module preamble. [closed] runs the policy
-    re-check against a {!Chase.closed} handle's cached closure
-    (superseding the policy argument) so per-item checks never re-close
-    the policy. *)
-val leaks : ?closed:Chase.closed -> Policy.t -> t -> leak list
+    qualify — see the module preamble. A caller holding a chase
+    handle passes its {!Chase.closure} as the policy. *)
+val leaks : Policy.t -> t -> leak list
 
 (** Saturate then re-check: one [CISQP030] per {!leaks} entry (naming
     the server, the contributing messages and the witness join
-    conditions) and one [CISQP031] per budget-exhausted server.
-    [closed] is passed through to {!leaks}. *)
+    conditions) and one [CISQP031] per budget-exhausted server. *)
 val lint :
   ?budget:int ->
-  ?closed:Chase.closed ->
   joins:Joinpath.Cond.t list ->
   Policy.t ->
   t ->

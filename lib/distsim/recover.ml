@@ -15,7 +15,6 @@ type failover = {
 
 type reason =
   | No_safe_replan of { dead : Server.t list; failed_at : int }
-  | Replan_unsafe of { dead : Server.t list }
   | Replan_uncertified of { dead : Server.t list; detail : string }
   | Transfer_failed of {
       sender : Server.t;
@@ -99,9 +98,8 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
          (* The caller seeded attempt 1 with an assignment it already
             certified (the federation's plan cache, whose epoch gate
             just passed): execute it directly, without a fresh proof.
-            Any failover replans — and re-proves — from scratch. *)
+            Any failover replans — and proves — from scratch. *)
          run i ~assignment ~certificate ~rescues
-           ~third_party:(rescues <> [])
        | _ -> replan i ~pending)
   and replan i ~pending =
     match
@@ -113,16 +111,12 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
         (No_safe_replan
            { dead = !excluded; failed_at = f.Planner.Third_party.failed_at })
     | Ok { assignment; rescues; _ } ->
-      let third_party = rescues <> [] in
-      (* Proof-carrying replan: the certificate is emitted and checked
-         before a single message of this attempt is emitted. *)
+      (* The replan's one proof, taken before a single message of this
+         attempt is emitted. *)
       let certified =
-        Analysis.Certificate.certify ~third_party ?closed catalog policy plan
-          assignment
+        Analysis.Certificate.certify ?closed catalog policy plan assignment
       in
-      let certificate =
-        match certified with Ok c -> c | Error _ -> None
-      in
+      let certificate = Result.value certified ~default:None in
       (match pending with
        | None -> ()
        | Some (dead, permanent, failed_node, died_at) ->
@@ -139,20 +133,11 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
              certificate;
            }
            :: !failovers);
-      (* Re-prove Definition 4.2 with the independent checker before a
-         single message of this attempt is emitted. *)
-      (match
-         Planner.Safety.check ~third_party ?closed catalog policy plan
-           assignment
-       with
-       | Error _ -> degraded (Replan_unsafe { dead = !excluded })
-       | Ok _flows when Result.is_error certified ->
-         let detail =
-           match certified with Error d -> d | Ok _ -> assert false
-         in
+      (match certified with
+       | Error detail ->
          degraded (Replan_uncertified { dead = !excluded; detail })
-       | Ok _flows -> run i ~assignment ~certificate ~rescues ~third_party)
-  and run i ~assignment ~certificate ~rescues ~third_party =
+       | Ok _ -> run i ~assignment ~certificate ~rescues)
+  and run i ~assignment ~certificate ~rescues =
     let network = Network.create () in
     segments := network :: !segments;
     let partial = ref [] in
@@ -162,8 +147,9 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
       Option.map (fun b -> max 0 (b - Fault.steps injector)) deadline
     in
     match
-      Engine.execute ~third_party ?executor ?bloom ~fault:injector ~network
-        ?deadline:remaining ~observe catalog ~instances plan assignment
+      Engine.execute ~third_party:(rescues <> []) ?executor ?bloom
+        ~fault:injector ~network ?deadline:remaining ~observe catalog
+        ~instances plan assignment
     with
     | Ok (o : Engine.outcome) ->
       let log = merged () in
@@ -242,10 +228,6 @@ let pp_reason ppf = function
     Fmt.pf ppf "no safe replan without %a (blocked at n%d)"
       Fmt.(list ~sep:(any ", ") Server.pp)
       dead failed_at
-  | Replan_unsafe { dead } ->
-    Fmt.pf ppf "replan without %a failed the independent safety re-proof"
-      Fmt.(list ~sep:(any ", ") Server.pp)
-      dead
   | Replan_uncertified { dead; detail } ->
     Fmt.pf ppf "replan without %a failed certification: %s"
       Fmt.(list ~sep:(any ", ") Server.pp)

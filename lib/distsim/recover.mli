@@ -9,15 +9,17 @@
     from the candidate universe and the plan is re-planned with
     {!Planner.Safe_planner} (replicated leaves fail over to a surviving
     copy, helpers may step in), then — before a single post-failover
-    message is emitted — the replacement assignment is {e re-proved}
-    safe by the independent {!Planner.Safety} checker. Only then does
-    execution resume, from the root, under the same injector.
+    message is emitted — the replacement assignment is proved by
+    {!Analysis.Certificate.certify}: a certificate emitted and checked
+    against the base policy, or {!Planner.Safety.check} under an
+    open-mode policy. Only then does execution resume, from the root,
+    under the same injector.
 
     The central invariant is {b safety under failure}: no retry,
     retransmission or failover replan ever emits a message the policy
     does not authorize. Retransmissions carry the same profile as the
     original send; every replan is safe by construction {e and} by
-    independent re-proof; and the cumulative log ({!recovered.log} /
+    its proof; and the cumulative log ({!recovered.log} /
     {!degraded.log}) contains the emissions of every attempt, aborted
     ones included, so {!Audit.run} can hold the whole faulty history to
     Definition 3.3 — the fault soak asserts it does, clean, on
@@ -43,11 +45,12 @@ type failover = {
   failed_node : int;  (** plan node being executed when it died *)
   assignment : Planner.Assignment.t;  (** the replacement assignment *)
   certificate : Analysis.Certificate.plan_cert option;
-      (** proof-carrying witness for the replacement, emitted and
-          independently checked before any post-failover message;
-          [None] under an open-mode policy (certificates apply to
-          closed policies only) or when certification failed — the
-          latter always escalates to {!Replan_uncertified} *)
+      (** the replacement's certificate, emitted and checked by
+          {!Analysis.Certificate.certify} before any post-failover
+          message; [None] under an open-mode policy (proved by
+          {!Planner.Safety.check}, outside the certificate language)
+          or when the proof failed — the latter always escalates to
+          {!Replan_uncertified}, and the failover is still recorded *)
 }
 
 (** Why an execution could not be recovered. *)
@@ -56,17 +59,13 @@ type reason =
       (** with the dead servers excluded, no safe assignment exists
           (data lost with its only copy, or the policy leaves no
           authorized executor) *)
-  | Replan_unsafe of { dead : Server.t list }
-      (** the replanned assignment failed the independent safety
-          re-proof — by construction this should never happen; it is a
-          distinct outcome precisely so that it cannot be confused with
-          a legitimate failure *)
   | Replan_uncertified of { dead : Server.t list; detail : string }
-      (** the replanned assignment passed the safety re-proof but its
-          certificate could not be emitted or checked
-          ({!Analysis.Certificate}) — like {!Replan_unsafe}, an
-          engine-bug tripwire, kept distinct so it cannot be confused
-          with a legitimate failure *)
+      (** the replanned assignment failed its proof
+          ({!Analysis.Certificate.certify}): its certificate could not
+          be emitted or checked, or, under an open-mode policy, it
+          entails a denied flow. By construction this should never
+          happen; it is an engine-bug tripwire, kept distinct so it
+          cannot be confused with a legitimate failure *)
   | Transfer_failed of {
       sender : Server.t;
       receiver : Server.t;
@@ -129,10 +128,10 @@ type outcome = (recovered, degraded) result
     death {e during this recovery} ends it with {!Failover_limit}.
 
     [closed] shares a caller's long-lived chase handle: its closure is
-    computed once and serves the planner of every failover attempt and
-    every independent safety re-proof. [policy] must then be the base
-    policy the handle closes over, since certificates are checked
-    against the base.
+    computed once and serves the planner of every failover attempt,
+    and its derivations are the certificates' evidence. [policy] must
+    then be the base policy the handle closes over, since certificates
+    are checked against the base.
 
     [deadline] bounds the whole recovery — every attempt's computes,
     sends, retries and backoff waits charge one shared budget of
@@ -147,8 +146,8 @@ type outcome = (recovered, degraded) result
     [seed] supplies attempt 1 with an assignment (+ certificate +
     rescues) the caller already certified — a federation's cached plan
     whose epoch gate just passed, or the assignment [cisqp run]
-    planned with its own flags — skipping the initial replan and
-    re-proof. Failovers still replan and re-prove from scratch.
+    planned with its own flags — skipping the initial replan and its
+    proof. Failovers still replan and prove from scratch.
 
     [executor] and [bloom] are passed to every {!Engine.execute}
     attempt unchanged (see there). *)

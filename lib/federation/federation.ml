@@ -516,14 +516,14 @@ let plan_query t ?sql query =
     let plan = Query.to_plan query in
     (match plan_fresh t plan with
      | Ok { assignment; rescues; trace } ->
-       (* Proof-carrying planning: the fresh plan's certificate is
-          emitted and checked against the *base* policy (pre-chase when
-          the federation was created with [close_under]) before the plan
-          is cached or a single message is sent. Open-mode policies are
-          outside the certificate language and carry [None]. *)
+       (* The fresh plan's one proof, before it is cached or a single
+          message is sent: [certify] checks its certificate against the
+          *base* policy (pre-chase when the federation was created with
+          [close_under]), or under an open-mode policy proves it with
+          [Safety.check] against the denials and gives [None]. *)
        (match
-          Analysis.Certificate.certify ~third_party:(rescues <> [])
-            ?closed:t.chase t.catalog (base_policy t) plan assignment
+          Analysis.Certificate.certify ?closed:t.chase t.catalog
+            (base_policy t) plan assignment
         with
         | Error detail -> Error (Uncertified detail)
         | Ok certificate ->

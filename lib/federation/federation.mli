@@ -82,12 +82,13 @@ type response = {
   assignment : Planner.Assignment.t;
   certificate : Analysis.Certificate.plan_cert option;
       (** proof-carrying witness for the assignment that answered:
-          emitted at plan time, independently checked against the
-          {e base} (pre-chase) policy before the plan was cached, and —
-          under fault injection — re-emitted and re-checked for the
+          emitted and checked by {!Analysis.Certificate.certify}
+          against the {e base} (pre-chase) policy before the plan was
+          cached, and — under fault injection — again for the
           replacement assignment of every failover. [None] only under
           an open-mode policy, which the certificate language does not
-          cover. *)
+          cover; [certify] proves such a plan with
+          {!Planner.Safety.check} against the denials. *)
   rescues : Planner.Third_party.rescue list;
       (** non-empty when a helper had to step in *)
   result : Relation.t;
@@ -136,10 +137,11 @@ type error =
       (** defence in depth: an executed flow failed the runtime audit —
           the response is withheld *)
   | Uncertified of string
-      (** the plan passed the planner's safety proof but its
-          certificate could not be emitted or independently checked
-          ({!Analysis.Certificate}) — an engine-bug tripwire; the plan
-          is neither cached nor executed *)
+      (** the freshly planned assignment failed its proof
+          ({!Analysis.Certificate.certify}): its certificate could not
+          be emitted or checked, or, under an open-mode policy, it
+          entails a denied flow — an engine-bug tripwire; the plan is
+          neither cached nor executed *)
   | Rejected of { reason : reject_reason }
       (** load shedding, always typed, never a silent drop: the
           request was refused {e before} parsing — it consumed no

@@ -5,12 +5,7 @@ open Authz
    (partial assignment, server holding the result).  Unsafe join modes
    are pruned as soon as they appear, so every complete assignment in
    the sequence is safe by construction. *)
-let options ?closed catalog policy plan =
-  let policy =
-    match closed with
-    | Some c -> Chase.closure c
-    | None -> policy
-  in
+let options catalog policy plan =
   let can_view = Policy.can_view policy in
   let rec go (n : Plan.node) : (Assignment.t * Server.t) Seq.t =
     match n.op with
@@ -83,16 +78,16 @@ let options ?closed catalog policy plan =
   in
   go (Plan.root plan)
 
-let safe_assignments ?(max_results = 100_000) ?closed catalog policy plan =
-  options ?closed catalog policy plan
+let safe_assignments ?(max_results = 100_000) catalog policy plan =
+  options catalog policy plan
   |> Seq.take max_results
   |> Seq.map fst
   |> List.of_seq
 
-let feasible ?closed catalog policy plan =
-  not (Seq.is_empty (options ?closed catalog policy plan))
+let feasible catalog policy plan =
+  not (Seq.is_empty (options catalog policy plan))
 
-let min_cost ?closed model catalog policy plan =
+let min_cost model catalog policy plan =
   Seq.fold_left
     (fun best (a, _) ->
       let c = Cost.assignment_cost model catalog plan a in
@@ -100,9 +95,9 @@ let min_cost ?closed model catalog policy plan =
       | Some (_, c') when c' <= c -> best
       | _ -> Some (a, c))
     None
-    (options ?closed catalog policy plan)
+    (options catalog policy plan)
 
-let count_safe ?(max_results = 100_000) ?closed catalog policy plan =
-  options ?closed catalog policy plan
+let count_safe ?(max_results = 100_000) catalog policy plan =
+  options catalog policy plan
   |> Seq.take max_results
   |> Seq.fold_left (fun n _ -> n + 1) 0

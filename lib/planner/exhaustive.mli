@@ -15,12 +15,10 @@ open Authz
 
 (** All safe assignments. [max_results] (default [100_000]) caps the
     enumeration as a safety valve; the count is exact when below it.
-    Every entry point below takes an optional [closed] {!Chase.closed}
-    handle: safety decisions then consult its cached closure
-    (superseding the policy argument) without re-closing. *)
+    A caller holding a chase handle passes its {!Chase.closure} as
+    the policy of every entry point below. *)
 val safe_assignments :
   ?max_results:int ->
-  ?closed:Chase.closed ->
   Catalog.t ->
   Policy.t ->
   Plan.t ->
@@ -28,11 +26,10 @@ val safe_assignments :
 
 (** [feasible] — is there at least one safe assignment? (Lazy: stops at
     the first.) *)
-val feasible : ?closed:Chase.closed -> Catalog.t -> Policy.t -> Plan.t -> bool
+val feasible : Catalog.t -> Policy.t -> Plan.t -> bool
 
 (** Cheapest safe assignment under the model, with its cost. *)
 val min_cost :
-  ?closed:Chase.closed ->
   Cost.model ->
   Catalog.t ->
   Policy.t ->
@@ -41,4 +38,4 @@ val min_cost :
 
 (** Number of safe assignments (capped by [max_results]). *)
 val count_safe :
-  ?max_results:int -> ?closed:Chase.closed -> Catalog.t -> Policy.t -> Plan.t -> int
+  ?max_results:int -> Catalog.t -> Policy.t -> Plan.t -> int

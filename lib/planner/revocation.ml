@@ -1,23 +1,5 @@
 open Authz
 
-let support ?closed catalog policy plan assignment =
-  let policy =
-    match closed with
-    | Some c -> Chase.closure c
-    | None -> policy
-  in
-  match Safety.check catalog policy plan assignment with
-  | Error (`Structure e) -> Error (Fmt.str "%a" Safety.pp_error e)
-  | Error (`Violations _) -> Error "assignment is not safe"
-  | Ok flows ->
-    let rules =
-      List.filter_map
-        (fun (f : Safety.flow) ->
-          Policy.authorizing_rule policy f.profile f.receiver)
-        flows
-    in
-    Ok (List.sort_uniq Authorization.compare rules)
-
 (* Chase-aware revocation: feasibility of "policy minus rule" must be
    judged against the closure of the shrunk policy (a revoked rule
    also takes down every derivation it supported). The closure is

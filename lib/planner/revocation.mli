@@ -2,10 +2,9 @@
     {!module:Advisor}.
 
     Before revoking an authorization, an administrator wants to know
-    what it currently enables:
+    what it currently enables (the rules an assignment's safety actually
+    cites are those of its {!Analysis.Certificate.plan_cert}):
 
-    - {!support}: the rules an assignment's safety actually cites (one
-      admitting rule per flow) — the certificate of Definition 4.2;
     - {!load_bearing}: the rules whose individual removal makes a plan
       infeasible (stronger than membership in a support set: another
       rule might cover the same flow);
@@ -14,19 +13,6 @@
 
 open Relalg
 open Authz
-
-(** Rules admitting the flows of the given assignment (deduplicated,
-    sorted). [Error] if the assignment is not safe in the first
-    place. [closed] cites rules of its cached closure instead of the
-    raw policy (a flow admitted only by a derived rule then names that
-    derivation). *)
-val support :
-  ?closed:Chase.closed ->
-  Catalog.t ->
-  Policy.t ->
-  Plan.t ->
-  Assignment.t ->
-  (Authorization.t list, string) result
 
 (** Rules [r] of the policy such that the plan is feasible under the
     policy but infeasible under [policy - r]. Plans that are already

@@ -240,16 +240,9 @@ let flows ?(third_party = false) catalog plan assignment =
   in
   go (Plan.root plan)
 
-type violation = { flow : flow; rule : Authorization.t option }
+type violation = { flow : flow }
 
-let check ?third_party ?closed catalog policy plan assignment =
-  (* With a chase handle, decisions run against its cached closure —
-     the policy argument is superseded and nothing is re-closed here. *)
-  let policy =
-    match closed with
-    | Some c -> Chase.closure c
-    | None -> policy
-  in
+let check ?third_party catalog policy plan assignment =
   match flows ?third_party catalog plan assignment with
   | Error e -> Error (`Structure e)
   | Ok fs ->
@@ -257,13 +250,13 @@ let check ?third_party ?closed catalog policy plan assignment =
       List.filter_map
         (fun f ->
           if Policy.can_view policy f.profile f.receiver then None
-          else Some { flow = f; rule = None })
+          else Some { flow = f })
         fs
     in
     if violations = [] then Ok fs else Error (`Violations violations)
 
-let is_safe ?third_party ?closed catalog policy plan assignment =
-  match check ?third_party ?closed catalog policy plan assignment with
+let is_safe ?third_party catalog policy plan assignment =
+  match check ?third_party catalog policy plan assignment with
   | Ok _ -> true
   | Error _ -> false
 

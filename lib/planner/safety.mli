@@ -67,21 +67,17 @@ val flows :
   Assignment.t ->
   (flow list, error) result
 
-(** A flow not admitted by the policy, with the profile that failed. *)
-type violation = { flow : flow; rule : Authorization.t option }
+(** A flow not admitted by the policy. *)
+type violation = { flow : flow }
 
 (** [check ~third_party catalog policy plan assignment] decides
     Definition 4.2: [Ok flows] when every entailed view is authorized
     (each flow paired with no violation), [Error] listing the
     unauthorized flows otherwise. Structural errors are reported
-    through [Error (`Structure e)].
-
-    [closed] supplies a {!Chase.closed} handle; when present the
-    decision runs against its cached closure (the [policy] argument is
-    superseded) so repeated checks never re-close the policy. *)
+    through [Error (`Structure e)]. A caller holding a chase handle
+    passes its {!Chase.closure} as [policy]. *)
 val check :
   ?third_party:bool ->
-  ?closed:Chase.closed ->
   Catalog.t ->
   Policy.t ->
   Plan.t ->
@@ -91,7 +87,6 @@ val check :
 (** [is_safe] is [check] collapsed to a boolean. *)
 val is_safe :
   ?third_party:bool ->
-  ?closed:Chase.closed ->
   Catalog.t ->
   Policy.t ->
   Plan.t ->

@@ -19,22 +19,23 @@ type result = {
 type failure = { failed_at : int }
 
 (* A join was rescued when its master is neither operand's executor
-   (proxy) or when a coordinator was recorded. *)
+   (proxy) or when a coordinator was recorded. A join with an
+   unassigned node among it and its operands is skipped: the assignment
+   is incomplete, which [Safety.flows] reports. *)
 let rescues_of plan assignment =
+  let exec (m : Plan.node) = Assignment.find_opt assignment m.id in
   List.filter_map
     (fun (n : Plan.node) ->
       match n.op with
-      | Plan.Join (_, l, r) ->
-        let exec (m : Plan.node) = Assignment.find assignment m.id in
-        let me = (exec n).Assignment.master in
-        (match (exec n).Assignment.coordinator with
-         | Some t -> Some { node = n.id; helper = t; kind = Coordinator }
-         | None ->
-           if
-             Server.equal me (exec l).Assignment.master
-             || Server.equal me (exec r).Assignment.master
-           then None
-           else Some { node = n.id; helper = me; kind = Proxy })
+      | Plan.Join (_, l, r) -> (
+        match (exec n, exec l, exec r) with
+        | Some { coordinator = Some t; _ }, _, _ ->
+          Some { node = n.id; helper = t; kind = Coordinator }
+        | Some { master; _ }, Some el, Some er ->
+          if Server.equal master el.master || Server.equal master er.master
+          then None
+          else Some { node = n.id; helper = master; kind = Proxy }
+        | _ -> None)
       | Plan.Leaf _ | Plan.Project _ | Plan.Select _ -> None)
     (Plan.nodes plan)
 

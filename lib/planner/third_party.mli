@@ -57,9 +57,10 @@ val plan :
     [assignment] gives a third party: a recorded coordinator, or a
     master that is neither operand's executor (proxy). In node order;
     empty iff the assignment needs no [Safety.check ~third_party:true].
-    This is how a caller that planned with {!Safe_planner.plan} itself
-    learns what to certify ({!Analysis.Certificate.certify}
-    [~third_party:(rescues <> [])]). *)
+    A join whose node or operands have no executor is skipped, so an
+    incomplete assignment raises nothing here.
+    {!Analysis.Certificate.certify} works out an assignment's proof
+    mode with it. *)
 val rescues_of : Plan.t -> Assignment.t -> rescue list
 
 val pp_rescue : rescue Fmt.t

@@ -255,6 +255,46 @@ let test_open_policy_refused () =
   check Alcotest.bool "emission refuses open policies" true
     (Result.is_error (C.emit_plan M.catalog open_policy p a))
 
+(* Under an open-mode policy [certify]'s proof is [Safety.check]
+   against the denials: [Ok None] for a safe assignment, [Error] naming
+   the first denied flow otherwise, and [Error] (never an exception)
+   for an incomplete assignment. *)
+let test_certify_open_mode () =
+  let open_medical = Test_open_policy.open_medical in
+  let plan = M.example_plan () in
+  (match Planner.Safe_planner.plan M.catalog open_medical plan with
+   | Error f ->
+     Alcotest.failf "planning failed: %a" Planner.Safe_planner.pp_failure f
+   | Ok { assignment; _ } ->
+     check Alcotest.bool "safe open-mode plan proved" true
+       (C.certify M.catalog open_medical plan assignment = Ok None));
+  let plan, assignment = medical_assignment () in
+  let deny_n =
+    Authz.Policy.open_policy
+      [ Test_open_policy.deny [ "Holder"; "Plan" ] [] M.s_n ]
+  in
+  (match C.certify M.catalog deny_n plan assignment with
+   | Ok _ -> Alcotest.fail "a denied flow was admitted"
+   | Error msg ->
+     check Alcotest.bool
+       (Fmt.str "names the n2 flow S_I -> S_N: %s" msg)
+       true
+       (Helpers.contains ~sub:"n2: S_I -> S_N" msg));
+  let incomplete =
+    List.fold_left
+      (fun a (node, e) ->
+        if node = 4 then a else Planner.Assignment.set node e a)
+      Planner.Assignment.empty
+      (Planner.Assignment.bindings assignment)
+  in
+  List.iter
+    (fun (what, policy) ->
+      check Alcotest.bool
+        (what ^ ": incomplete assignment refused")
+        true
+        (Result.is_error (C.certify M.catalog policy plan incomplete)))
+    [ ("open", open_medical); ("closed", M.policy) ]
+
 let test_failures_are_cisqp050 () =
   let plan, cert = medical_cert () in
   let diags =
@@ -758,6 +798,7 @@ let suite =
       test_dropped_and_fabricated_flows;
     c "stale epoch and revalidation" `Quick test_stale_epoch_and_revalidation;
     c "open policies refused" `Quick test_open_policy_refused;
+    c "certify proves open-mode plans" `Quick test_certify_open_mode;
     c "failures map to CISQP050" `Quick test_failures_are_cisqp050;
     c "leak counterexamples check" `Quick test_leak_cert_checks;
     c "forged leak certificates rejected" `Quick test_forged_leak_certs;

@@ -316,7 +316,6 @@ let test_reasons_render_on_one_line () =
               { reason; failovers = 4; partial; failed_node = Some 6 })))
     [
       Recover.No_safe_replan { dead; failed_at = 3 };
-      Recover.Replan_unsafe { dead };
       Recover.Replan_uncertified { dead; detail = "no witnessing rule" };
       Recover.Failover_limit { dead };
     ];

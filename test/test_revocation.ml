@@ -12,8 +12,23 @@ let planned () =
   | Ok r -> r.Safe_planner.assignment
   | Error f -> Alcotest.failf "%a" Safe_planner.pp_failure f
 
+(* An assignment's support set -- the rules whose revocation can break
+   it -- is the set of rules its plan certificate cites. *)
+let support assignment =
+  match
+    Analysis.Certificate.certify M.catalog M.policy (M.example_plan ())
+      assignment
+  with
+  | Ok (Some cert) ->
+    Ok
+      (List.map
+         (fun (r : Analysis.Certificate.rule) -> r.Analysis.Certificate.auth)
+         cert.Analysis.Certificate.rules)
+  | Ok None -> Alcotest.fail "closed policy certified without a certificate"
+  | Error msg -> Error msg
+
 let test_support_of_paper_assignment () =
-  match Revocation.support M.catalog M.policy (M.example_plan ()) (planned ()) with
+  match support (planned ()) with
   | Error msg -> Alcotest.fail msg
   | Ok rules ->
     (* Three flows, three distinct admitting rules: 9 (S_N reads
@@ -32,7 +47,7 @@ let test_support_rejects_unsafe () =
   let bad =
     Assignment.set 1 (Assignment.executor M.s_i) (planned ())
   in
-  match Revocation.support M.catalog M.policy (M.example_plan ()) bad with
+  match support bad with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unsafe assignment got a support set"
 
