@@ -353,10 +353,11 @@ let run_inference_bench () =
     let fast, seconds =
       Harness.best_of (fun () -> K.saturate ~joins knowledge)
     in
-    (* Naive reference, once — it pays its full quadratic cost every
-       run, and the bench doubles as a verdict differential. *)
+    (* The oracle ([Oracle.saturate]), once — it pays its full
+       quadratic cost every run, and the bench doubles as a verdict
+       differential. *)
     let slow, naive_seconds =
-      Harness.time (fun () -> K.saturate_naive ~joins knowledge)
+      Harness.time (fun () -> Oracle.saturate ~joins knowledge)
     in
     (* The differential: identical CISQP030 verdicts at every point,
        and pruning can only DELAY budget exhaustion — the indexed
@@ -387,7 +388,7 @@ let run_inference_bench () =
 
 (* ------------------------------------------------------------------ *)
 (* Chase-closure perf trajectory: semi-naive indexed evaluation vs the
-   naive all-pairs reference on the chase points. Written to
+   all-pairs oracle ([Oracle.close_chase]) on the chase points. Written to
    BENCH_chase.json so successive PRs can compare. Each point also
    asserts the two closures are identical — the bench doubles as a
    differential.
@@ -405,12 +406,12 @@ let run_chase_bench () =
     let sys, policy = chase_case relations density in
     let joins = sys.System_gen.join_graph in
     let fast = Authz.Chase.close ~joins policy in
-    let slow = Authz.Chase.close_naive ~joins policy in
+    let slow = Oracle.close_chase ~joins policy in
     Harness.check
       (Authz.Policy.equal fast slow)
       "chase bench: closures differ at %d relations" relations;
     let seminaive = measure (fun () -> Authz.Chase.close ~joins policy) in
-    let naive = measure (fun () -> Authz.Chase.close_naive ~joins policy) in
+    let naive = measure (fun () -> Oracle.close_chase ~joins policy) in
     let closed = Authz.Chase.closed_policy ~joins policy in
     ignore (Authz.Chase.closure closed);
     let path_rules =

@@ -1005,20 +1005,16 @@ let lint_cmd =
           (Analysis.Knowledge.of_flow_batches catalog batches)
     in
     (* --certify: each planned query is proved by [Certificate.certify],
-       as a served query is on a cache miss; each CISQP030 leak verdict
-       gets a join-tree counterexample, checked against the actual
-       delivery log and rendered for the user. Failures of either proof
-       surface as CISQP050. *)
+       as a served query is on a cache miss (under an open-mode policy,
+       by checking every flow against the denials); each CISQP030 leak
+       verdict gets a join-tree counterexample, checked against the
+       actual delivery log and rendered for the user. Failures of
+       either proof surface as CISQP050. A leak certificate cites the
+       rules a closed policy grants, so under an open-mode policy the
+       leak half reports CISQP051 instead. *)
     let module C = Analysis.Certificate in
     let certificate_diags, leak_witnesses =
       if not certify then ([], [])
-      else if Authz.Policy.is_open policy then
-        ( [
-            D.make "CISQP051" D.Whole
-              "open-mode policies are outside the certificate language; \
-               nothing to certify";
-          ],
-          [] )
       else begin
         let plan_cert_diags =
           if not (want `Plan) then []
@@ -1039,6 +1035,13 @@ let lint_cmd =
         in
         let leak_cert_diags, witnesses =
           if not (want `Inference) then ([], [])
+          else if Authz.Policy.is_open policy then
+            ( [
+                D.make "CISQP051" D.Whole
+                  "open-mode policies are outside the certificate \
+                   language; no leak witness can be certified";
+              ],
+              [] )
           else begin
             let deliveries = C.deliveries_of_batches batches in
             let cur =

@@ -372,21 +372,21 @@ let knowledge_slice () =
             incr total;
             let joins = sys.join_graph in
             let static = K.of_flow_batches sys.catalog [ flows ] in
-            let runtime = Distsim.Audit.knowledge sys.catalog network in
-            Harness.check (K.equal static runtime)
+            let runtime = Oracle.runtime_knowledge sys.catalog network in
+            Harness.check (Oracle.equal static runtime)
               "KNOWLEDGE static/runtime drift at seed %d" seed;
             let fast = K.saturate ~joins static in
-            let slow = K.saturate_naive ~joins static in
+            let slow = Oracle.saturate ~joins static in
             Harness.check
               (verdicts policy fast = verdicts policy slow)
               "KNOWLEDGE indexed/naive verdict drift at seed %d" seed;
             Harness.check
-              (K.subset fast.K.knowledge slow.K.knowledge
-              && K.covered_by slow.K.knowledge fast.K.knowledge)
+              (Oracle.subset fast.K.knowledge slow.K.knowledge
+              && Oracle.covered_by slow.K.knowledge fast.K.knowledge)
               "KNOWLEDGE coverage failure at seed %d" seed;
             let batch_diags = K.lint ~joins policy static in
             let cursor_diags =
-              Distsim.Audit.inference ~joins sys.catalog policy network
+              Oracle.runtime_inference ~joins sys.catalog policy network
             in
             Harness.check
               (diag_verdicts batch_diags = diag_verdicts cursor_diags)

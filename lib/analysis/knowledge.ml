@@ -75,24 +75,6 @@ let of_flow_batches catalog batches =
   in
   t
 
-let of_script catalog script =
-  let profiles = Script_verifier.derived_profiles catalog script in
-  let _, t =
-    List.fold_left
-      (fun (seq, t) step ->
-        match (step : Planner.Script.step) with
-        | Local _ -> (seq + 1, t)
-        | Ship { src; dst; temp } -> (
-          match List.assoc_opt temp profiles with
-          | None -> (seq + 1, t)
-          | Some profile ->
-            let source = { seq; sender = src; note = temp } in
-            (seq + 1, receive ~receiver:dst ~source profile t)))
-      (0, of_catalog catalog)
-      script.Planner.Script.steps
-  in
-  t
-
 let servers t = List.map fst (Server.Map.bindings t)
 
 let items t server =
@@ -114,10 +96,11 @@ type outcome = { knowledge : t; exhausted : Server.t list }
 (* ------------------------------------------------------------------ *)
 (* Indexed saturation engine.
 
-   The naive engine below re-walks structural sets at every step: each
-   candidate pair pays a [Profile.try_join] (set subsets plus three
-   unions), duplicate detection is a [Profile.compare] walk through a
-   [PMap], and witness merges are [sort_uniq] list appends. Here every
+   A direct engine (the test oracle, [Oracle.saturate]) re-walks
+   structural sets at every step: each candidate pair pays a
+   [Profile.try_join] (set subsets plus three unions), duplicate
+   detection is a [Profile.compare] walk through a [PMap], and witness
+   merges are [sort_uniq] list appends. Here every
    profile is hash-consed through {!Policy.Index} to a small int id
    ([(attrs_id pi, path_id, attrs_id sigma)]), so membership, dedup and
    the adds-nothing check are int hashtable probes; join attempts are
@@ -340,7 +323,7 @@ let covering st side_id =
    never degenerates to old × old rescans. The budget caps the base's
    cardinality: derivations stop (and the server reports exhausted)
    once [budget] profiles are held; accumulated deliveries themselves
-   are exempt, exactly as in the naive engine. *)
+   are exempt. *)
 let drain ~budget jinfos st =
   while (not st.hit_budget) && not (Queue.is_empty st.pending) do
     let pid = Queue.pop st.pending in
@@ -420,8 +403,8 @@ let materialize sources_reg st =
     st.entries PMap.empty
 
 (* ------------------------------------------------------------------ *)
-(* Incremental cursor: the audit path feeds one message at a time and
-   re-saturates only from that message's frontier. *)
+(* Incremental cursor: a replayed message log feeds one message at a
+   time and re-saturates only from that message's frontier. *)
 
 type cursor = {
   c_budget : int;
@@ -550,109 +533,6 @@ let explain c catalog server profile =
     tree_of (intern profile).pid
 
 (* ------------------------------------------------------------------ *)
-(* The seed engine, kept as the reference implementation for the
-   differential tests and the old-vs-new benchmark (the
-   [close]/[close_naive] pattern). It carries its own structural
-   membership tests, per-pair [Profile.try_join] calls and sort_uniq
-   witness merges — no interning, no memos, no subsumption — so a
-   defect in the id-level engine above cannot hide from the
-   differential. *)
-
-let merge_sources a b =
-  List.sort_uniq (fun s1 s2 -> Int.compare s1.seq s2.seq) (a @ b)
-
-let merge_via cond a b =
-  List.sort_uniq Joinpath.Cond.compare (cond :: (a @ b))
-
-let saturate_naive ?(budget = default_budget) ~joins t =
-  let exhausted = ref [] in
-  let sides =
-    List.map
-      (fun cond ->
-        ( cond,
-          Attribute.Set.of_list (Joinpath.Cond.left cond),
-          Attribute.Set.of_list (Joinpath.Cond.right cond) ))
-      joins
-  in
-  let knowledge =
-    Server.Map.mapi
-      (fun server table ->
-        let table = ref table in
-        let bucket : (Attribute.t, Profile.t list ref) Hashtbl.t =
-          Hashtbl.create 64
-        in
-        let index (p : Profile.t) =
-          Attribute.Set.iter
-            (fun a ->
-              match Hashtbl.find_opt bucket a with
-              | Some ps -> ps := p :: !ps
-              | None -> Hashtbl.add bucket a (ref [ p ]))
-            p.Profile.pi
-        in
-        PMap.iter (fun p _ -> index p) !table;
-        let covering side =
-          match Attribute.Set.min_elt_opt side with
-          | None -> []
-          | Some probe ->
-            (match Hashtbl.find_opt bucket probe with
-             | None -> []
-             | Some ps ->
-               List.filter
-                 (fun (q : Profile.t) -> Attribute.Set.subset side q.Profile.pi)
-                 !ps)
-        in
-        let queue = Queue.create () in
-        PMap.iter (fun _ it -> Queue.add it queue) !table;
-        let stop = ref false in
-        while (not !stop) && not (Queue.is_empty queue) do
-          let p = Queue.pop queue in
-          List.iter
-            (fun (cond, jl, jr) ->
-              if not !stop then begin
-                let pi = p.profile.Profile.pi in
-                let candidates =
-                  (if Attribute.Set.subset jl pi then covering jr else [])
-                  @ (if Attribute.Set.subset jr pi then covering jl else [])
-                in
-                (* Sorted for determinism: the bucket order depends on
-                   insertion history, and first-found wins below. *)
-                let candidates = List.sort_uniq Profile.compare candidates in
-                List.iter
-                  (fun q_profile ->
-                    if not !stop then
-                      match PMap.find_opt q_profile !table with
-                      | None -> ()
-                      | Some q ->
-                        (match Profile.try_join cond p.profile q.profile with
-                         | None -> ()
-                         | Some joined ->
-                           if not (PMap.mem joined !table) then
-                             if PMap.cardinal !table >= budget then begin
-                               stop := true;
-                               exhausted := server :: !exhausted
-                             end
-                             else begin
-                               let it =
-                                 {
-                                   profile = joined;
-                                   sources = merge_sources p.sources q.sources;
-                                   via = merge_via cond p.via q.via;
-                                 }
-                               in
-                               table := PMap.add joined it !table;
-                               index joined;
-                               Queue.add it queue
-                             end))
-                  candidates
-              end)
-            sides
-        done;
-        !table)
-      t
-  in
-  { knowledge; exhausted = List.sort_uniq Server.compare !exhausted }
-
-(* ------------------------------------------------------------------ *)
 
 type leak = { server : Server.t; item : item }
 
@@ -721,39 +601,6 @@ let cursor_lint policy c =
 
 let lint ?budget ~joins policy t =
   cursor_lint policy (cursor ?budget ~joins t)
-
-let subset a b =
-  Server.Map.for_all
-    (fun server table ->
-      let other =
-        match Server.Map.find_opt server b with
-        | Some t -> t
-        | None -> PMap.empty
-      in
-      PMap.for_all (fun p _ -> PMap.mem p other) table)
-    a
-
-let equal a b = subset a b && subset b a
-
-(* Domination, item-level: [q] carries at least [p]'s attributes under
-   the same join path. *)
-let dominates (q : Profile.t) (p : Profile.t) =
-  Joinpath.equal p.Profile.join q.Profile.join
-  && Attribute.Set.subset p.Profile.pi q.Profile.pi
-  && Attribute.Set.subset p.Profile.sigma q.Profile.sigma
-
-let covered_by a b =
-  Server.Map.for_all
-    (fun server table ->
-      let other =
-        match Server.Map.find_opt server b with
-        | Some t -> t
-        | None -> PMap.empty
-      in
-      PMap.for_all
-        (fun p _ -> PMap.exists (fun q _ -> dominates q p) other)
-        table)
-    a
 
 let pp ppf t =
   let pp_server ppf (server, table) =

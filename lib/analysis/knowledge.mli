@@ -12,11 +12,11 @@
 
     The analysis has three stages:
 
-    + {e accumulation} — a transfer function per flow a plan or script
-      can induce (operand shipment, semi-join reduction, coordinator
-      and proxy relay in third-party mode) folds deliveries into the
-      receiver's knowledge base ({!of_flow_batches}, {!of_script}, or
-      {!receive} for a replayed message log);
+    + {e accumulation} — a transfer function per flow a plan can
+      induce (operand shipment, semi-join reduction, coordinator and
+      proxy relay in third-party mode) folds deliveries into the
+      receiver's knowledge base ({!of_flow_batches}, or {!receive} for
+      a replayed message log);
     + {e saturation} — {!saturate} closes every knowledge base under
       the Figure-4 join rule over the schema join graph, up to a
       configurable budget. Only joins matter here: projecting or
@@ -63,9 +63,13 @@ val empty : t
     stores a copy of. *)
 val of_catalog : Catalog.t -> t
 
-(** [receive ~receiver ~source profile t] folds one delivery in. If the
-    receiver already derives the same profile with a smaller witness,
-    the existing item is kept. *)
+(** [add server item t] puts [item] into [server]'s knowledge base.
+    If the base already holds [item.profile] with a witness no larger
+    (fewer joins, then fewer messages), the existing item is kept. *)
+val add : Server.t -> item -> t -> t
+
+(** [receive ~receiver ~source profile t] folds one delivery in: {!add}
+    of the item [{ profile; sources = \[source\]; via = \[\] }]. *)
 val receive : receiver:Server.t -> source:source -> Profile.t -> t -> t
 
 (** Accumulate the flows of several plans executed by the same
@@ -73,12 +77,6 @@ val receive : receiver:Server.t -> source:source -> Profile.t -> t -> t
     the order the engine emits messages in). [seq] numbers flows
     globally across batches. *)
 val of_flow_batches : Catalog.t -> Planner.Safety.flow list list -> t
-
-(** Accumulate the [Ship] steps of a compiled script, with profiles
-    re-derived by {!Script_verifier.derived_profiles}. [seq] is the
-    step index. Ships of temporaries the verifier could not profile
-    (malformed scripts) are skipped. *)
-val of_script : Catalog.t -> Planner.Script.t -> t
 
 val servers : t -> Server.t list
 val items : t -> Server.t -> item list
@@ -109,33 +107,19 @@ type outcome = {
     memoised process-wide, and a derived entry whose visible
     attributes are implied by a retained same-path entry is dropped
     before it spawns candidates ({e subsumption pruning}). Pruning
-    preserves {!lint} verdicts but not the exact profile set — the
-    saturated base is a minimal antichain-ish cover of the naive
-    closure; use {!covered_by} to compare saturated results.
+    preserves {!lint} verdicts but not the exact profile set: the
+    saturated base is a subset of the unpruned closure in which every
+    pruned profile has a same-path dominator (a [pi] and [sigma] at
+    least as wide).
 
     It is the {!snapshot} of a fresh {!cursor} over [t]: batch and
     incremental saturation share one seed-and-drain loop. *)
 val saturate : ?budget:int -> joins:Joinpath.Cond.t list -> t -> outcome
 
-(** The pre-index reference engine — structural membership tests, one
-    {!Profile.try_join} per candidate pair, list-append witness merges,
-    no subsumption. Kept for the differential tests and the
-    naive-vs-indexed benchmark (the [Chase.close_naive] pattern):
-    {!lint} verdicts computed from either engine must coincide. *)
-val saturate_naive :
-  ?budget:int -> joins:Joinpath.Cond.t list -> t -> outcome
-
-(** [covered_by a b]: every profile known in [a] is dominated by a
-    profile of [b] on the same server — same join path, [pi] and
-    [sigma] included in the dominator's. The saturated bases of the
-    two engines cover each other; a pruned base still covers every
-    naive derivation. *)
-val covered_by : t -> t -> bool
-
 (** {2 Incremental saturation}
 
-    The runtime audit replays a message log one delivery at a time and
-    re-checks after each. Re-saturating the whole log per message is
+    A replayed message log arrives one delivery at a time, with a
+    re-check after each. Re-saturating the whole log per message is
     quadratic in log length; a cursor keeps the saturated per-server
     bases alive and extends them from each new message's frontier only
     — joins between already-known profiles were all attempted when
@@ -197,12 +181,6 @@ val lint :
   Policy.t ->
   t ->
   Diagnostic.t list
-
-(** Profile-set inclusion per server, witnesses ignored. *)
-val subset : t -> t -> bool
-
-(** Profile-set equality per server, witnesses ignored. *)
-val equal : t -> t -> bool
 
 val pp_source : source Fmt.t
 val pp_item : item Fmt.t

@@ -7,8 +7,7 @@ open Relalg
    same path and no new attribute — is skipped: the parent rule already
    admits the derived view (Definition 3.3), so the closure filter
    would reject it one step later anyway. [rounds] below implements
-   the rule on interned ids; [close_naive] keeps a direct structural
-   copy. *)
+   the rule on interned ids. *)
 
 let default_max_rules = 100_000
 
@@ -67,16 +66,15 @@ let union_path cid j pid1 p1 pid2 p2 =
    previous round (initially the explicit rules); each round merges
    only (frontier x policy) pairs, so over the whole run every
    unordered rule pair is examined once — at the first round where both
-   members are present. The naive engine rescans (all x all) each
-   round instead. Merge partners come from the policy's per-(server,
-   attribute) buckets ({!Policy.covering_entries}), which carry each
-   partner's interned ids, so a candidate merge is: two memoised
-   unions, an id-level adds-nothing test, and duplicate detection on
-   the hash-consed {!Policy.Index.rule_id} — the derived rule is only
-   constructed when it is genuinely fresh. The admission filter runs
-   against the round-start policy exactly as the naive engine's
-   [can_view] does — which is why the two produce identical rule sets
-   (proved by the differential suite in test_chase_diff.ml). *)
+   members are present. Merge partners come from the policy's
+   per-(server, attribute) buckets ({!Policy.covering_entries}), which
+   carry each partner's interned ids, so a candidate merge is: two
+   memoised unions, an id-level adds-nothing test, and duplicate
+   detection on the hash-consed {!Policy.Index.rule_id} — the derived
+   rule is only constructed when it is genuinely fresh. The admission filter runs
+   against the round-start policy, so the result is the rule set an
+   all-pairs rescan per round reaches (the differential suite in
+   test_chase_diff.ml compares the two). *)
 let rec rounds ?(record = fun (_ : derivation) -> ()) ~max_rules ~joins
     policy frontier =
   if Policy.cardinality policy > max_rules then overflow max_rules;
@@ -173,57 +171,6 @@ let close_trace ?(max_rules = default_max_rules) ~joins policy =
     rounds_trace ~max_rules ~joins policy (Policy.authorizations policy)
   in
   (closure, by_server trace)
-
-(* The seed engine, kept as the reference implementation for the
-   differential tests and the old-vs-new benchmark. It carries its own
-   direct structural merge (no interning, no memos, no adds-nothing
-   skip) so a defect in the production id-level merge inside [rounds]
-   cannot hide from the differential. *)
-let close_naive ?(max_rules = default_max_rules) ~joins policy =
-  let merge (a1 : Authorization.t) (a2 : Authorization.t) j =
-    if not (Server.equal a1.server a2.server) then None
-    else
-      let covers attrs side =
-        List.for_all (fun a -> Attribute.Set.mem a attrs) side
-      in
-      let jl = Joinpath.Cond.left j and jr = Joinpath.Cond.right j in
-      let ok =
-        (covers a1.attrs jl && covers a2.attrs jr)
-        || (covers a1.attrs jr && covers a2.attrs jl)
-      in
-      if not ok then None
-      else
-        let path = Joinpath.add j (Joinpath.union a1.path a2.path) in
-        let attrs = Attribute.Set.union a1.attrs a2.attrs in
-        (match Authorization.make ~attrs ~path a1.server with
-         | Ok derived -> Some derived
-         | Error _ -> None)
-  in
-  let rec fixpoint policy =
-    if Policy.cardinality policy > max_rules then overflow max_rules;
-    let rules = Policy.authorizations policy in
-    let fresh =
-      List.concat_map
-        (fun a1 ->
-          List.concat_map
-            (fun a2 ->
-              List.filter_map
-                (fun j ->
-                  match merge a1 a2 j with
-                  | Some d
-                    when not
-                           (Policy.can_view policy (Profile.of_rule d)
-                              d.Authorization.server) ->
-                    Some d
-                  | _ -> None)
-                joins)
-            rules)
-        rules
-    in
-    if fresh = [] then policy
-    else fixpoint (List.fold_left (fun p d -> Policy.add d p) policy fresh)
-  in
-  fixpoint policy
 
 type justification =
   | Granted

@@ -31,7 +31,7 @@ open Relalg
     policy's per-(server, attribute) buckets, dedupes derived rules
     within the round by their hash-consed {!Policy.Index.rule_id}, and
     filters with [can_view] against the round-start policy — producing
-    the {e same rule set} as a naive (all × all) rescan in far less
+    the {e same rule set} as an all-pairs rescan per round in far less
     work (see DESIGN.md §5d and the differential suite).
 
     [max_rules] (default [100_000]) bounds the size of the closure; the
@@ -83,13 +83,6 @@ val table_of_trace : Policy.t -> derivation list -> table
 val position : table -> Authorization.t -> int option
 val entry : table -> int -> Authorization.t * justification
 val entries : table -> (Authorization.t * justification) list
-
-(** The seed (naive) engine: every round rescans (all × all) rule
-    pairs. Kept as the executable reference — the differential tests
-    prove [close ≡ close_naive] on randomized policies, and the chase
-    benchmark reports old-vs-new wall clock. Not for production use. *)
-val close_naive :
-  ?max_rules:int -> joins:Joinpath.Cond.t list -> Policy.t -> Policy.t
 
 (** An incrementally-maintained closed policy: the closure is computed
     lazily, at most once per policy state, and shared by every consumer

@@ -308,10 +308,6 @@ let covering_entries t s = function
              side)
          entries)
 
-let covering t s = function
-  | [] -> view t s
-  | side -> List.map (fun e -> e.rule) (covering_entries t s side)
-
 let cardinality t = Auth_set.cardinal t.rules
 
 let servers t =

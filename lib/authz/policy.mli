@@ -103,16 +103,12 @@ val authorizations : t -> Authorization.t list
     by the paper's [CanView] function (Figure 6). *)
 val view : t -> Server.t -> Authorization.t list
 
-(** [covering t s side] — the rules of [view t s] whose attribute set
-    contains every attribute of [side], found through the per-attribute
-    bucket of the first element of [side]. This is the chase's
-    merge-partner lookup: only rules that can possibly cover one side
-    of a join condition are inspected. [side = \[\]] degrades to
-    {!view}. *)
-val covering : t -> Server.t -> Attribute.t list -> Authorization.t list
-
-(** {!covering} with each rule's interned ids ([side] must be
-    non-empty).
+(** [covering_entries t s side] — the rules of [view t s] whose
+    attribute set contains every attribute of [side], each with its
+    interned ids, found through the per-attribute bucket of the first
+    element of [side]. This is the chase's merge-partner lookup: only
+    rules that can possibly cover one side of a join condition are
+    inspected.
 
     @raise Invalid_argument on an empty [side]. *)
 val covering_entries : t -> Server.t -> Attribute.t list -> entry list

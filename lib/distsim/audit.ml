@@ -89,39 +89,3 @@ let pp_entry ppf (e : entry) =
   Fmt.pf ppf "request %d #%d %a -> %a at n%d: %d tuples, %d bytes" e.request
     e.seq Server.pp e.sender Server.pp e.receiver e.join e.rows e.bytes;
   Option.iter (Fmt.pf ppf "@,  admitted by %a" Authorization.pp) e.admitted_by
-
-(* Cumulative-knowledge cross-check: the runtime counterpart of the
-   static inference pass. The message log is replayed into per-server
-   knowledge bases with the engine's own profiles, so the static
-   analysis (over Safety.flows) and this replay must agree whenever the
-   plans execute as planned — that agreement is differentially
-   tested. *)
-let knowledge catalog network =
-  List.fold_left
-    (fun k (m : Network.message) ->
-      let source =
-        { Analysis.Knowledge.seq = m.seq; sender = m.sender; note = m.note }
-      in
-      Analysis.Knowledge.receive ~receiver:m.receiver ~source m.profile k)
-    (Analysis.Knowledge.of_catalog catalog)
-    (Network.messages network)
-
-(* The audit path is incremental: deliveries stream into a saturation
-   cursor one at a time, so each message pays only its own frontier —
-   joins between profiles already known were attempted when they first
-   met. Verdicts match a batch [Knowledge.lint] over {!knowledge}
-   (differentially tested); only witness details may differ by
-   exploration order. *)
-let inference ?budget ~joins catalog policy network =
-  let cursor =
-    Analysis.Knowledge.cursor ?budget ~joins
-      (Analysis.Knowledge.of_catalog catalog)
-  in
-  List.iter
-    (fun (m : Network.message) ->
-      let source =
-        { Analysis.Knowledge.seq = m.seq; sender = m.sender; note = m.note }
-      in
-      Analysis.Knowledge.feed cursor ~receiver:m.receiver ~source m.profile)
-    (Network.messages network);
-  Analysis.Knowledge.cursor_lint policy cursor

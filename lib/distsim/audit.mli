@@ -61,24 +61,3 @@ val is_clean : Policy.t -> Network.t -> bool
 
 val pp_violation : violation Fmt.t
 val pp_entry : entry Fmt.t
-
-(** Replay the message log into per-server knowledge bases
-    ({!Analysis.Knowledge}): every server starts from the base
-    relations it stores and accumulates each delivery it received, with
-    the engine's own runtime profiles as ground truth. *)
-val knowledge : Relalg.Catalog.t -> Network.t -> Analysis.Knowledge.t
-
-(** The inference pass over a concrete execution: the message log is
-    streamed into an {!Analysis.Knowledge.cursor} (each delivery
-    re-saturates only its own frontier) and the final state is linted —
-    [CISQP030] per composition leak, [CISQP031] per budget-exhausted
-    server. Verdicts coincide with a batch
-    {!Analysis.Knowledge.lint} over {!knowledge}; witness details may
-    differ by exploration order. *)
-val inference :
-  ?budget:int ->
-  joins:Relalg.Joinpath.Cond.t list ->
-  Relalg.Catalog.t ->
-  Policy.t ->
-  Network.t ->
-  Analysis.Diagnostic.t list

@@ -420,9 +420,6 @@ let query_finish run ~prefix =
   | Some s -> Some s.finish
   | None -> None
 
-let deadline_met run ~prefix ~deadline =
-  Option.map (fun finish -> finish <= deadline) (query_finish run ~prefix)
-
 let pp_run ppf r =
   let pp_task ppf s =
     Fmt.pf ppf "%-28s %-18s %10.6f .. %10.6f" s.task.id s.task.resource

@@ -161,9 +161,4 @@ val pp_graph_error : graph_error Fmt.t
     discipline as {!validate} — no bare exceptions). *)
 val query_finish : run -> prefix:string -> float option
 
-(** Did the query under [prefix] finish by [deadline] (simulated
-    seconds)? [None] when the query does not appear in the schedule —
-    the service layer treats that as a miss, never a hit. *)
-val deadline_met : run -> prefix:string -> deadline:float -> bool option
-
 val pp_run : run Fmt.t

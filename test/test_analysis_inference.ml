@@ -84,7 +84,7 @@ let test_idempotence () =
   let k = medical_knowledge () in
   let once = (K.saturate ~joins:M.join_graph k).K.knowledge in
   let twice = (K.saturate ~joins:M.join_graph once).K.knowledge in
-  check Alcotest.bool "saturate is a fixpoint" true (K.equal once twice)
+  check Alcotest.bool "saturate is a fixpoint" true (Oracle.equal once twice)
 
 let test_monotonicity_medical () =
   let _, _, flows = medical_flows () in
@@ -94,14 +94,14 @@ let test_monotonicity_medical () =
     let smaller = K.of_flow_batches M.catalog [ prefix ] in
     let larger = K.of_flow_batches M.catalog [ flows ] in
     check Alcotest.bool "accumulation is monotone" true
-      (K.subset smaller larger);
+      (Oracle.subset smaller larger);
     (* Coverage, not exact inclusion: subsumption pruning may retain,
        for the larger log, a dominating entry in place of the exact
        profile the smaller log derives. *)
     let s = (K.saturate ~joins:M.join_graph smaller).K.knowledge in
     let l = (K.saturate ~joins:M.join_graph larger).K.knowledge in
     check Alcotest.bool "saturation preserves monotonicity" true
-      (K.covered_by s l)
+      (Oracle.covered_by s l)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -181,14 +181,14 @@ let test_differential () =
           incr compared;
           let joins = sys.join_graph in
           let static = K.of_flow_batches sys.catalog [ flows ] in
-          let runtime = Distsim.Audit.knowledge sys.catalog network in
-          if not (K.equal static runtime) then
+          let runtime = Oracle.runtime_knowledge sys.catalog network in
+          if not (Oracle.equal static runtime) then
             Alcotest.failf
               "accumulated knowledge disagrees (seed %d):@.static:@.%a@.runtime:@.%a"
               seed K.pp static K.pp runtime;
           let s_sat = (K.saturate ~joins static).K.knowledge in
           let r_sat = (K.saturate ~joins runtime).K.knowledge in
-          if not (K.equal s_sat r_sat) then
+          if not (Oracle.equal s_sat r_sat) then
             Alcotest.failf "saturated knowledge disagrees (seed %d)" seed;
           let s_leaks = leak_facts (K.leaks policy s_sat) in
           let r_leaks = leak_facts (K.leaks policy r_sat) in
@@ -196,7 +196,7 @@ let test_differential () =
             Alcotest.failf "leak sets disagree (seed %d)" seed;
           let s_diags = diag_facts (K.lint ~joins policy static) in
           let r_diags =
-            diag_facts (Distsim.Audit.inference ~joins sys.catalog policy network)
+            diag_facts (Oracle.runtime_inference ~joins sys.catalog policy network)
           in
           if s_diags <> r_diags then
             Alcotest.failf "diagnostics disagree (seed %d)" seed;
@@ -247,7 +247,7 @@ let test_monotonicity_random () =
                   .K.knowledge
               in
               check Alcotest.bool "prefix knowledge is covered" true
-                (K.covered_by partial full))
+                (Oracle.covered_by partial full))
             flows))
   done;
   check Alcotest.bool

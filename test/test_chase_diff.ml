@@ -51,7 +51,7 @@ let test_differential_soak () =
     let sys, policy = random_case seed in
     let joins = sys.Workload.System_gen.join_graph in
     let fast = Chase.close ~joins policy in
-    let slow = Chase.close_naive ~joins policy in
+    let slow = Oracle.close_chase ~joins policy in
     if not (Policy.equal fast slow) then
       Alcotest.failf
         "seed %d: semi-naive closure (%d rules) differs from naive (%d rules)"
@@ -240,7 +240,7 @@ let prop_revoke_churn =
                Server.pp s
          | None -> ());
         if relations <= 4
-           && not (sem_equal closure (Chase.close_naive ~joins (Chase.policy h)))
+           && not (sem_equal closure (Oracle.close_chase ~joins (Chase.policy h)))
         then QCheck.Test.fail_reportf "seed %d: closure differs from naive" seed;
         h
       in
@@ -286,9 +286,31 @@ let test_budget_counts_distinct () =
   | p -> Alcotest.failf "budget 2 not enforced (%d rules)" (Policy.cardinality p));
   (* The naive reference obeys the same budget semantics. *)
   let naive =
-    Chase.close_naive ~max_rules:3 ~joins:[ ab_join ] symmetric_policy
+    Oracle.close_chase ~max_rules:3 ~joins:[ ab_join ] symmetric_policy
   in
   check Alcotest.bool "naive agrees" true (Policy.equal closed naive)
+
+let test_oracle_stalled_round () =
+  (* Under an open-mode policy a denial can forbid a merged view, so a
+     round re-derives a rule the policy already holds: the oracle stops
+     with [Invalid_argument] instead of looping. *)
+  let s = Server.make "S" in
+  let denial =
+    Authorization.make_denial
+      ~attrs:
+        (Attribute.Set.of_list
+           [ Attribute.make ~relation:"A" "X"; Attribute.make ~relation:"B" "Y" ])
+      ~path:(Joinpath.singleton ab_join) s
+  in
+  let policy =
+    List.fold_left
+      (fun p a -> Policy.add a p)
+      (Policy.open_policy [ denial ])
+      (Policy.authorizations symmetric_policy)
+  in
+  match Oracle.close_chase ~joins:[ ab_join ] policy with
+  | exception Invalid_argument _ -> ()
+  | p -> Alcotest.failf "stalled round not refused (%d rules)" (Policy.cardinality p)
 
 let test_revoke_budget () =
   (* [wide] admits both merges of [a]/[au] with [b], so revoking it
@@ -362,7 +384,7 @@ let test_merge_skips_noop () =
 
 let test_medical_differential () =
   let fast = Chase.close ~joins:M.join_graph M.policy in
-  let slow = Chase.close_naive ~joins:M.join_graph M.policy in
+  let slow = Oracle.close_chase ~joins:M.join_graph M.policy in
   check Alcotest.bool "medical closure identical" true (Policy.equal fast slow)
 
 let suite =
@@ -379,6 +401,8 @@ let suite =
     Helpers.qcheck prop_revoke_churn;
     c "revoke obeys the whole-closure budget" `Quick test_revoke_budget;
     c "budget counts distinct rules" `Quick test_budget_counts_distinct;
+    c "the oracle refuses a round that adds nothing" `Quick
+      test_oracle_stalled_round;
     c "no-op merges are skipped" `Quick test_merge_skips_noop;
     c "medical policy differential" `Quick test_medical_differential;
   ]

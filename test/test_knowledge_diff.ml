@@ -1,7 +1,7 @@
 (* Differential and property tests for the semi-naive indexed
    knowledge-saturation engine: on random delivery logs the indexed
    fixpoint must reach verdicts identical to the naive reference
-   ([saturate_naive]), saturation must be independent of delivery
+   ([Oracle.saturate]), saturation must be independent of delivery
    order, the incremental audit cursor must agree with batch
    saturation, and subsumption pruning must drop only entries a
    retained entry dominates — never a CISQP030 witness. *)
@@ -90,12 +90,12 @@ let test_differential_soak () =
     let catalog, joins, policy, messages = random_case seed in
     let t = accumulate catalog messages in
     let fast = K.saturate ~joins t in
-    let slow = K.saturate_naive ~joins t in
+    let slow = Oracle.saturate ~joins t in
     (* Pruning only ever removes: the indexed base is a subset of the
        naive closure that still covers all of it. *)
-    if not (K.subset fast.K.knowledge slow.K.knowledge) then
+    if not (Oracle.subset fast.K.knowledge slow.K.knowledge) then
       Alcotest.failf "seed %d: indexed derived a profile naive did not" seed;
-    if not (K.covered_by slow.K.knowledge fast.K.knowledge) then
+    if not (Oracle.covered_by slow.K.knowledge fast.K.knowledge) then
       Alcotest.failf "seed %d: pruned base does not cover the naive closure"
         seed;
     if verdicts policy fast <> verdicts policy slow then
@@ -126,8 +126,8 @@ let test_permutation_independence () =
     | [ a; b; d ] ->
       if
         not
-          (K.equal a.K.knowledge b.K.knowledge
-          && K.equal a.K.knowledge d.K.knowledge)
+          (Oracle.equal a.K.knowledge b.K.knowledge
+          && Oracle.equal a.K.knowledge d.K.knowledge)
       then Alcotest.failf "seed %d: saturation depends on delivery order" seed;
       if verdicts policy a <> verdicts policy b
          || verdicts policy a <> verdicts policy d
@@ -173,8 +173,8 @@ let cursor_agrees ~what catalog joins policy messages =
   let incr = K.snapshot cursor in
   if
     not
-      (K.covered_by incr.K.knowledge batch.K.knowledge
-      && K.covered_by batch.K.knowledge incr.K.knowledge)
+      (Oracle.covered_by incr.K.knowledge batch.K.knowledge
+      && Oracle.covered_by batch.K.knowledge incr.K.knowledge)
   then Alcotest.failf "%s: cursor and batch bases do not cover" what;
   if verdicts policy incr <> verdicts policy batch then
     Alcotest.failf "%s: cursor and batch verdicts disagree" what;
@@ -213,7 +213,7 @@ let test_pruning_drops_dominated () =
     |> K.receive ~receiver:sv ~source:(msg 2) pb
   in
   let fast = K.saturate ~joins:[ xy_join ] t in
-  let slow = K.saturate_naive ~joins:[ xy_join ] t in
+  let slow = Oracle.saturate ~joins:[ xy_join ] t in
   let full_join = Profile.join xy_join pa pb in
   let proj_join = Profile.join xy_join pa_proj pb in
   check Alcotest.bool "naive derives the dominated profile" true
@@ -241,7 +241,7 @@ let test_guard_keeps_qualified_witness () =
   let catalog = Catalog.of_list [ (schema_a, sv); (schema_b, sv) ] in
   let t = K.receive ~receiver:sv ~source:(msg 0) pa_proj (K.of_catalog catalog) in
   let fast = K.saturate ~joins:[ xy_join ] t in
-  let slow = K.saturate_naive ~joins:[ xy_join ] t in
+  let slow = Oracle.saturate ~joins:[ xy_join ] t in
   let proj_join = Profile.join xy_join pa_proj pb in
   check Alcotest.bool "qualified witness survives pruning" true
     (K.mem fast.K.knowledge sv proj_join);
