@@ -318,14 +318,24 @@ let certify_plan fed handle plan assignment =
     exit 1
 
 (* Report (and optionally persist) a certificate [certify_plan] or the
-   recovery supervisor already emitted and checked. *)
+   recovery supervisor already emitted and checked. [None] is a proof
+   too: under an open-mode policy the assignment was checked flow by
+   flow against the denials, and only a --cert-out file cannot be
+   written. *)
 let report_certificate cert_out = function
-  | None ->
-    Fmt.epr "%a@." D.pp
-      (D.make "CISQP051" D.Whole
-         "open-mode policies are outside the certificate language; nothing \
-          to certify");
-    exit 1
+  | None -> (
+    match cert_out with
+    | Some path ->
+      Fmt.epr "%a@." D.pp
+        (D.make "CISQP051" D.Whole
+           "open-mode policies are outside the certificate language; no \
+            certificate to write to %s"
+           path);
+      exit 1
+    | None ->
+      Fmt.pr
+        "Certificate: none needed, proved safe under the open-mode policy \
+         (every flow checked against its denials)@.")
   | Some (cert : Analysis.Certificate.plan_cert) ->
     Option.iter
       (fun path ->
@@ -472,8 +482,9 @@ let run_cmd =
       & info [ "executor" ] ~docv:"NAME"
           ~doc:
             "Physical executor for every operator: $(b,naive) (the \
-             tuple-at-a-time reference) or $(b,batch) (the columnar batch \
-             executor). Results are identical.")
+             positional row operators of the relation, the default) or \
+             $(b,batch) (the columnar batch executor). Results are \
+             identical.")
   in
   let bloom_arg =
     Arg.(

@@ -9,7 +9,9 @@
    differential — each safely planned case re-runs under the columnar
    batch executor, under Bloom-reduced semi-joins, and under both;
    every variant must equal the centralized reference, audit clean,
-   and exchange exactly as many messages as the reference run.
+   and exchange exactly as many messages as the reference run. Every
+   run and the centralized reference must also equal the tree-set
+   twin (Oracle.Tree_relation) evaluating the same plan.
 
    Fault slice (--fault-cases, default 1000): the same differential
    under seeded fault injection — crash windows, lossy and corrupting
@@ -129,7 +131,19 @@ let clean_slice () =
    centralized reference answer, leave a clean audit, and — since the
    executor changes only the physical operators and the Bloom variant
    only the wire representation — exchange exactly as many messages as
-   the reference run. *)
+   the reference run. The centralized answer and every run, the
+   default executor's included, must also equal the tree-set twin's
+   evaluation of the plan: the centralized answer runs on the default
+   executor's operators, so a defect they share would cancel out of the
+   first comparison. *)
+
+module Twin = Oracle.Tree_relation
+
+let twin_eval ~instances plan =
+  let lookup schema =
+    Twin.of_relation (Option.get (instances (Schema.name schema)))
+  in
+  Twin.eval ~lookup (Plan.to_algebra plan)
 
 let exec_slice () =
   let total = ref 0 in
@@ -151,6 +165,16 @@ let exec_slice () =
         incr total;
         let instances = Data_gen.instances rng ~rows:12 sys in
         let reference = Distsim.Engine.centralized ~instances plan in
+        let twin = twin_eval ~instances plan in
+        (* The cardinality catches duplicate rows, which the tree set
+           would collapse. *)
+        let matches_twin what result =
+          Harness.check
+            (Relation.cardinality result = Twin.cardinality twin
+            && Twin.equal (Twin.of_relation result) twin)
+            "EXEC %s differs from the tree-set twin at seed %d" what seed
+        in
+        matches_twin "centralized" reference;
         let bloom_bits = [| 2; 4; 8; 16 |].(seed mod 4) in
         let variants =
           [
@@ -164,7 +188,8 @@ let exec_slice () =
          | Error e ->
            Harness.fail "EXEC baseline error at seed %d: %a" seed
              Distsim.Engine.pp_error e
-         | Ok { network; _ } ->
+         | Ok { result; network; _ } ->
+           matches_twin "baseline" result;
            baseline_messages := Some (Distsim.Network.message_count network));
         List.iter
           (fun (what, executor, bloom) ->
@@ -179,6 +204,7 @@ let exec_slice () =
               Harness.check
                 (Relation.equal result reference)
                 "EXEC %s WRONG RESULT at seed %d" what seed;
+              matches_twin what result;
               Harness.check
                 (Distsim.Audit.is_clean policy network)
                 "EXEC %s AUDIT failure at seed %d" what seed;

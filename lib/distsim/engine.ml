@@ -51,6 +51,17 @@ type piece = {
   profile : Profile.t;
 }
 
+(* [key_of rel attrs row] lists [row]'s values of [attrs], for a row of
+   [rel]: the positional key a Bloom filter takes. *)
+let key_of rel attrs =
+  let header = Array.of_list (Relation.header rel) in
+  let position a =
+    let rec from i = if Attribute.equal header.(i) a then i else from (i + 1) in
+    from 0
+  in
+  let pos = List.map position attrs in
+  fun row -> List.map (fun p -> row.(p)) pos
+
 let execute ?(third_party = false)
     ?(executor = (module Exec.Reference : Exec.S)) ?bloom ?fault ?network
     ?deadline ?observe catalog ~instances plan assignment =
@@ -279,9 +290,7 @@ let execute ?(third_party = false)
                cross the wire ({!Network.wire_bytes}). *)
             let filter =
               Bloom.of_keys ~bits_per_key
-                (List.map
-                   (fun tu -> Tuple.values_of tu mj)
-                   (Relation.tuples r_j))
+                (Array.to_list (Array.map (key_of r_j mj) (Relation.rows r_j)))
             in
             ignore
               (xmit ~node:n.id
@@ -298,10 +307,12 @@ let execute ?(third_party = false)
                is exact either way. *)
             ensure_up slave n.id;
             let reduced =
-              Relation.make (Relation.header o.value)
-                (List.filter
-                   (fun tu -> Bloom.mem filter (Tuple.values_of tu oj))
-                   (Relation.tuples o.value))
+              let key = key_of o.value oj in
+              Relation.of_arrays (Relation.header o.value)
+                (Array.of_seq
+                   (Seq.filter
+                      (fun row -> Bloom.mem filter (key row))
+                      (Array.to_seq (Relation.rows o.value))))
             in
             (* Step 4: ship the reduced operand back. Its header is the
                slave operand's alone — no copy of [mj] rides along as in

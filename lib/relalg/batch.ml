@@ -70,34 +70,13 @@ let cardinality t =
 let live t = match t.sel with Some bs -> bs | None -> Bitset.full t.nrows
 
 let of_relation dict rel =
-  let header = Relation.header rel in
-  let tuples = Relation.tuples rel in
-  let nrows = List.length tuples in
-  let ncols = List.length header in
-  let cols = Array.init ncols (fun _ -> Array.make nrows 0) in
-  (match tuples with
-  | [] -> ()
-  | first :: _ ->
-    (* Every tuple of a relation yields its bindings in one fixed
-       attribute order: position that order against the header once,
-       then encode by walking each tuple's bindings — no per-cell map
-       lookup. *)
-    let pos_of a =
-      let rec go i = function
-        | [] -> invalid_arg "Batch.of_relation: attribute not in header"
-        | x :: rest -> if Attribute.equal x a then i else go (i + 1) rest
-      in
-      go 0 header
-    in
-    let perm =
-      Array.of_list (List.map (fun (a, _) -> pos_of a) (Tuple.bindings first))
-    in
-    List.iteri
-      (fun ri tu ->
-        List.iteri
-          (fun j (_, v) -> cols.(perm.(j)).(ri) <- Dict.intern dict v)
-          (Tuple.bindings tu))
-      tuples);
+  let header = Relation.header rel and rows = Relation.rows rel in
+  let nrows = Array.length rows in
+  let cols = Array.init (List.length header) (fun _ -> Array.make nrows 0) in
+  Array.iteri
+    (fun ri row ->
+      Array.iteri (fun ci v -> cols.(ci).(ri) <- Dict.intern dict v) row)
+    rows;
   { dict; header; cols; nrows; sel = None }
 
 let indices_of_bitset bs =
@@ -117,20 +96,8 @@ let live_indices b =
   | Some bs -> indices_of_bitset bs
 
 let to_relation b =
-  let idx = live_indices b in
-  let tuples = ref [] in
-  for i = Array.length idx - 1 downto 0 do
-    let ri = idx.(i) in
-    let tu =
-      List.fold_left
-        (fun (tu, ci) a ->
-          (Tuple.add a (Dict.value b.dict b.cols.(ci).(ri)) tu, ci + 1))
-        (Tuple.empty, 0) b.header
-      |> fst
-    in
-    tuples := tu :: !tuples
-  done;
-  Relation.make b.header !tuples
+  let row ri = Array.map (fun col -> Dict.value b.dict col.(ri)) b.cols in
+  Relation.of_arrays b.header (Array.map row (live_indices b))
 
 let attribute_set b = Attribute.Set.of_list b.header
 

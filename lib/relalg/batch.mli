@@ -1,20 +1,21 @@
 (** Columnar batch executor — dictionary-encoded columns, bitset
     selection vectors, partition-parallel hash joins.
 
-    The reference executor ({!module:Relation}, kept verbatim as
-    {!Exec.Reference}) stores tuples as balanced-tree sets of
-    attribute maps: every operator pays a logarithmic comparison of
-    boxed values per tuple touched. This executor stores a relation as
-    one int array per column, with values interned in a {!Dict}
-    shared across the operands of a run: equality of values is
-    equality of ints, selections evaluate once per {e distinct} code
-    and combine as bitsets, and hash joins partition rows by key hash
-    and build/probe each partition on its own domain (OCaml 5
-    parallelism). Selection is lazy — [select] and [semi_join] only
-    narrow a batch's selection vector, no row moves — and every
-    consumer skips the dead rows. Results are identical to the
-    reference — the invariant the differential suite and the in-bench
-    equality assertions enforce.
+    The default executor ({!module:Relation}, as {!Exec.Reference})
+    stores a relation as an array of positional rows of boxed values:
+    its operators hash and compare boxed values row by row. This
+    executor stores a relation as one int array per column, with values
+    interned in a {!Dict} shared across the operands of a run: equality
+    of values is equality of ints, selections evaluate once per
+    {e distinct} code and combine as bitsets, and hash joins partition
+    rows by key hash and build/probe each partition on its own domain
+    (OCaml 5 parallelism). Selection is lazy — [select] and [semi_join]
+    only narrow a batch's selection vector, no row moves — and every
+    consumer skips the dead rows. Encoding and decoding go through
+    {!Relation.rows} and {!Relation.of_arrays}, one row at a time.
+    Results are identical to the default executor's, and to the
+    tree-set twin's in the test-only oracle — the invariant the
+    differential suite and the in-bench equality assertions enforce.
 
     Set semantics are maintained as a representation invariant: the
     rows of a batch are distinct. Join keys compare like

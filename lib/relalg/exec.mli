@@ -3,11 +3,13 @@
     Every evaluator in the system ({!Algebra.eval} centrally, the
     distributed engine node-by-node) runs queries through exactly five
     physical operators. This module names that contract so an executor
-    can be selected {e per run}: the tuple-at-a-time reference
-    ({!Reference}, the operators of {!module:Relation} unchanged) or
-    the columnar batch executor ([Batch.Exec]). Both implement the same
-    set semantics — the batch executor is differentially tested against
-    the reference, which is kept verbatim as its twin. *)
+    can be selected {e per run}: the positional default ({!Reference},
+    the operators of {!module:Relation}) or the columnar batch executor
+    ([Batch.Exec]). Both implement the same set semantics, and both are
+    differentially tested against the tuple-at-a-time operators over
+    balanced-tree sets that {!module:Relation} had before it became
+    positional: that twin lives in the test-only [Oracle] library
+    ([Oracle.Tree_relation]), out of every production library. *)
 
 module type S = sig
   val name : string
@@ -26,6 +28,6 @@ module type S = sig
   val natural_join : Relation.t -> Relation.t -> Relation.t
 end
 
-(** The sorted-set, tuple-at-a-time operators of {!module:Relation} —
-    the reference twin every other executor is tested against. *)
+(** The positional, hash-based operators of {!module:Relation}: the
+    default executor. *)
 module Reference : S

@@ -1,3 +1,5 @@
+module Tree_relation = Tree_relation
+
 open Relalg
 open Authz
 module K = Analysis.Knowledge

@@ -5,6 +5,10 @@
     index with the engine they check: a defect in that machinery would
     otherwise show up on both sides of the comparison and cancel out. *)
 
+(** The tree-set relation and its tuple-at-a-time operators: the twin
+    of the positional {!Relalg.Relation}. *)
+module Tree_relation = Tree_relation
+
 open Relalg
 open Authz
 

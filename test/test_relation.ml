@@ -29,6 +29,26 @@ let test_of_rows () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "short row accepted"
 
+let test_of_arrays () =
+  let arr =
+    Relation.of_arrays [ k; a ]
+      [| [| i 1; i 10 |]; [| i 2; i 20 |]; [| i 1; Value.Float 10. |] |]
+  in
+  check Alcotest.int "twin row collapses" 2 (Relation.cardinality arr);
+  check Helpers.relation "same instance as of_rows"
+    (Relation.of_rows r_schema [ [ i 1; i 10 ]; [ i 2; i 20 ] ])
+    arr;
+  let refused what header rows =
+    match Relation.of_arrays header rows with
+    | exception Invalid_argument msg ->
+      check Alcotest.bool what true
+        (Helpers.contains ~sub:"Relation.of_arrays" msg)
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  refused "empty header" [] [||];
+  refused "repeated attribute" [ k; k ] [||];
+  refused "short row" [ k; a ] [| [| i 1 |] |]
+
 let test_set_semantics () =
   let dup = Relation.of_rows r_schema [ [ i 1; i 10 ]; [ i 1; i 10 ] ] in
   check Alcotest.int "duplicates collapse" 1 (Relation.cardinality dup)
@@ -179,6 +199,7 @@ let prop_join_cardinality_bound =
 let suite =
   [
     c "of_rows" `Quick test_of_rows;
+    c "of_arrays" `Quick test_of_arrays;
     c "set semantics" `Quick test_set_semantics;
     c "project" `Quick test_project;
     c "select" `Quick test_select;
