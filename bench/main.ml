@@ -466,7 +466,9 @@ let run_chase_bench () =
    checker < engine and that every certificate checks. A fourth family
    times certificate emission against a warm chase handle vs checking
    the emitted certificate, and asserts the median emit takes at most
-   3x its check. Written to BENCH_certify.json. *)
+   3x its check. A fifth times the first certificate after a policy
+   change (a revoke, then the re-grant) and asserts it takes at most 5%
+   of a from-scratch close. Written to BENCH_certify.json. *)
 
 let run_certify_bench () =
   let module C = Analysis.Certificate in
@@ -559,6 +561,99 @@ let run_certify_bench () =
       ratio
       (List.fold_left Float.max 0. ratios)
   in
+  (* First-certificate points (the chase points' policies): the first
+     certificate at a new policy state pays for that state's derivation
+     table and epoch. Up to 12 evenly spaced base path rules are each
+     revoked on a warm handle and then granted back; after each change
+     the closure is forced and the first plan that still plans is
+     replanned, untimed, and the first [certify] is timed (best of 3,
+     each on a fresh change of the warm handle). A point fails when the
+     median after a revoke, or after a re-grant, exceeds 5% of a
+     from-scratch [close_trace] of its policy. *)
+  let first_point (relations, density) =
+    let sys, policy = chase_case relations density in
+    let catalog = sys.System_gen.catalog in
+    let joins = sys.System_gen.join_graph in
+    let scratch = measure (fun () -> Authz.Chase.close_trace ~joins policy) in
+    let warm = Authz.Chase.closed_policy ~joins policy in
+    (* The first certificate at [h]'s state of the first plan that
+       plans there, and its seconds; closing and planning are untimed. *)
+    let first_certify h plans =
+      let closure = Authz.Chase.closure h in
+      List.find_map
+        (fun plan ->
+          match Planner.Safe_planner.plan ~closed:h catalog closure plan with
+          | Error _ -> None
+          | Ok { assignment; _ } ->
+            Some
+              (Harness.time (fun () ->
+                   C.certify ~closed:h catalog closure plan assignment)))
+        plans
+    in
+    (* Plans the warm handle certifies with flows; certifying them also
+       builds its table, as serving them would. *)
+    let plans =
+      List.filter_map
+        (fun seed ->
+          Option.bind
+            (Query_gen.generate_plan (Rng.make ~seed) ~joins:(2 + (seed mod 3))
+               sys)
+            (fun plan ->
+              match first_certify warm [ plan ] with
+              | Some (Ok (Some cert), _) when cert.C.flows <> [] -> Some plan
+              | _ -> None))
+        (List.init 16 Fun.id)
+    in
+    let seconds h =
+      match first_certify h plans with
+      | None -> None
+      | Some (Ok _, dt) -> Some dt
+      | Some (Error msg, _) ->
+        Harness.fail "certify bench: first certificate failed: %s" msg;
+        None
+    in
+    let path_rules =
+      List.filter
+        (fun (a : Authz.Authorization.t) -> not (Joinpath.is_empty a.path))
+        (Authz.Policy.authorizations policy)
+    in
+    let n = List.length path_rules in
+    let k = min 12 n in
+    let best trials =
+      match List.filter_map Fun.id trials with
+      | [] -> None
+      | ts -> Some (List.fold_left Float.min infinity ts)
+    in
+    let samples =
+      List.filter_map
+        (fun i ->
+          let rule = List.nth path_rules (i * n / k) in
+          let trials =
+            List.init 3 (fun _ ->
+                let revoked = Authz.Chase.revoke rule warm in
+                let after_revoke = seconds revoked in
+                (after_revoke, seconds (Authz.Chase.add rule revoked)))
+          in
+          match (best (List.map fst trials), best (List.map snd trials)) with
+          | Some r, Some g -> Some (r, g)
+          | _ -> None)
+        (List.init k Fun.id)
+    in
+    Harness.check (samples <> [])
+      "certify bench: no first certificate timed at %d relations" relations;
+    let revoke = Harness.median (List.map fst samples)
+    and grant = Harness.median (List.map snd samples) in
+    Harness.check
+      (not (revoke > 0.05 *. scratch || grant > 0.05 *. scratch))
+      "certify bench: the first certificate after a change takes %.1f%% \
+       (revoke) and %.1f%% (re-grant) of a from-scratch close at %d \
+       relations (gate 5%%)"
+      (100. *. revoke /. scratch) (100. *. grant /. scratch) relations;
+    Printf.sprintf
+      {|{"kind":"first","relations":%d,"changes":%d,"close_seconds":%.9f,"after_revoke_seconds":%.9f,"after_grant_seconds":%.9f,"revoke_share":%.4f,"grant_share":%.4f}|}
+      relations (List.length samples) scratch revoke grant (revoke /. scratch)
+      (grant /. scratch)
+  in
   (* Plan points (the planner chain cases): planning + the independent
      safety re-proof vs checking the emitted certificate. *)
   let plan_point joins_n =
@@ -644,10 +739,11 @@ let run_certify_bench () =
   in
   let chase = List.map chase_point chase_points in
   let emit = List.map emit_point chase_points in
+  let first = List.map first_point chase_points in
   let plan = List.map plan_point [ 2; 4; 8; 16 ] in
   let saturation = saturation_point () in
   Harness.write_json "BENCH_certify.json" ~bench:"certificate-checker"
-    (chase @ emit @ plan @ [ saturation ])
+    (chase @ emit @ first @ plan @ [ saturation ])
 
 (* ------------------------------------------------------------------ *)
 (* Fault-recovery sweep: how often a guaranteed permanent crash of the

@@ -5,23 +5,10 @@ module Safety = Planner.Safety
 (* ------------------------------------------------------------------ *)
 (* Epoch.                                                              *)
 
-(* [Policy.pp] prints the numbered, sorted rule (and denial) list, so
-   the digest is deterministic and any textual policy change moves
-   it. MD5 is ample for a cache pin (no adversary controls the
-   policy). *)
-(* Fingerprinting renders the whole policy; batch checks (one
-   check_leak per CISQP030 verdict, say) pin against the same policy
-   value over and over, so the last fingerprint is cached by physical
-   identity. Policies are immutable, so hits are always valid. *)
-let epoch =
-  let last = ref None in
-  fun policy ->
-    match !last with
-    | Some (p, e) when p == policy -> e
-    | _ ->
-      let e = Digest.to_hex (Digest.string (Fmt.str "%a" Policy.pp policy)) in
-      last := Some (policy, e);
-      e
+(* The policy keeps its own fingerprint, moved in O(1) by every grant
+   and revoke, so pinning a certificate costs no rendering. MD5 is
+   ample for a cache pin (no adversary controls the policy). *)
+let epoch = Policy.epoch
 
 (* ------------------------------------------------------------------ *)
 (* The language.                                                       *)
@@ -54,8 +41,8 @@ type plan_cert = {
    proof iff the revoked rule's id appears here (any Composed rule's
    premise chain bottoms out in Granted rules that are also listed). *)
 let rule_ids (cert : plan_cert) =
-  List.sort_uniq compare
-    (List.map (fun r -> Policy.Index.rule_id r.auth) cert.rules)
+  List.sort_uniq Int.compare
+    (List.map (fun r -> r.auth.Authorization.id) cert.rules)
 
 type tree =
   | Stored of { relation : string }

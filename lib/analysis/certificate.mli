@@ -26,7 +26,7 @@
     See DESIGN.md §5f.
 
     Certificates are pinned to a policy {e epoch} (a fingerprint of
-    the base policy text); {!check_plan} with [~revalidate:true] skips
+    the base policy's rules); {!check_plan} with [~revalidate:true] skips
     the pin and replays the evidence against the policy it is given —
     the re-validation entry point for cached plans under policy
     change. *)
@@ -34,8 +34,13 @@
 open Relalg
 open Authz
 
-(** Fingerprint of a policy's explicit rules. Deterministic across
-    runs; any textual change to the policy changes it. *)
+(** Fingerprint of a policy's explicit rules: {!Policy.epoch}, the sum
+    mod 2{^128} of per-rule MD5 digests over canonical rule texts,
+    which the policy keeps up to date on every grant and revoke, so
+    reading it costs no rendering. Deterministic across runs and
+    independent of insertion order; any change to the rules moves it.
+    Open policies are never pinned: emission and checking refuse
+    them before reading an epoch. *)
 val epoch : Policy.t -> string
 
 (** {1 The certificate language} *)
@@ -71,7 +76,7 @@ type plan_cert = {
   flows : flow_evidence list;
 }
 
-(** Interned ids ({!Policy.Index.rule_id}) of every rule the
+(** Interned ids (each rule's {!Authorization.t} [id]) of every rule the
     certificate's witnesses transitively depend on, sorted. Emission
     prunes the rule list to exactly this dependency set, and every
     [Composed] chain bottoms out in [Granted] rules that are also

@@ -101,7 +101,7 @@ type outcome = { knowledge : t; exhausted : Server.t list }
    [Profile.try_join] (set subsets plus three unions), duplicate
    detection is a [Profile.compare] walk through a [PMap], and witness
    merges are [sort_uniq] list appends. Here every
-   profile is hash-consed through {!Policy.Index} to a small int id
+   profile is hash-consed through {!Intern} to a small int id
    ([(attrs_id pi, path_id, attrs_id sigma)]), so membership, dedup and
    the adds-nothing check are int hashtable probes; join attempts are
    memoised process-wide on [(cond id, profile id, profile id)] keys
@@ -126,10 +126,10 @@ type pinfo = {
 let pinfo_tbl : (int, pinfo) Hashtbl.t = Hashtbl.create 512
 
 let intern (p : Profile.t) =
-  let pi_id = Policy.Index.attrs_id p.Profile.pi in
-  let sigma_id = Policy.Index.attrs_id p.Profile.sigma in
-  let path_id = Policy.Index.path_id p.Profile.join in
-  let pid = Policy.Index.profile_id_of ~pi_id ~path_id ~sigma_id in
+  let pi_id = Intern.attrs_id p.Profile.pi in
+  let sigma_id = Intern.attrs_id p.Profile.sigma in
+  let path_id = Intern.path_id p.Profile.join in
+  let pid = Intern.profile_id_of ~pi_id ~path_id ~sigma_id in
   match Hashtbl.find_opt pinfo_tbl pid with
   | Some info -> info
   | None ->
@@ -142,7 +142,7 @@ let intern (p : Profile.t) =
 let cond_reg : (int, Joinpath.Cond.t) Hashtbl.t = Hashtbl.create 64
 
 let cond_id c =
-  let id = Policy.Index.cond_id c in
+  let id = Intern.cond_id c in
   if not (Hashtbl.mem cond_reg id) then Hashtbl.add cond_reg id c;
   id
 
@@ -295,9 +295,9 @@ let joinfo_of joins =
           cond;
           cid = cond_id cond;
           jl;
-          jl_id = Policy.Index.attrs_id jl;
+          jl_id = Intern.attrs_id jl;
           jr;
-          jr_id = Policy.Index.attrs_id jr;
+          jr_id = Intern.attrs_id jr;
         })
       joins
   in

@@ -101,7 +101,7 @@ type outcome = {
     one, or the per-server [budget] is hit.
 
     This is the semi-naive indexed engine: profiles are hash-consed
-    through {!Policy.Index.profile_id} so membership and dedup are
+    through {!Intern.profile_id_of} so membership and dedup are
     int-level, each fresh entry joins once against the full base
     (never old×old), join attempts and attribute-set inclusions are
     memoised process-wide, and a derived entry whose visible

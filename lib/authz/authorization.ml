@@ -4,6 +4,9 @@ type t = {
   attrs : Attribute.Set.t;
   path : Joinpath.t;
   server : Server.t;
+  id : int;
+  attrs_id : int;
+  path_id : int;
 }
 
 type error =
@@ -28,11 +31,25 @@ let owners attrs =
   |> List.map Attribute.relation
   |> List.sort_uniq String.compare
 
+(* The only place a rule is built: every rule carries its interned
+   ids from birth, so no reader re-derives them. *)
+let interned ~attrs ~path server =
+  let attrs_id = Intern.attrs_id attrs and path_id = Intern.path_id path in
+  {
+    attrs;
+    path;
+    server;
+    id = Intern.rule_id_of server ~attrs_id ~path_id;
+    attrs_id;
+    path_id;
+  }
+
 let make ~attrs ~path server =
+  let ok () = Ok (interned ~attrs ~path server) in
   if Attribute.Set.is_empty attrs then Error Empty_attributes
   else if Joinpath.is_empty path then (
     match owners attrs with
-    | [] | [ _ ] -> Ok { attrs; path; server }
+    | [] | [ _ ] -> ok ()
     | rels -> Error (Multiple_relations_without_path rels))
   else
     let path_rels = Joinpath.relations path in
@@ -41,7 +58,7 @@ let make ~attrs ~path server =
         (fun a -> not (List.mem (Attribute.relation a) path_rels))
         attrs
     in
-    if Attribute.Set.is_empty uncovered then Ok { attrs; path; server }
+    if Attribute.Set.is_empty uncovered then ok ()
     else Error (Attributes_not_covered uncovered)
 
 let make_exn ~attrs ~path server =
@@ -52,7 +69,7 @@ let make_exn ~attrs ~path server =
 let make_denial ~attrs ~path server =
   if Attribute.Set.is_empty attrs then
     invalid_arg "Authorization.make_denial: empty attribute set";
-  { attrs; path; server }
+  interned ~attrs ~path server
 
 let relations t =
   List.sort_uniq String.compare (owners t.attrs @ Joinpath.relations t.path)

@@ -14,10 +14,21 @@
 
 open Relalg
 
+(** A rule carries its interned identities ({!Intern}), computed once
+    when it is built:
+    - [id] is the rule's: [a.id = b.id] iff [equal a b];
+    - [attrs_id] is [Intern.attrs_id attrs] and [path_id] is
+      [Intern.path_id path].
+
+    Policies, the chase and certificates read them instead of
+    re-hashing the rule's sets. *)
 type t = private {
   attrs : Attribute.Set.t;
   path : Joinpath.t;
   server : Server.t;
+  id : int;
+  attrs_id : int;
+  path_id : int;
 }
 
 type error =

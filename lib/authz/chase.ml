@@ -35,7 +35,7 @@ let overflow max_rules =
    a small-int hash probe. The keys are canonical (attribute sets and
    paths are interned on their sorted forms, conditions on their
    oriented pairs), so the tables are sound process-wide and shared
-   across closures, like the {!Policy.Index} interner itself. *)
+   across closures, like the {!Intern} interner itself. *)
 let attrs_memo : (int * int, Attribute.Set.t * int) Hashtbl.t =
   Hashtbl.create 1024
 
@@ -48,7 +48,7 @@ let union_attrs aid1 s1 aid2 s2 =
   | Some v -> v
   | None ->
     let u = Attribute.Set.union s1 s2 in
-    let v = (u, Policy.Index.attrs_id u) in
+    let v = (u, Intern.attrs_id u) in
     Hashtbl.add attrs_memo key v;
     v
 
@@ -58,7 +58,7 @@ let union_path cid j pid1 p1 pid2 p2 =
   | Some v -> v
   | None ->
     let u = Joinpath.add j (Joinpath.union p1 p2) in
-    let v = (u, Policy.Index.path_id u) in
+    let v = (u, Intern.path_id u) in
     Hashtbl.add path_memo key v;
     v
 
@@ -67,14 +67,14 @@ let union_path cid j pid1 p1 pid2 p2 =
    only (frontier x policy) pairs, so over the whole run every
    unordered rule pair is examined once — at the first round where both
    members are present. Merge partners come from the policy's
-   per-(server, attribute) buckets ({!Policy.covering_entries}), which
-   carry each partner's interned ids, so a candidate merge is: two
+   per-(server, attribute) buckets ({!Policy.covering_entries}), and
+   every rule carries its interned ids, so a candidate merge is: two
    memoised unions, an id-level adds-nothing test, and duplicate
-   detection on the hash-consed {!Policy.Index.rule_id} — the derived
-   rule is only constructed when it is genuinely fresh. The admission filter runs
-   against the round-start policy, so the result is the rule set an
-   all-pairs rescan per round reaches (the differential suite in
-   test_chase_diff.ml compares the two). *)
+   detection on the hash-consed rule id ({!Intern.rule_id_of}) — the
+   derived rule is only constructed when it is genuinely fresh. The
+   admission filter runs against the round-start policy, so the result
+   is the rule set an all-pairs rescan per round reaches (the
+   differential suite in test_chase_diff.ml compares the two). *)
 let rec rounds ?(record = fun (_ : derivation) -> ()) ~max_rules ~joins
     policy frontier =
   if Policy.cardinality policy > max_rules then overflow max_rules;
@@ -85,15 +85,14 @@ let rec rounds ?(record = fun (_ : derivation) -> ()) ~max_rules ~joins
     let jinfo =
       List.map
         (fun j ->
-          (j, Policy.Index.cond_id j, Joinpath.Cond.left j, Joinpath.Cond.right j))
+          (j, Intern.cond_id j, Joinpath.Cond.left j, Joinpath.Cond.right j))
         joins
     in
     let seen = Hashtbl.create 64 in
     let fresh = ref [] in
     List.iter
       (fun (a1 : Authorization.t) ->
-        let aid1 = Policy.Index.attrs_id a1.attrs in
-        let pid1 = Policy.Index.path_id a1.path in
+        let aid1 = a1.attrs_id and pid1 = a1.path_id in
         List.iter
           (fun (j, cid, jl, jr) ->
             let covers side =
@@ -101,21 +100,19 @@ let rec rounds ?(record = fun (_ : derivation) -> ()) ~max_rules ~joins
             in
             let partners other =
               List.iter
-                (fun (e : Policy.entry) ->
-                  let a2 = e.rule in
-                  let attrs, aid = union_attrs aid1 a1.attrs e.attrs_id a2.attrs in
-                  let path, pid = union_path cid j pid1 a1.path e.path_id a2.path in
+                (fun (a2 : Authorization.t) ->
+                  let attrs, aid = union_attrs aid1 a1.attrs a2.attrs_id a2.attrs in
+                  let path, pid = union_path cid j pid1 a1.path a2.path_id a2.path in
                   (* Adds-nothing skip on ids: the derived rule equals a
                      parent iff it has the parent's attribute set AND
                      join path (see [merge]). *)
                   if
                     not
                       ((aid = aid1 && pid = pid1)
-                       || (aid = e.attrs_id && pid = e.path_id))
+                       || (aid = a2.attrs_id && pid = a2.path_id))
                   then begin
                     let rid =
-                      Policy.Index.rule_id_of a1.server ~attrs_id:aid
-                        ~path_id:pid
+                      Intern.rule_id_of a1.server ~attrs_id:aid ~path_id:pid
                     in
                     if
                       (not (Hashtbl.mem seen rid))
@@ -145,9 +142,13 @@ let rec rounds ?(record = fun (_ : derivation) -> ()) ~max_rules ~joins
     (match !fresh with
      | [] -> policy
      | fresh ->
-       rounds ~record ~max_rules ~joins
-         (List.fold_left (fun p d -> Policy.add d p) policy fresh)
-         fresh)
+       let next = List.fold_left (fun p d -> Policy.add d p) policy fresh in
+       (* Fresh rules have distinct ids the policy lacks, so each one
+          adds a rule; a rule whose id disagreed with its parts would
+          instead be re-derived every round, forever. *)
+       assert (
+         Policy.cardinality next = Policy.cardinality policy + List.length fresh);
+       rounds ~record ~max_rules ~joins next fresh)
 
 let close ?(max_rules = default_max_rules) ~joins policy =
   rounds ~max_rules ~joins policy (Policy.authorizations policy)
@@ -185,10 +186,9 @@ type table = {
    only a hand-built trace can have a step this drops. *)
 let table_of_trace base trace =
   let position = Hashtbl.create 64 and entries = ref [] in
-  let push auth just =
-    let rid = Policy.Index.rule_id auth in
-    if not (Hashtbl.mem position rid) then begin
-      Hashtbl.add position rid (Hashtbl.length position);
+  let push (auth : Authorization.t) just =
+    if not (Hashtbl.mem position auth.id) then begin
+      Hashtbl.add position auth.id (Hashtbl.length position);
       entries := (auth, just) :: !entries
     end
   in
@@ -196,15 +196,15 @@ let table_of_trace base trace =
   List.iter
     (fun d ->
       match
-        ( Hashtbl.find_opt position (Policy.Index.rule_id d.left),
-          Hashtbl.find_opt position (Policy.Index.rule_id d.right) )
+        ( Hashtbl.find_opt position d.left.id,
+          Hashtbl.find_opt position d.right.id )
       with
       | Some left, Some right -> push d.derived (Composed { left; right; via = d.via })
       | _ -> ())
     trace;
   { position; entries = Array.of_list (List.rev !entries) }
 
-let position t a = Hashtbl.find_opt t.position (Policy.Index.rule_id a)
+let position t (a : Authorization.t) = Hashtbl.find_opt t.position a.id
 let entry t i = t.entries.(i)
 let entries t = Array.to_list t.entries
 

@@ -29,7 +29,7 @@ open Relalg
     The engine is {e semi-naive}: each round merges only
     (previous-round frontier × policy) pairs found through the
     policy's per-(server, attribute) buckets, dedupes derived rules
-    within the round by their hash-consed {!Policy.Index.rule_id}, and
+    within the round by their hash-consed ids ({!Authorization.t}), and
     filters with [can_view] against the round-start policy — producing
     the {e same rule set} as an all-pairs rescan per round in far less
     work (see DESIGN.md §5d and the differential suite).

@@ -1,140 +1,5 @@
 open Relalg
 module Auth_set = Set.Make (Authorization)
-
-(* Hash-consed canonical keys.
-
-   Join paths and attribute sets are balanced trees whose shapes depend
-   on insertion order, so they cannot be hashed structurally; their
-   canonical forms (sorted element lists, and for conditions the
-   oriented [Cond.pairs]) can. The interner maps each distinct
-   canonical form to a small int id. Ids are global — shared by every
-   policy in the process and never freed — which is exactly what the
-   chase wants: a derived rule seen by one closure keeps its id for the
-   next, and duplicate detection is a hash lookup plus an int-set test
-   instead of a [Authorization.compare] walk. *)
-module Index = struct
-  (* The default polymorphic hash ([Hashtbl.hash]) samples only 10
-     meaningful nodes, so the long canonical lists of wide derived
-     rules — which share sorted prefixes within a server — would all
-     collide and the interner would degrade to linear list scans.
-     Hash deep enough to cover any realistic repr instead. *)
-  module Deep (K : sig
-    type t
-  end) =
-  Hashtbl.Make (struct
-    type t = K.t
-
-    let equal = ( = )
-    let hash x = Hashtbl.hash_param 500 1000 x
-  end)
-
-  module Path_tbl = Deep (struct
-    type t = (Attribute.t * Attribute.t) list list
-  end)
-
-  module Attrs_tbl = Deep (struct
-    type t = Attribute.t list
-  end)
-
-  let path_tbl : int Path_tbl.t = Path_tbl.create 256
-  let path_count = ref 0
-
-  (* [conditions] is sorted and [Cond.pairs] is the canonical oriented
-     form, so equal paths always produce structurally equal reprs. *)
-  let path_repr p = List.map Joinpath.Cond.pairs (Joinpath.conditions p)
-
-  let path_id p =
-    let repr = path_repr p in
-    match Path_tbl.find_opt path_tbl repr with
-    | Some id -> id
-    | None ->
-      let id = !path_count in
-      incr path_count;
-      Path_tbl.add path_tbl repr id;
-      id
-
-  (* Non-interning lookup for the [can_view] hot path: a profile whose
-     path was never granted anywhere misses here without allocating an
-     id. *)
-  let find_path p = Path_tbl.find_opt path_tbl (path_repr p)
-
-  let attrs_tbl : int Attrs_tbl.t = Attrs_tbl.create 256
-  let attrs_count = ref 0
-
-  let attrs_id a =
-    let repr = Attribute.Set.elements a in
-    match Attrs_tbl.find_opt attrs_tbl repr with
-    | Some id -> id
-    | None ->
-      let id = !attrs_count in
-      incr attrs_count;
-      Attrs_tbl.add attrs_tbl repr id;
-      id
-
-  (* Single join conditions, keyed by their canonical [Cond.pairs]
-     form. The chase memoises path unions per (condition, path, path)
-     triple, so conditions need stable ids of their own. *)
-  module Cond_tbl = Deep (struct
-    type t = (Attribute.t * Attribute.t) list
-  end)
-
-  let cond_tbl : int Cond_tbl.t = Cond_tbl.create 64
-  let cond_count = ref 0
-
-  let cond_id c =
-    let repr = Joinpath.Cond.pairs c in
-    match Cond_tbl.find_opt cond_tbl repr with
-    | Some id -> id
-    | None ->
-      let id = !cond_count in
-      incr cond_count;
-      Cond_tbl.add cond_tbl repr id;
-      id
-
-  (* Keys here are (server, small int, small int) — the default hash
-     covers them fully. *)
-  let rule_tbl : (Server.t * int * int, int) Hashtbl.t = Hashtbl.create 256
-  let rule_count = ref 0
-
-  let rule_id_of server ~attrs_id ~path_id =
-    let key = (server, attrs_id, path_id) in
-    match Hashtbl.find_opt rule_tbl key with
-    | Some id -> id
-    | None ->
-      let id = !rule_count in
-      incr rule_count;
-      Hashtbl.add rule_tbl key id;
-      id
-
-  let rule_id (a : Authorization.t) =
-    rule_id_of a.server ~attrs_id:(attrs_id a.attrs) ~path_id:(path_id a.path)
-
-  (* Whole relation profiles, keyed by their already-interned parts —
-     the knowledge-saturation analogue of [rule_id]. Like every other
-     id here they are process-global and never freed, so a profile
-     derived during one saturation keeps its id for the next, and the
-     fixpoint's membership / dedup / adds-nothing tests are int
-     lookups. *)
-  let profile_tbl : (int * int * int, int) Hashtbl.t = Hashtbl.create 256
-  let profile_count = ref 0
-
-  let profile_id_of ~pi_id ~path_id ~sigma_id =
-    let key = (pi_id, path_id, sigma_id) in
-    match Hashtbl.find_opt profile_tbl key with
-    | Some id -> id
-    | None ->
-      let id = !profile_count in
-      incr profile_count;
-      Hashtbl.add profile_tbl key id;
-      id
-
-  let profile_id (p : Profile.t) =
-    let pi_id = attrs_id p.Profile.pi in
-    let sigma_id = attrs_id p.Profile.sigma in
-    let path_id = path_id p.Profile.join in
-    profile_id_of ~pi_id ~path_id ~sigma_id
-end
-
 module Int_set = Set.Make (Int)
 
 (* [can_view] (Definition 3.3) requires join-path EQUALITY, so grants
@@ -165,24 +30,81 @@ end
 
 module Attr_map = Map.Make (Attr_key)
 
-(* Rules in the [by_attr] buckets carry their interned identities, so
-   the chase reads a partner's ids straight out of the bucket instead
-   of re-walking its attribute set and join path per candidate pair. *)
-type entry = {
-  rule : Authorization.t;
-  rule_id : int;
-  attrs_id : int;
-  path_id : int;
-}
+(* The epoch: an order-independent sum, mod 2^128, of per-rule MD5
+   digests, so [add] and [remove] move it in O(1). The digest is taken
+   over a canonical text — the server, qualified attribute names and
+   oriented join conditions, each name length-prefixed — so equal rules
+   always hash alike, in every process. *)
+module Sum = struct
+  type t = { hi : int64; lo : int64 }
+
+  let zero = { hi = 0L; lo = 0L }
+
+  let of_digest d =
+    { hi = String.get_int64_be d 0; lo = String.get_int64_be d 8 }
+
+  let add a b =
+    let lo = Int64.add a.lo b.lo in
+    let carry = if Int64.unsigned_compare lo a.lo < 0 then 1L else 0L in
+    { hi = Int64.add (Int64.add a.hi b.hi) carry; lo }
+
+  let sub a b =
+    let lo = Int64.sub a.lo b.lo in
+    let borrow = if Int64.unsigned_compare a.lo b.lo < 0 then 1L else 0L in
+    { hi = Int64.sub (Int64.sub a.hi b.hi) borrow; lo }
+
+  let to_hex s = Printf.sprintf "%016Lx%016Lx" s.hi s.lo
+end
+
+let canonical_text (a : Authorization.t) =
+  let b = Buffer.create 64 in
+  let word w =
+    Buffer.add_string b (string_of_int (String.length w));
+    Buffer.add_char b ':';
+    Buffer.add_string b w
+  in
+  let attr x =
+    word (Attribute.relation x);
+    word (Attribute.name x)
+  in
+  word (Server.name a.server);
+  Buffer.add_char b '{';
+  Attribute.Set.iter attr a.attrs;
+  Buffer.add_char b '}';
+  List.iter
+    (fun c ->
+      Buffer.add_char b '(';
+      List.iter
+        (fun (l, r) ->
+          attr l;
+          attr r)
+        (Joinpath.Cond.pairs c);
+      Buffer.add_char b ')')
+    (Joinpath.conditions a.path);
+  Buffer.contents b
+
+(* Memoised by rule id, like the interner: a rule's digest is taken
+   once per process. *)
+let digests : (int, Sum.t) Hashtbl.t = Hashtbl.create 256
+
+let digest (a : Authorization.t) =
+  match Hashtbl.find_opt digests a.id with
+  | Some d -> d
+  | None ->
+    let d = Sum.of_digest (Digest.string (canonical_text a)) in
+    Hashtbl.add digests a.id d;
+    d
 
 type t = {
   rules : Auth_set.t;
-  ids : Int_set.t;  (** hash-consed {!Index.rule_id}s of [rules] *)
+  ids : Int_set.t;  (** the [Authorization.id]s of [rules] *)
+  count : int;  (** the size of [rules] *)
+  epoch : Sum.t;  (** the sum of the digests of [rules] *)
   grants : Authorization.t list Grant_map.t;
       (** rules granted per (path id, server); [can_view] and
           [authorizing_rule] both resolve through this index *)
   by_server : Auth_set.t Server.Map.t;
-  by_attr : entry list Attr_map.t;
+  by_attr : Authorization.t list Attr_map.t;
       (** rules per (mentioned attribute, server) *)
   negative : Auth_set.t;  (** denials; only consulted when [open_mode] *)
   open_mode : bool;
@@ -192,6 +114,8 @@ let empty =
   {
     rules = Auth_set.empty;
     ids = Int_set.empty;
+    count = 0;
+    epoch = Sum.zero;
     grants = Grant_map.empty;
     by_server = Server.Map.empty;
     by_attr = Attr_map.empty;
@@ -199,22 +123,20 @@ let empty =
     open_mode = false;
   }
 
-let mem (a : Authorization.t) t = Int_set.mem (Index.rule_id a) t.ids
+let mem (a : Authorization.t) t = Int_set.mem a.id t.ids
 let mem_id id t = Int_set.mem id t.ids
 
 let add (a : Authorization.t) t =
-  let attrs_id = Index.attrs_id a.attrs in
-  let path_id = Index.path_id a.path in
-  let rule_id = Index.rule_id_of a.server ~attrs_id ~path_id in
-  if Int_set.mem rule_id t.ids then t
+  if Int_set.mem a.id t.ids then t
   else
-    let entry = { rule = a; rule_id; attrs_id; path_id } in
     {
       t with
       rules = Auth_set.add a t.rules;
-      ids = Int_set.add rule_id t.ids;
+      ids = Int_set.add a.id t.ids;
+      count = t.count + 1;
+      epoch = Sum.add t.epoch (digest a);
       grants =
-        Grant_map.update (path_id, a.server)
+        Grant_map.update (a.path_id, a.server)
           (fun existing -> Some (a :: Option.value ~default:[] existing))
           t.grants;
       by_server =
@@ -226,8 +148,7 @@ let add (a : Authorization.t) t =
         Attribute.Set.fold
           (fun attr m ->
             Attr_map.update (attr, a.server)
-              (fun existing ->
-                Some (entry :: Option.value ~default:[] existing))
+              (fun existing -> Some (a :: Option.value ~default:[] existing))
               m)
           a.attrs t.by_attr;
     }
@@ -235,7 +156,7 @@ let add (a : Authorization.t) t =
 let remove (a : Authorization.t) t =
   if not (mem a t) then t
   else
-    let rid = Index.rule_id a in
+    let others (r : Authorization.t) = r.id <> a.id in
     let drop = function
       | None -> None
       | Some rules ->
@@ -245,17 +166,13 @@ let remove (a : Authorization.t) t =
     {
       t with
       rules = Auth_set.remove a t.rules;
-      ids = Int_set.remove rid t.ids;
+      ids = Int_set.remove a.id t.ids;
+      count = t.count - 1;
+      epoch = Sum.sub t.epoch (digest a);
       grants =
-        Grant_map.update
-          (Index.path_id a.path, a.server)
+        Grant_map.update (a.path_id, a.server)
           (fun existing ->
-            match
-              List.filter
-                (fun (r : Authorization.t) ->
-                  not (Attribute.Set.equal r.attrs a.attrs))
-                (Option.value ~default:[] existing)
-            with
+            match List.filter others (Option.value ~default:[] existing) with
             | [] -> None
             | rest -> Some rest)
           t.grants;
@@ -266,10 +183,8 @@ let remove (a : Authorization.t) t =
             Attr_map.update (attr, a.server)
               (function
                 | None -> None
-                | Some entries ->
-                  (match
-                     List.filter (fun e -> e.rule_id <> rid) entries
-                   with
+                | Some rules ->
+                  (match List.filter others rules with
                    | [] -> None
                    | rest -> Some rest))
               m)
@@ -285,6 +200,7 @@ let is_open t = t.open_mode
 let denials t = Auth_set.elements t.negative
 let add_denial a t = { t with negative = Auth_set.add a t.negative }
 let remove_denial a t = { t with negative = Auth_set.remove a t.negative }
+let epoch t = Sum.to_hex t.epoch
 
 let union a b = Auth_set.fold add b.rules a
 
@@ -300,15 +216,13 @@ let covering_entries t s = function
   | probe :: _ as side ->
     (match Attr_map.find_opt (probe, s) t.by_attr with
      | None -> []
-     | Some entries ->
+     | Some rules ->
        List.filter
-         (fun e ->
-           List.for_all
-             (fun x -> Attribute.Set.mem x e.rule.Authorization.attrs)
-             side)
-         entries)
+         (fun (r : Authorization.t) ->
+           List.for_all (fun x -> Attribute.Set.mem x r.attrs) side)
+         rules)
 
-let cardinality t = Auth_set.cardinal t.rules
+let cardinality t = t.count
 
 let servers t =
   Server.Map.fold
@@ -329,7 +243,7 @@ let denied t (profile : Profile.t) s =
 let can_view t (profile : Profile.t) s =
   if t.open_mode then not (denied t profile s)
   else
-    match Index.find_path profile.join with
+    match Intern.find_path profile.join with
     | None -> false
     | Some pid ->
       (match Grant_map.find_opt (pid, s) t.grants with
@@ -357,7 +271,7 @@ let admits t s ~path_id visible =
    the one bucket whose rules can possibly authorize the flow, instead
    of scanning every rule granted to the receiving server. *)
 let authorizing_rule_indexed t (profile : Profile.t) s =
-  match Index.find_path profile.join with
+  match Intern.find_path profile.join with
   | None -> None
   | Some pid ->
     (match Grant_map.find_opt (pid, s) t.grants with

@@ -15,72 +15,23 @@
 
 open Relalg
 
-(** Hash-consed canonical keys for join paths, attribute sets and whole
-    rules. Structural values (balanced-tree sets) are mapped to small
-    int ids via their canonical forms, so the chase closure and
-    {!can_view} replace [compare] walks with hash lookups and int
-    tests. Ids are process-global: every policy shares one interner,
-    and an id, once minted, is stable for the program's lifetime. *)
-module Index : sig
-  (** [path_id p] interns the canonical form of [p]
-      ({!Joinpath.Cond.pairs} of its sorted conditions). Equal paths
-      get equal ids. *)
-  val path_id : Joinpath.t -> int
-
-  (** Like {!path_id} but never allocates a fresh id: [None] means no
-      rule anywhere has used this path, so no closed policy can admit
-      it. *)
-  val find_path : Joinpath.t -> int option
-
-  (** Interned sorted-element form of an attribute set. *)
-  val attrs_id : Attribute.Set.t -> int
-
-  (** Interned canonical ({!Joinpath.Cond.pairs}) form of a single join
-      condition — the chase keys its path-union memo on it. *)
-  val cond_id : Joinpath.Cond.t -> int
-
-  (** Interned [(server, attrs_id, path_id)] triple — the identity of a
-      rule. [rule_id a = rule_id b] iff [Authorization.equal a b]. *)
-  val rule_id : Authorization.t -> int
-
-  (** [rule_id] from already-interned parts, skipping the structural
-      walks. *)
-  val rule_id_of : Server.t -> attrs_id:int -> path_id:int -> int
-
-  (** Interned [(attrs_id pi, path_id join, attrs_id sigma)] triple —
-      the identity of a relation profile.
-      [profile_id a = profile_id b] iff [Profile.equal a b]. The
-      knowledge-saturation pass keys its fixpoint on it. *)
-  val profile_id : Profile.t -> int
-
-  (** [profile_id] from already-interned parts, skipping the structural
-      walks. *)
-  val profile_id_of : pi_id:int -> path_id:int -> sigma_id:int -> int
-end
-
 type t
-
-(** A rule together with its interned identities, as stored in the
-    per-(attribute, server) buckets. The chase reads a merge partner's
-    ids straight out of the bucket instead of re-walking its sets. *)
-type entry = private {
-  rule : Authorization.t;
-  rule_id : int;
-  attrs_id : int;
-  path_id : int;
-}
 
 val empty : t
 
-(** [mem a t] — O(log n) over int ids, no structural comparison. *)
+(** [mem a t] — O(log n) over int ids ([a.id]), no structural
+    comparison. *)
 val mem : Authorization.t -> t -> bool
 
-(** [mem_id id t] — membership by {!Index.rule_id}. *)
+(** [mem_id id t] — membership by {!Authorization.t}'s [id]. *)
 val mem_id : int -> t -> bool
 
+(** [add a t] — [t] with rule [a] (no-op when present). Moves the
+    {!epoch} in O(1). *)
 val add : Authorization.t -> t -> t
 
-(** [remove a t] — [t] without rule [a] (no-op when absent). *)
+(** [remove a t] — [t] without rule [a] (no-op when absent). Moves the
+    {!epoch} in O(1). *)
 val remove : Authorization.t -> t -> t
 val of_list : Authorization.t list -> t
 val union : t -> t -> t
@@ -96,6 +47,15 @@ val denials : t -> Authorization.t list
 val add_denial : Authorization.t -> t -> t
 val remove_denial : Authorization.t -> t -> t
 
+(** The fingerprint of the policy's grants, 32 hex digits: the sum,
+    mod 2{^128}, of the MD5 digests of its rules' canonical texts. Kept
+    in the policy and moved in O(1) by {!add} and {!remove}; each
+    rule's digest is taken once per process. Deterministic across
+    processes, independent of insertion order, and moved by any change
+    to the rules. Denials and the open mode do not enter it: only a
+    closed policy's certificates are pinned to an epoch. *)
+val epoch : t -> string
+
 (** All authorizations, sorted. *)
 val authorizations : t -> Authorization.t list
 
@@ -104,15 +64,15 @@ val authorizations : t -> Authorization.t list
 val view : t -> Server.t -> Authorization.t list
 
 (** [covering_entries t s side] — the rules of [view t s] whose
-    attribute set contains every attribute of [side], each with its
-    interned ids, found through the per-attribute bucket of the first
-    element of [side]. This is the chase's merge-partner lookup: only
-    rules that can possibly cover one side of a join condition are
-    inspected.
+    attribute set contains every attribute of [side], found through the
+    per-attribute bucket of the first element of [side]. This is the
+    chase's merge-partner lookup: only rules that can possibly cover
+    one side of a join condition are inspected.
 
     @raise Invalid_argument on an empty [side]. *)
-val covering_entries : t -> Server.t -> Attribute.t list -> entry list
+val covering_entries : t -> Server.t -> Attribute.t list -> Authorization.t list
 
+(** The number of rules, in O(1). *)
 val cardinality : t -> int
 val servers : t -> Server.Set.t
 

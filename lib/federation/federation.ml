@@ -451,7 +451,7 @@ let revoke t auth =
     invalid_arg "Federation.revoke: open-mode (DENY) policies have no epochs";
   t.service_epoch <- t.service_epoch + 1;
   if Authz.Policy.mem auth (base_policy t) then begin
-    let dead = Authz.Policy.Index.rule_id auth in
+    let dead = auth.Authz.Authorization.id in
     (match t.chase with
      | Some h ->
        let h = Authz.Chase.revoke auth h in

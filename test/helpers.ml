@@ -51,6 +51,29 @@ let check_ok pp = function
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* The state a policy change maintains in place, against rebuilding
+   it: the handle's base epoch against the epoch of the same rules
+   added in reverse order, and every closure rule's interned ids
+   against the ids re-interning its parts gives. [None] when both
+   hold. *)
+let maintained_state_error h =
+  let module A = Authz.Authorization in
+  let module P = Authz.Policy in
+  let base = Authz.Chase.policy h in
+  let rebuilt = P.of_list (List.rev (P.authorizations base)) in
+  let stale (a : A.t) =
+    let b = A.make_exn ~attrs:a.attrs ~path:a.path a.server in
+    a.id <> b.id || a.attrs_id <> b.attrs_id || a.path_id <> b.path_id
+  in
+  if not (String.equal (P.epoch base) (P.epoch rebuilt)) then
+    Some
+      (Fmt.str "base epoch %s, rebuilt in reverse order %s" (P.epoch base)
+         (P.epoch rebuilt))
+  else
+    Option.map
+      (Fmt.str "closure rule %a carries stale ids" A.pp)
+      (List.find_opt stale (P.authorizations (Authz.Chase.closure h)))
+
 (* [contains ~sub s] — naive substring search, for output assertions. *)
 let contains ~sub s =
   let n = String.length sub and m = String.length s in

@@ -523,7 +523,7 @@ module P = Authz.Policy
    witness up in it, then prunes it by one backward sweep to the rules
    the witnesses transitively cite, renumbered in universe order. *)
 let reference_emit ~third_party ~base ~trace ~closure catalog plan assignment =
-  let rid = P.Index.rule_id in
+  let rid (a : Authz.Authorization.t) = a.id in
   let index = Hashtbl.create 64 and universe = ref [] in
   let push auth just =
     Hashtbl.add index (rid auth) (Hashtbl.length index);
@@ -776,6 +776,9 @@ let prop_emission_under_churn =
             | [] -> (h, scratch)
             | present -> (Ch.revoke (nth present) h, scratch)
         in
+        Option.iter
+          (QCheck.Test.fail_reportf "seed %d: %s" seed)
+          (Helpers.maintained_state_error h);
         emit_all ~revoked:(not grant) h ~scratch;
         (h, scratch)
       in

@@ -232,6 +232,9 @@ let prop_revoke_churn =
         let scratch = Chase.close ~joins (Chase.policy h) in
         if not (sem_equal closure scratch) then
           QCheck.Test.fail_reportf "seed %d: closure drifted from scratch" seed;
+        Option.iter
+          (QCheck.Test.fail_reportf "seed %d: %s" seed)
+          (Helpers.maintained_state_error h);
         (match revoked with
          | Some s ->
            let on_s p = Policy.of_list (Policy.view p s) in

@@ -136,6 +136,91 @@ let prop_monotone_attrs =
       (not (Policy.can_view M.policy full M.s_h))
       || Policy.can_view M.policy smaller M.s_h)
 
+(* The epoch moves on every change and comes back when the change is
+   undone: a grant then its revoke, a revoke then its re-grant. *)
+let test_epoch_moves_and_restores () =
+  let epoch = Policy.epoch in
+  let moved what a b = check Alcotest.bool what true (epoch a <> epoch b) in
+  let same what a b = check Alcotest.string what (epoch a) (epoch b) in
+  let extra =
+    Authorization.make_exn ~attrs:(aset [ "Treatment" ]) ~path:Joinpath.empty
+      M.s_i
+  in
+  let granted = Policy.add extra M.policy in
+  moved "a grant moves it" M.policy granted;
+  same "its revoke restores it" M.policy (Policy.remove extra granted);
+  let base = List.nth M.authorizations 4 in
+  let revoked = Policy.remove base M.policy in
+  moved "a revoke moves it" M.policy revoked;
+  same "the re-grant restores it" M.policy (Policy.add base revoked);
+  same "a present rule's grant leaves it" M.policy (Policy.add base M.policy);
+  same "insertion order leaves it" M.policy
+    (Policy.of_list (List.rev M.authorizations))
+
+(* Rules over R(A, B) and S(A, C) on two servers, so that equal rules
+   recur; half the pairs respell the first rule (its attributes added in
+   the other order, its conditions flipped) instead of drawing a second
+   one. *)
+let arb_rule_pair =
+  let r = Attribute.make ~relation:"R" and s = Attribute.make ~relation:"S" in
+  let universe = [ r "A"; r "B"; s "A"; s "C" ] in
+  let conds = [ (r "A", s "A"); (r "B", s "C") ] in
+  let bit mask i = mask land (1 lsl i) <> 0 in
+  let rule (server, conds_mask, flips, attrs_mask, reversed) =
+    let path =
+      Joinpath.of_list
+        (List.concat
+           (List.mapi
+              (fun i (x, y) ->
+                if not (bit conds_mask i) then []
+                else if bit flips i then [ Joinpath.Cond.eq y x ]
+                else [ Joinpath.Cond.eq x y ])
+              conds))
+    in
+    let picked = List.filteri (fun i _ -> bit attrs_mask i) universe in
+    let picked =
+      if not (Joinpath.is_empty path) then picked
+      else
+        let rel = Attribute.relation (List.hd picked) in
+        List.filter (fun a -> Attribute.relation a = rel) picked
+    in
+    let attrs =
+      List.fold_left
+        (fun acc a -> Attribute.Set.add a acc)
+        Attribute.Set.empty
+        (if reversed then List.rev picked else picked)
+    in
+    Authorization.make_exn ~attrs ~path (Server.make server)
+  in
+  let open QCheck.Gen in
+  let params =
+    map
+      (fun ((server, conds_mask, flips), (attrs_mask, reversed)) ->
+        (server, conds_mask, flips, attrs_mask, reversed))
+      (pair
+         (triple (oneofl [ "S1"; "S2" ]) (int_bound 3) (int_bound 3))
+         (pair (int_range 1 15) bool))
+  in
+  let respelled (server, conds_mask, _, attrs_mask, _) =
+    map
+      (fun (flips, reversed) ->
+        (server, conds_mask, flips, attrs_mask, reversed))
+      (pair (int_bound 3) bool)
+  in
+  QCheck.make
+    ~print:(fun (a, b) ->
+      Authorization.to_string a ^ " / " ^ Authorization.to_string b)
+    (let* p = params in
+     let* q = oneof [ params; respelled p ] in
+     return (rule p, rule q))
+
+let prop_rule_id_is_identity =
+  QCheck.Test.make ~name:"rule ids agree with Authorization.equal" ~count:500
+    arb_rule_pair (fun ((a : Authorization.t), (b : Authorization.t)) ->
+      Bool.equal (a.id = b.id) (Authorization.equal a b)
+      && Bool.equal (a.attrs_id = b.attrs_id) (Attribute.Set.equal a.attrs b.attrs)
+      && Bool.equal (a.path_id = b.path_id) (Joinpath.equal a.path b.path))
+
 let suite =
   [
     c "view partitions by server" `Quick test_view_per_server;
@@ -153,5 +238,7 @@ let suite =
     c "authorizing_rule cites the grant" `Quick test_authorizing_rule;
     c "add / union" `Quick test_add_union;
     c "servers" `Quick test_servers;
+    c "the epoch moves and restores" `Quick test_epoch_moves_and_restores;
     Helpers.qcheck prop_monotone_attrs;
+    Helpers.qcheck prop_rule_id_is_identity;
   ]

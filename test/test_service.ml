@@ -152,7 +152,7 @@ let test_revoke_invalidates_exactly () =
   let dead =
     match
       List.find_opt
-        (fun a -> List.mem (Authz.Policy.Index.rule_id a) cited)
+        (fun (a : Authz.Authorization.t) -> List.mem a.id cited)
         M.authorizations
     with
     | Some a -> a
