@@ -548,8 +548,8 @@ let run_cmd =
      | _ -> ());
     let executor =
       match exec_choice with
-      | `Naive -> (module Relalg.Exec.Reference : Relalg.Exec.S)
-      | `Batch -> (module Relalg.Batch.Exec : Relalg.Exec.S)
+      | `Naive -> None
+      | `Batch -> Some (module Relalg.Batch.Exec : Relalg.Exec.S)
     in
     let fault = fault_of crashes drop corrupt fault_seed retries in
     (* The supervisor replans every failover itself, with the default
@@ -577,7 +577,7 @@ let run_cmd =
     let outcome =
       Distsim.Recover.execute
         ~helpers:(if third_party then fed.helpers else [])
-        ~executor ?bloom ?closed:handle ?deadline
+        ?executor ?bloom ?closed:handle ?deadline
         ~seed:(assignment, certificate, rescues)
         fed.catalog (base_policy fed handle) ~instances:fed.instances ~fault
         plan

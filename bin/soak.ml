@@ -3,7 +3,8 @@
    Clean slice (--cases, default 2000): greedy-infeasible implies
    exhaustively infeasible (completeness on small plans), planner
    output passes the independent safety checker, distributed execution
-   equals centralized evaluation, and the runtime audit is clean.
+   equals centralized evaluation, and the runtime audit is clean. Every
+   other seed's data holds NULLs, here and in the executor slice.
 
    Executor slice (--exec-cases, default 500): the physical-executor
    differential — each safely planned case re-runs under the columnar
@@ -11,7 +12,9 @@
    every variant must equal the centralized reference, audit clean,
    and exchange exactly as many messages as the reference run. Every
    run and the centralized reference must also equal the tree-set
-   twin (Oracle.Tree_relation) evaluating the same plan.
+   twin (Oracle.Tree_relation) evaluating the same plan, and every run
+   of the compiled engine must equal the tree-walking interpreter's
+   (Oracle.Interpreter) message for message.
 
    Fault slice (--fault-cases, default 1000): the same differential
    under seeded fault injection — crash windows, lossy and corrupting
@@ -78,6 +81,11 @@ let topology ~extra_edges seed =
   | 1 -> System_gen.Star
   | _ -> System_gen.Random { extra_edges }
 
+(* Every other seed's data holds NULLs, NULL join keys included, which
+   match each other. Both slices draw their data last, so the share
+   moves no count. *)
+let null_share seed = if seed mod 2 = 0 then 0.15 else 0.0
+
 (* ------------------------------------------------------------------ *)
 (* Clean slice.                                                        *)
 
@@ -109,7 +117,9 @@ let clean_slice () =
          (match Planner.Safety.check sys.catalog policy plan assignment with
           | Ok _ -> ()
           | Error _ -> Harness.fail "UNSAFE plan at seed %d" seed);
-         let instances = Data_gen.instances rng ~rows:12 sys in
+         let instances =
+           Data_gen.instances rng ~rows:12 ~null_share:(null_share seed) sys
+         in
          (match Distsim.Engine.execute sys.catalog ~instances plan assignment with
           | Error e ->
             Harness.fail "ENGINE error at seed %d: %a" seed
@@ -163,7 +173,9 @@ let exec_slice () =
       | Error _ -> ()
       | Ok { assignment; _ } ->
         incr total;
-        let instances = Data_gen.instances rng ~rows:12 sys in
+        let instances =
+          Data_gen.instances rng ~rows:12 ~null_share:(null_share seed) sys
+        in
         let reference = Distsim.Engine.centralized ~instances plan in
         let twin = twin_eval ~instances plan in
         (* The cardinality catches duplicate rows, which the tree set
@@ -184,7 +196,21 @@ let exec_slice () =
           ]
         in
         let baseline_messages = ref None in
-        (match Distsim.Engine.execute sys.catalog ~instances plan assignment with
+        (* Every run, the compiled engine's, against the tree-walking
+           interpreter's: result, message log, node rows and steps. *)
+        let execute ?executor ?bloom what =
+          let compiled =
+            Distsim.Engine.execute ?executor ?bloom sys.catalog ~instances plan
+              assignment
+          in
+          Harness.check
+            (Oracle.Interpreter.equal_result compiled
+               (Oracle.Interpreter.execute ?executor ?bloom sys.catalog
+                  ~instances plan assignment))
+            "EXEC %s differs from the interpreter at seed %d" what seed;
+          compiled
+        in
+        (match execute "baseline" with
          | Error e ->
            Harness.fail "EXEC baseline error at seed %d: %a" seed
              Distsim.Engine.pp_error e
@@ -193,10 +219,7 @@ let exec_slice () =
            baseline_messages := Some (Distsim.Network.message_count network));
         List.iter
           (fun (what, executor, bloom) ->
-            match
-              Distsim.Engine.execute ?executor ?bloom sys.catalog ~instances
-                plan assignment
-            with
+            match execute ?executor ?bloom what with
             | Error e ->
               Harness.fail "EXEC %s error at seed %d: %a" what seed
                 Distsim.Engine.pp_error e

@@ -375,7 +375,11 @@ let emit_plan ?(third_party = false) ?closed catalog policy plan assignment =
       let rec evidence acc = function
         | [] -> Ok (List.rev acc)
         | (f : Safety.flow) :: rest -> (
-          match Policy.authorizing_rule closure f.profile f.receiver with
+          match
+            Option.bind (Intern.find_path f.profile.join) (fun path_id ->
+                Policy.authorizing_rule closure ~path_id f.receiver
+                  (Profile.visible f.profile))
+          with
           | None ->
             Error
               (Fmt.str "no witnessing rule for the flow at n%d to %a" f.at

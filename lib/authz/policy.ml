@@ -240,50 +240,31 @@ let denied t (profile : Profile.t) s =
       && Joinpath.subset d.path profile.join)
     t.negative
 
+(* The rules granted to [s] under the join path [path_id]: the one
+   bucket whose rules can possibly authorize a flow on that path. *)
+let granted t ~path_id s =
+  Option.value ~default:[] (Grant_map.find_opt (path_id, s) t.grants)
+
+let covers visible (r : Authorization.t) = Attribute.Set.subset visible r.attrs
+
+let authorizing_rule t ~path_id s visible =
+  if t.open_mode then None
+  else List.find_opt (covers visible) (granted t ~path_id s)
+
 let can_view t (profile : Profile.t) s =
   if t.open_mode then not (denied t profile s)
   else
     match Intern.find_path profile.join with
     | None -> false
-    | Some pid ->
-      (match Grant_map.find_opt (pid, s) t.grants with
-       | None -> false
-       | Some grants ->
-         let visible = Profile.visible profile in
-         List.exists
-           (fun (r : Authorization.t) ->
-             Attribute.Set.subset visible r.attrs)
-           grants)
+    | Some path_id ->
+      List.exists (covers (Profile.visible profile)) (granted t ~path_id s)
 
 (* [can_view] for callers (the chase) that already hold the interned
    path id and the visible set of a selection-free profile. Closed
    policies only: open-mode admission depends on the concrete join
    path, which this entry point does not see. *)
 let admits t s ~path_id visible =
-  match Grant_map.find_opt (path_id, s) t.grants with
-  | None -> false
-  | Some grants ->
-    List.exists
-      (fun (r : Authorization.t) -> Attribute.Set.subset visible r.attrs)
-      grants
-
-(* Shares the grants index with [can_view]: path-id equality prunes to
-   the one bucket whose rules can possibly authorize the flow, instead
-   of scanning every rule granted to the receiving server. *)
-let authorizing_rule_indexed t (profile : Profile.t) s =
-  match Intern.find_path profile.join with
-  | None -> None
-  | Some pid ->
-    (match Grant_map.find_opt (pid, s) t.grants with
-     | None -> None
-     | Some grants ->
-       let visible = Profile.visible profile in
-       List.find_opt
-         (fun (r : Authorization.t) -> Attribute.Set.subset visible r.attrs)
-         grants)
-
-let authorizing_rule t (profile : Profile.t) s =
-  if t.open_mode then None else authorizing_rule_indexed t profile s
+  List.exists (covers visible) (granted t ~path_id s)
 
 let equal a b =
   Bool.equal a.open_mode b.open_mode

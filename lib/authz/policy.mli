@@ -93,9 +93,16 @@ val can_view : t -> Profile.t -> Server.t -> bool
     join path; callers holding an open policy must use {!can_view}. *)
 val admits : t -> Server.t -> path_id:int -> Attribute.Set.t -> bool
 
-(** The authorization justifying the release, if any — used by audit
-    trails to cite the admitting rule. *)
-val authorizing_rule : t -> Profile.t -> Server.t -> Authorization.t option
+(** [authorizing_rule t ~path_id s visible] — the rule granted to [s]
+    whose join path has the interned id [path_id]
+    ({!Intern.path_id}) and whose attributes contain [visible] (a
+    profile's {!Profile.visible} set), if any: the rule that justifies
+    the release under Definition 3.3, which the runtime audit cites and
+    the certificate emitter takes as a flow's witness. One index
+    lookup, no structural walk of the path. [None] under an open-mode
+    policy, which has no positive rule to cite. *)
+val authorizing_rule :
+  t -> path_id:int -> Server.t -> Attribute.Set.t -> Authorization.t option
 
 val equal : t -> t -> bool
 

@@ -36,21 +36,27 @@ let entry ~request admitted_by (m : Network.message) =
     bytes = Network.wire_bytes m;
   }
 
-(* One policy probe per flow. Under a closed policy the rule that
-   admits the flow is the verdict: [Some] admits and is cited, [None]
-   is a violation. An open policy has no positive rule to cite; it
-   admits whatever no denial matches. *)
+(* One policy probe per flow, keyed by the path id the message
+   carries. Under a closed policy the rule that admits the flow is the
+   verdict: [Some] admits and is cited, [None] is a violation. An open
+   policy has no positive rule to cite; it admits whatever no denial
+   matches. The header check is a pointer comparison when the engine
+   gave the transmitted header the profile's own [pi] set, and a set
+   comparison otherwise. *)
 let check_message ~request policy (m : Network.message) =
   let header = Relation.attribute_set m.data in
   let claimed = m.profile.Profile.pi in
-  if not (Attribute.Set.equal header claimed) then
+  if not (header == claimed || Attribute.Set.equal header claimed) then
     Error { message = m; reason = Header_mismatch { header; claimed } }
   else if Policy.is_open policy then
     if Policy.can_view policy m.profile m.receiver then
       Ok (entry ~request None m)
     else Error { message = m; reason = Unauthorized }
   else
-    match Policy.authorizing_rule policy m.profile m.receiver with
+    match
+      Policy.authorizing_rule policy ~path_id:m.path_id m.receiver
+        (Profile.visible m.profile)
+    with
     | Some _ as rule -> Ok (entry ~request rule m)
     | None -> Error { message = m; reason = Unauthorized }
 

@@ -7,8 +7,9 @@
     [pi] component).
 
     The audit is the last line of defence: the planner proves safety at
-    planning time, the engine recomputes profiles at run time, and the
-    audit cross-checks the two. A tampered assignment that somehow
+    planning time, the engine derives each transmission's profile from
+    the operations it performs (once, when it compiles the plan), and
+    the audit cross-checks the two. A tampered assignment that somehow
     reached execution is caught here. *)
 
 open Relalg
@@ -51,8 +52,10 @@ type entry = {
 (** [run ?request policy network] checks every message, delivered or
     not, and returns one entry per message in send order, each stamped
     with [request] (default [0]), or every violation. A closed policy
-    costs one {!Authz.Policy.authorizing_rule} probe per message; only
-    an open-mode policy asks {!Authz.Policy.can_view}. *)
+    costs one {!Authz.Policy.authorizing_rule} probe per message, keyed
+    by the message's {!Network.message.path_id} rather than by
+    re-interning its join path; only an open-mode policy asks
+    {!Authz.Policy.can_view}. *)
 val run :
   ?request:int -> Policy.t -> Network.t -> (entry list, violation list) result
 

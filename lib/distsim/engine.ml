@@ -16,6 +16,8 @@ type outcome = {
 type error =
   | Structure of Planner.Safety.error
   | Missing_instance of string
+  | Stale_instance of string
+  | Uncertified_flow of { node : int; sender : Server.t; receiver : Server.t }
   | Server_down of { server : Server.t; node : int; permanent : bool }
   | Transfer_failed of {
       sender : Server.t;
@@ -28,6 +30,12 @@ type error =
 let pp_error ppf = function
   | Structure e -> Planner.Safety.pp_error ppf e
   | Missing_instance r -> Fmt.pf ppf "no instance for base relation %S" r
+  | Stale_instance r ->
+    Fmt.pf ppf "the instance of %S no longer has the header it was compiled for"
+      r
+  | Uncertified_flow { node; sender; receiver } ->
+    Fmt.pf ppf "the transmission %a -> %a at n%d matches no certified flow"
+      Server.pp sender Server.pp receiver node
   | Server_down { server; node; permanent } ->
     Fmt.pf ppf "server %a is down at n%d (%s)" Server.pp server node
       (if permanent then "permanent crash" else "retries exhausted")
@@ -41,150 +49,261 @@ let pp_error ppf = function
 exception Fail of error
 
 module Assignment = Planner.Assignment
+module Header = Relation.Header
 
-(* One evaluated sub-plan: its value, the server holding it, and its
-   profile (recomputed here from the operations performed, not taken
-   from the planner). *)
-type piece = {
-  value : Relation.t;
-  at : Server.t;
+(* One boundary crossing, fixed when the plan is compiled: everything
+   but the data it carries. *)
+type transmission = {
+  node : int;
+  sender : Server.t;
+  receiver : Server.t;
+  purpose : Network.purpose;
+  note : string;
   profile : Profile.t;
+  path_id : int;  (** [Intern.path_id profile.join] *)
 }
 
-(* [key_of rel attrs row] lists [row]'s values of [attrs], for a row of
-   [rel]: the positional key a Bloom filter takes. *)
-let key_of rel attrs =
-  let header = Array.of_list (Relation.header rel) in
-  let position a =
-    let rec from i = if Attribute.equal header.(i) a then i else from (i + 1) in
-    from 0
-  in
-  let pos = List.map position attrs in
-  fun row -> List.map (fun p -> row.(p)) pos
+(* The state of one run. *)
+type ctx = {
+  fault : Fault.t;
+  network : Network.t;
+  start : int;  (** the injector's steps when the run began *)
+  deadline : int option;
+  observe : (int -> Relation.t -> unit) option;
+  mutable rows : (int * int) list;
+}
 
-let execute ?(third_party = false)
-    ?(executor = (module Exec.Reference : Exec.S)) ?bloom ?fault ?network
-    ?deadline ?observe catalog ~instances plan assignment =
-  let module E = (val executor : Exec.S) in
+type program = {
+  root : ctx -> Relation.t;
+  location : Server.t;
+}
+
+(* ------------------------------------------------------------------ *)
+(* Run-time steps: the fault injector's charge-check-act discipline.   *)
+
+(* The query's time budget, charged against the injector's step counter
+   from the moment the run began: one compute, one transmission attempt
+   or one backoff wait each cost one step, so retries and backoff
+   chains eat the budget. Every step follows one rule, charge, check,
+   act: the injector advances, the deadline is checked, and only then
+   does the compute run or the message leave. *)
+let spent ctx = Fault.steps ctx.fault - ctx.start
+
+let check_deadline ctx node =
+  match ctx.deadline with
+  | None -> ()
+  | Some budget ->
+    let s = spent ctx in
+    if s > budget then
+      raise (Fail (Deadline_exceeded { node; spent = s; budget }))
+
+(* A compute step at [server]: wait out a transient outage (bounded
+   retries with deterministic backoff); permanent crashes and exhausted
+   retries abort the execution with a typed error the supervisor turns
+   into a failover. *)
+let ensure_up ctx server node =
+  let f = ctx.fault in
+  match Fault.compute f ~server ~node with
+  | Fault.Up -> check_deadline ctx node
+  | Fault.Permanent ->
+    raise (Fail (Server_down { server; node; permanent = true }))
+  | Fault.Transient ->
+    check_deadline ctx node;
+    let max_retries = (Fault.plan_of f).Fault.max_retries in
+    let rec retry attempt =
+      if attempt > max_retries then
+        raise (Fail (Server_down { server; node; permanent = false }))
+      else begin
+        ignore (Fault.wait f ~attempt);
+        check_deadline ctx node;
+        match Fault.status f server with
+        | Fault.Up -> ()
+        | Fault.Permanent ->
+          raise (Fail (Server_down { server; node; permanent = true }))
+        | Fault.Transient -> retry (attempt + 1)
+      end
+    in
+    retry 1
+
+let alive ctx ~node who =
+  match Fault.status ctx.fault who with
+  | Fault.Permanent ->
+    raise (Fail (Server_down { server = who; node; permanent = true }))
+  | (Fault.Up | Fault.Transient) as s -> s
+
+(* Every boundary crossing goes through here, as attempt [k] of its
+   transfer. Each attempt is logged with its fate — an emission is an
+   emission, delivered or not, so the audit sees dropped and corrupted
+   attempts too — and retries re-emit the same data under the same
+   profile after a deterministic backoff. *)
+let rec xmit ctx ?(payload = Network.Rows) ?(k = 1) tx data =
+  let node = tx.node and sender = tx.sender and receiver = tx.receiver in
+  let sender_status = alive ctx ~node sender in
+  let receiver_status = alive ctx ~node receiver in
+  let verdict =
+    if sender_status = Fault.Transient then
+      (* Nothing leaves a downed sender: no emission to log. *)
+      `Mute
+    else if receiver_status = Fault.Transient then `Lost
+    else
+      let v = Fault.transmission ctx.fault ~sender ~receiver ~attempt:k in
+      check_deadline ctx node;
+      match v with
+      | Fault.Deliver -> `Deliver
+      | Fault.Drop -> `Lost
+      | Fault.Corrupt -> `Corrupt
+  in
+  let send ?delivery () =
+    Network.send ctx.network ~attempt:k ?delivery ~payload ~path_id:tx.path_id
+      ~sender ~receiver ~profile:tx.profile ~purpose:tx.purpose ~note:tx.note
+      data
+  in
+  match verdict with
+  | `Deliver -> send ()
+  | (`Mute | `Lost | `Corrupt) as v ->
+    (if v <> `Mute then
+       let delivery =
+         if v = `Corrupt then Network.Corrupted else Network.Dropped
+       in
+       ignore (send ~delivery ()));
+    if k >= 1 + (Fault.plan_of ctx.fault).Fault.max_retries then
+      raise (Fail (Transfer_failed { sender; receiver; node; attempts = k }))
+    else begin
+      ignore (Fault.wait ctx.fault ~attempt:k);
+      check_deadline ctx node;
+      xmit ctx ~payload ~k:(k + 1) tx data
+    end
+
+(* A node's step, bracketed by its bookkeeping: its cardinality for
+   [node_rows], the [observe] hook, a debug line. *)
+let finished id at step ctx =
+  let value = step ctx in
+  let rows = Relation.cardinality value in
+  ctx.rows <- (id, rows) :: ctx.rows;
+  (match ctx.observe with Some f -> f id value | None -> ());
+  Log.debug (fun m -> m "n%d done at %a: %d tuples" id Server.pp at rows);
+  value
+
+(* ------------------------------------------------------------------ *)
+(* Compilation.                                                        *)
+
+(* A compiled sub-plan: where its result lives, its Figure-4 profile
+   and output header (both for compiling its parent), and its step.
+   Steps capture only what they run on, never a [code]. *)
+type code = {
+  at : Server.t;
+  profile : Profile.t;
+  header : Header.t;
+  step : ctx -> Relation.t;
+}
+
+(* The key a Bloom filter takes: the values at [pos], in order. *)
+let key_at pos row = List.map (fun p -> row.(p)) pos
+
+let compile ?(third_party = false) ?executor ?bloom ?certificate catalog
+    ~instances plan assignment =
   (match bloom with
-  | Some b when b < 1 ->
-    invalid_arg "Engine.execute: bloom bits per key must be >= 1"
-  | _ -> ());
-  let network =
-    match network with Some n -> n | None -> Network.create ()
+   | Some b when b < 1 ->
+     invalid_arg "Engine.compile: bloom bits per key must be >= 1"
+   | _ -> ());
+  (* Every operator is planned against its operands' headers here, once,
+     whatever the executor: that fixes the output headers and checks
+     the operands. Without an executor the planned positional
+     operators run; with one, its operators run, given the compiled
+     sets and conditions. *)
+  let op planned custom =
+    match executor with None -> planned | Some e -> custom e
   in
-  let f = match fault with Some f -> f | None -> Fault.start Fault.reliable in
-  let rows = ref [] in
-  (* The query's time budget, charged against the injector's step
-     counter from the moment [execute] is entered: one compute, one
-     transmission attempt or one backoff wait each cost one step, so
-     retries and backoff chains eat the budget. Every step follows one
-     rule, charge, check, act: the injector advances, the deadline is
-     checked, and only then does the compute run or the message leave. *)
-  let start_steps = Fault.steps f in
-  let spent () = Fault.steps f - start_steps in
-  let check_deadline node =
-    match deadline with
-    | None -> ()
-    | Some budget ->
-      let s = spent () in
-      if s > budget then
-        raise (Fail (Deadline_exceeded { node; spent = s; budget }))
+  let project attrs h =
+    let out, run = Relation.plan_project attrs h in
+    (out, op run (fun (module E : Exec.S) -> E.project attrs))
   in
+  let select pred h =
+    op (Relation.plan_select pred h) (fun (module E : Exec.S) -> E.select pred)
+  in
+  let equi_join cond lh rh =
+    let out, run = Relation.plan_equi_join cond lh rh in
+    (out, op run (fun (module E : Exec.S) -> E.equi_join cond))
+  in
+  let semi_join cond lh rh =
+    op (Relation.plan_semi_join cond lh rh) (fun (module E : Exec.S) ->
+        E.semi_join cond)
+  in
+  let natural_join lh rh =
+    let out, run = Relation.plan_natural_join lh rh in
+    (out, op run (fun (module E : Exec.S) -> E.natural_join))
+  in
+  (* The certified flows no transmission has matched yet. Each
+     transmission must take one: same node, sender, receiver and
+     profile, counted as a multiset. It then carries the certificate's
+     own profile value. *)
+  let unmatched =
+    ref
+      (Option.map
+         (fun (c : Analysis.Certificate.plan_cert) -> c.flows)
+         certificate)
+  in
+  let certified ~node ~sender ~receiver profile =
+    match !unmatched with
+    | None -> profile
+    | Some flows -> (
+      let fits (f : Analysis.Certificate.flow_evidence) =
+        f.at = node
+        && Server.equal f.sender sender
+        && Server.equal f.receiver receiver
+        && Profile.equal f.profile profile
+      in
+      match List.find_opt fits flows with
+      | None -> raise (Fail (Uncertified_flow { node; sender; receiver }))
+      | Some f ->
+        unmatched := Some (List.filter (fun g -> g != f) flows);
+        f.profile)
+  in
+  (* [header] is the header the transmitted data will carry: it takes
+     the profile's [pi] as its set, so the audit compares the two
+     physically. [exempt] skips the certificate (Bloom's reduced
+     operand, which is no [Safety] flow). *)
+  let transmission ?(exempt = false) ?header ~node ~sender ~receiver ~purpose
+      ~note profile =
+    let profile =
+      if exempt then profile else certified ~node ~sender ~receiver profile
+    in
+    Option.iter (fun h -> Header.share_set h profile.Profile.pi) header;
+    {
+      node;
+      sender;
+      receiver;
+      purpose;
+      note;
+      profile;
+      path_id = Intern.path_id profile.join;
+    }
+  in
+  let structure e = raise (Fail (Structure e)) in
   let exec_of (n : Plan.node) =
     match Assignment.find_opt assignment n.id with
     | Some e -> e
-    | None -> raise (Fail (Structure (Planner.Safety.Unassigned_node n.id)))
+    | None -> structure (Planner.Safety.Unassigned_node n.id)
   in
-  (* A compute step at [server]: wait out a transient outage (bounded
-     retries with deterministic backoff); permanent crashes and
-     exhausted retries abort the execution with a typed error the
-     supervisor turns into a failover. *)
-  let ensure_up server node =
-    match Fault.compute f ~server ~node with
-    | Fault.Up -> check_deadline node
-    | Fault.Permanent ->
-      raise (Fail (Server_down { server; node; permanent = true }))
-    | Fault.Transient ->
-      check_deadline node;
-      let max_retries = (Fault.plan_of f).Fault.max_retries in
-      let rec retry attempt =
-        if attempt > max_retries then
-          raise (Fail (Server_down { server; node; permanent = false }))
-        else begin
-          ignore (Fault.wait f ~attempt);
-          check_deadline node;
-          match Fault.status f server with
-          | Fault.Up -> ()
-          | Fault.Permanent ->
-            raise (Fail (Server_down { server; node; permanent = true }))
-          | Fault.Transient -> retry (attempt + 1)
-        end
-      in
-      retry 1
-  in
-  let max_attempts = 1 + (Fault.plan_of f).Fault.max_retries in
-  let alive ~node who =
-    match Fault.status f who with
-    | Fault.Permanent ->
-      raise (Fail (Server_down { server = who; node; permanent = true }))
-    | (Fault.Up | Fault.Transient) as s -> s
-  in
-  (* Every boundary crossing goes through here, as attempt [k] of its
-     transfer. Each attempt is logged with its fate — an emission is an
-     emission, delivered or not, so the audit sees dropped and corrupted
-     attempts too — and retries re-emit the same data under the same
-     profile after a deterministic backoff. *)
-  let rec xmit ?(payload = Network.Rows) ?(k = 1) ~node ~sender ~receiver
-      ~profile ~purpose ~note data =
-    let sender_status = alive ~node sender in
-    let receiver_status = alive ~node receiver in
-    let verdict =
-      if sender_status = Fault.Transient then
-        (* Nothing leaves a downed sender: no emission to log. *)
-        `Mute
-      else if receiver_status = Fault.Transient then `Lost
-      else
-        let v = Fault.transmission f ~sender ~receiver ~attempt:k in
-        check_deadline node;
-        match v with
-        | Fault.Deliver -> `Deliver
-        | Fault.Drop -> `Lost
-        | Fault.Corrupt -> `Corrupt
-    in
-    match verdict with
-    | `Deliver ->
-      Network.send network ~attempt:k ~payload ~sender ~receiver ~profile
-        ~purpose ~note data
-    | (`Mute | `Lost | `Corrupt) as v ->
-      (if v <> `Mute then
-         let delivery =
-           if v = `Corrupt then Network.Corrupted else Network.Dropped
-         in
-         ignore
-           (Network.send network ~attempt:k ~delivery ~payload ~sender
-              ~receiver ~profile ~purpose ~note data));
-      if k >= max_attempts then
-        raise (Fail (Transfer_failed { sender; receiver; node; attempts = k }))
-      else begin
-        ignore (Fault.wait f ~attempt:k);
-        check_deadline node;
-        xmit ~payload ~k:(k + 1) ~node ~sender ~receiver ~profile ~purpose
-          ~note data
-      end
-  in
-  let rec go (n : Plan.node) : piece =
-    let piece = go_op n in
-    rows := (n.id, Relation.cardinality piece.value) :: !rows;
-    (match observe with Some f -> f n.id piece.value | None -> ());
-    Log.debug (fun m ->
-        m "n%d done at %a: %d tuples" n.id Server.pp piece.at
-          (Relation.cardinality piece.value));
-    piece
-
-  and go_op (n : Plan.node) : piece =
+  let rec go (n : Plan.node) =
     let exec = exec_of n in
-    let master = exec.Assignment.master in
+    let master = exec.Assignment.master and id = n.id in
+    (* A unary operation runs at its operand's executor. *)
+    let unmoved (child : code) =
+      if not (Server.equal master child.at) then
+        structure
+          (Planner.Safety.Unary_moved
+             { node = id; expected = child.at; got = master })
+    in
+    let unary (child : code) profile (header, run) =
+      let child_step = child.step in
+      let step ctx =
+        let v = child_step ctx in
+        ensure_up ctx master id;
+        run v
+      in
+      { at = master; profile; header; step = finished id master step }
+    in
     match n.op with
     | Plan.Leaf schema ->
       let name = Schema.name schema in
@@ -194,290 +313,328 @@ let execute ?(third_party = false)
           | Ok s -> s
           | Error _ -> master
         in
-        raise
-          (Fail
-             (Structure
-                (Planner.Safety.Leaf_not_at_home
-                   { node = n.id; expected = home; got = master })))
+        structure
+          (Planner.Safety.Leaf_not_at_home
+             { node = id; expected = home; got = master })
       end;
-      ensure_up master n.id;
-      let value =
+      let header =
         match instances name with
-        | Some r -> r
+        | Some r -> Relation.header_value r
         | None -> raise (Fail (Missing_instance name))
       in
-      { value; at = master; profile = Profile.of_base schema }
+      (* The positions downstream were computed for this header: an
+         instance that has changed it since must not run. *)
+      let step ctx =
+        ensure_up ctx master id;
+        match instances name with
+        | None -> raise (Fail (Missing_instance name))
+        | Some r ->
+          if Header.equal (Relation.header_value r) header then r
+          else raise (Fail (Stale_instance name))
+      in
+      {
+        at = master;
+        profile = Profile.of_base schema;
+        header;
+        step = finished id master step;
+      }
     | Plan.Project (attrs, c) ->
       let child = go c in
-      if not (Server.equal master child.at) then
-        raise
-          (Fail
-             (Structure
-                (Planner.Safety.Unary_moved
-                   { node = n.id; expected = child.at; got = master })));
-      ensure_up master n.id;
-      {
-        value = E.project attrs child.value;
-        at = master;
-        profile = Profile.project attrs child.profile;
-      }
+      unmoved child;
+      unary child
+        (Profile.project attrs child.profile)
+        (project attrs child.header)
     | Plan.Select (pred, c) ->
       let child = go c in
-      if not (Server.equal master child.at) then
-        raise
-          (Fail
-             (Structure
-                (Planner.Safety.Unary_moved
-                   { node = n.id; expected = child.at; got = master })));
-      ensure_up master n.id;
-      {
-        value = E.select pred child.value;
-        at = master;
-        profile = Profile.select (Predicate.attributes pred) child.profile;
-      }
+      unmoved child;
+      unary child
+        (Profile.select (Predicate.attributes pred) child.profile)
+        (child.header, select pred child.header)
     | Plan.Join (cond, l, r) ->
-      let lp = go l and rp = go r in
-      ensure_up master n.id;
-      let cond = Planner.Safety.oriented_cond cond l in
-      let profile = Profile.join cond lp.profile rp.profile in
-      let join_here lpiece rpiece =
-        E.equi_join cond lpiece.value rpiece.value
+      let lc = go l in
+      let rc = go r in
+      join n exec lc rc cond
+
+  and join (n : Plan.node) exec (lc : code) (rc : code) cond =
+    let master = exec.Assignment.master and id = n.id in
+    (* Oriented so that its left attributes come from the left child,
+       whose output header holds exactly the left sub-plan's output. *)
+    let cond =
+      if List.for_all (Header.mem lc.header) (Joinpath.Cond.left cond) then
+        cond
+      else Joinpath.Cond.flip cond
+    in
+    let profile = Profile.join cond lc.profile rc.profile in
+    let transmission = transmission ~node:id in
+    let note fmt = Printf.sprintf fmt id in
+    (* The node's step: the left child, then the right, then the
+       master's compute step, then the protocol, given the master-side
+       operand first when [master_right]. *)
+    let node ?(master_right = false) (header, protocol) =
+      let l_step = lc.step and r_step = rc.step in
+      let step ctx =
+        let lv = l_step ctx in
+        let rv = r_step ctx in
+        ensure_up ctx master id;
+        if master_right then protocol ctx rv lv else protocol ctx lv rv
       in
-      if Server.equal lp.at rp.at && Server.equal master lp.at then
-        (* Fully local. *)
-        { value = join_here lp rp; at = master; profile }
-      else
-        (* [semi ~m ~o ~mj] runs the five-step protocol of Figure 5
-           with [m] the master-side piece (joining on its [mj]
-           attributes) and [o] the other (slave-side) piece. *)
-        let semi ~slave ~(m : piece) ~(o : piece) ~mj ~oj ~left_is_master =
-          (* Step 1: master projects its join attributes. *)
-          let mj_set = Attribute.Set.of_list mj in
-          let r_j = E.project mj_set m.value in
-          let p_j = Profile.project mj_set m.profile in
-          let p_jlr = Profile.join cond p_j o.profile in
-          match bloom with
-          | None ->
+      { at = master; profile; header; step = finished id master step }
+    in
+    (* The join of the master-side value [mv] with the other side's
+       [ov], over headers [mh] and [oh], in plan orientation. *)
+    let oriented_join ~master_right mh oh =
+      if master_right then
+        let out, run = equi_join cond oh mh in
+        (out, fun mv ov -> run ov mv)
+      else equi_join cond mh oh
+    in
+    (* [semi] runs the five-step protocol of Figure 5 with [m] the
+       master-side operand (joining on its [mj] attributes) and [o] the
+       other (slave-side) one. *)
+    let semi ~slave ~(m : code) ~(o : code) ~mj ~oj ~master_right =
+      (* Step 1: the master projects its join attributes. *)
+      let mj_set = Attribute.Set.of_list mj in
+      let hj, project_j = project mj_set m.header in
+      let p_j = Profile.project mj_set m.profile in
+      let p_jlr = Profile.join cond p_j o.profile in
+      match bloom with
+      | None ->
+        let tx_j =
+          transmission ~header:hj ~sender:master ~receiver:slave
+            ~purpose:(Network.Join_attributes { join = id })
+            ~note:(note "join attributes for n%d") p_j
+        in
+        let hjlr, join_back =
+          equi_join (Joinpath.Cond.make ~left:mj ~right:oj) hj o.header
+        in
+        let tx_back =
+          transmission ~header:hjlr ~sender:slave ~receiver:master
+            ~purpose:(Network.Semijoin_result { join = id })
+            ~note:(note "semi-join result for n%d") p_jlr
+        in
+        let header, complete = natural_join hjlr m.header in
+        ( header,
+          fun ctx mv ov ->
             (* Step 2: ship them to the slave. *)
-            let r_j =
-              xmit ~node:n.id ~sender:master ~receiver:slave ~profile:p_j
-                ~purpose:(Network.Join_attributes { join = n.id })
-                ~note:(Printf.sprintf "join attributes for n%d" n.id)
-                r_j
-            in
-            (* Step 3: slave joins them with its operand. *)
-            ensure_up slave n.id;
-            let sided_cond = Joinpath.Cond.make ~left:mj ~right:oj in
-            let r_jlr = E.equi_join sided_cond r_j o.value in
+            let r_j = xmit ctx tx_j (project_j mv) in
+            (* Step 3: the slave joins them with its operand. *)
+            ensure_up ctx slave id;
             (* Step 4: ship the reduced operand back to the master. *)
-            let r_jlr =
-              xmit ~node:n.id ~sender:slave ~receiver:master
-                ~profile:p_jlr
-                ~purpose:(Network.Semijoin_result { join = n.id })
-                ~note:(Printf.sprintf "semi-join result for n%d" n.id)
-                r_jlr
-            in
+            let r_jlr = xmit ctx tx_back (join_back r_j ov) in
             (* Step 5: the master completes with a natural join. *)
-            let value = E.natural_join r_jlr m.value in
-            (* Restore the canonical header/profile of the node. *)
-            { value; at = master; profile }
-          | Some bits_per_key ->
-            (* Bloom variant: steps 1-2 ship a filter summarising the
-               projected column instead of the column itself. The
-               message still records [r_j] as its data — that is the
-               information the filter discloses, so profile and audit
-               accounting are unchanged — but only the filter's bits
-               cross the wire ({!Network.wire_bytes}). *)
+            complete r_jlr mv )
+      | Some bits_per_key ->
+        (* Bloom variant: steps 1-2 ship a filter summarising the
+           projected column instead of the column itself. The message
+           still records the column as its data — that is the
+           information the filter discloses, so profile and audit
+           accounting are unchanged — but only the filter's bits cross
+           the wire ({!Network.wire_bytes}). *)
+        let tx_j =
+          transmission ~header:hj ~sender:master ~receiver:slave
+            ~purpose:(Network.Join_attributes { join = id })
+            ~note:(note "join-attribute Bloom filter for n%d") p_j
+        in
+        (* Step 4 ships the slave's operand alone, reduced — no copy of
+           [mj] rides along as in the exact path — so its profile keeps
+           the join/sigma information of [p_jlr] (the reduction does
+           disclose the join) over the slave's own attributes, exactly
+           like the coordinator protocol's reduced operand. That is no
+           {!Planner.Safety} flow: the certificate cannot cover it. *)
+        let tx_reduced =
+          transmission ~exempt:true ~sender:slave ~receiver:master
+            ~purpose:(Network.Semijoin_result { join = id })
+            ~note:(note "semi-join result for n%d")
+            (Profile.make ~pi:o.profile.Profile.pi ~join:p_jlr.Profile.join
+               ~sigma:p_jlr.Profile.sigma)
+        in
+        let m_key = List.map (Header.position hj) mj
+        and o_key = List.map (Header.position o.header) oj in
+        (* Step 5: the reduced operand carries only the slave's
+           attributes (no [mj] copy to merge on), so the master
+           completes with the sided equi-join. *)
+        let header, complete = oriented_join ~master_right m.header o.header in
+        ( header,
+          fun ctx mv ov ->
+            let r_j = project_j mv in
             let filter =
               Bloom.of_keys ~bits_per_key
-                (Array.to_list (Array.map (key_of r_j mj) (Relation.rows r_j)))
+                (Array.to_list (Array.map (key_at m_key) (Relation.rows r_j)))
             in
             ignore
-              (xmit ~node:n.id
+              (xmit ctx
                  ~payload:
                    (Network.Filter
                       { bits = Bloom.bits filter; hashes = Bloom.hashes filter })
-                 ~sender:master ~receiver:slave ~profile:p_j
-                 ~purpose:(Network.Join_attributes { join = n.id })
-                 ~note:(Printf.sprintf "join-attribute Bloom filter for n%d" n.id)
-                 r_j);
-            (* Step 3: slave keeps the rows whose keys may match. False
-               positives survive here — they inflate the ship-back, and
-               the step-5 join at the master discards them; the result
-               is exact either way. *)
-            ensure_up slave n.id;
+                 tx_j r_j);
+            (* Step 3: the slave keeps the rows whose keys may match.
+               False positives survive here — they inflate the
+               ship-back, and the step-5 join at the master discards
+               them; the result is exact either way. *)
+            ensure_up ctx slave id;
             let reduced =
-              let key = key_of o.value oj in
-              Relation.of_arrays (Relation.header o.value)
+              Relation.of_arrays (Relation.header ov)
                 (Array.of_seq
                    (Seq.filter
-                      (fun row -> Bloom.mem filter (key row))
-                      (Array.to_seq (Relation.rows o.value))))
+                      (fun row -> Bloom.mem filter (key_at o_key row))
+                      (Array.to_seq (Relation.rows ov))))
             in
-            (* Step 4: ship the reduced operand back. Its header is the
-               slave operand's alone — no copy of [mj] rides along as in
-               the exact path — so its profile keeps the join/sigma
-               information of [p_jlr] (the reduction does disclose the
-               join) over the slave's own attributes, exactly like the
-               coordinator protocol's reduced operand. *)
-            let p_red =
-              Profile.make ~pi:o.profile.Profile.pi
-                ~join:p_jlr.Profile.join ~sigma:p_jlr.Profile.sigma
-            in
-            let reduced =
-              xmit ~node:n.id ~sender:slave ~receiver:master ~profile:p_red
-                ~purpose:(Network.Semijoin_result { join = n.id })
-                ~note:(Printf.sprintf "semi-join result for n%d" n.id)
-                reduced
-            in
-            (* Step 5: the reduced operand carries only the slave's
-               attributes (no [mj] copy to merge on), so the master
-               completes with the sided equi-join. *)
-            let value =
-              if left_is_master then E.equi_join cond m.value reduced
-              else E.equi_join cond reduced m.value
-            in
-            { value; at = master; profile }
-        in
-        let regular ~(m : piece) ~(o : piece) ~left_is_master =
-          let shipped =
-            xmit ~node:n.id ~sender:o.at ~receiver:master
-              ~profile:o.profile
-              ~purpose:(Network.Full_operand { join = n.id })
-              ~note:(Printf.sprintf "full operand for n%d" n.id)
-              o.value
-          in
-          let value =
-            if left_is_master then E.equi_join cond m.value shipped
-            else E.equi_join cond shipped m.value
-          in
-          { value; at = master; profile }
-        in
-        (* Coordinator join (footnote 3): a third party matches the
-           join columns of both operands; the non-master operand is
-           reduced to the matching tuples and shipped to the master. *)
-        let coordinated ~t ~(m : piece) ~(o : piece) ~mj ~oj ~left_master =
-          let mj_set = Attribute.Set.of_list mj in
-          let oj_set = Attribute.Set.of_list oj in
-          let joined_info pi =
-            Profile.make ~pi
-              ~join:
-                (Joinpath.add cond
-                   (Joinpath.union m.profile.Profile.join
-                      o.profile.Profile.join))
-              ~sigma:
-                (Attribute.Set.union m.profile.Profile.sigma
-                   o.profile.Profile.sigma)
-          in
-          let m_keys =
-            xmit ~node:n.id ~sender:m.at ~receiver:t
-              ~profile:(Profile.project mj_set m.profile)
-              ~purpose:(Network.Join_attributes { join = n.id })
-              ~note:(Printf.sprintf "master join attributes for n%d" n.id)
-              (E.project mj_set m.value)
-          in
-          let o_keys =
-            xmit ~node:n.id ~sender:o.at ~receiver:t
-              ~profile:(Profile.project oj_set o.profile)
-              ~purpose:(Network.Join_attributes { join = n.id })
-              ~note:(Printf.sprintf "other join attributes for n%d" n.id)
-              (E.project oj_set o.value)
-          in
-          ensure_up t n.id;
-          let matched_at_t =
-            E.project oj_set
-              (E.equi_join (Joinpath.Cond.make ~left:mj ~right:oj) m_keys
-                 o_keys)
-          in
+            complete mv (xmit ctx tx_reduced reduced) )
+    in
+    let regular ~(m : code) ~(o : code) ~master_right =
+      let tx =
+        transmission ~header:o.header ~sender:o.at ~receiver:master
+          ~purpose:(Network.Full_operand { join = id })
+          ~note:(note "full operand for n%d") o.profile
+      in
+      let header, complete = oriented_join ~master_right m.header o.header in
+      (header, fun ctx mv ov -> complete mv (xmit ctx tx ov))
+    in
+    (* Coordinator join (footnote 3): a third party [t] matches the join
+       columns of both operands; the non-master operand is reduced to
+       the matching tuples and shipped to the master. *)
+    let coordinated ~t ~(m : code) ~(o : code) ~mj ~oj ~master_right =
+      let mj_set = Attribute.Set.of_list mj in
+      let oj_set = Attribute.Set.of_list oj in
+      let joined_info pi =
+        Profile.make ~pi
+          ~join:
+            (Joinpath.add cond
+               (Joinpath.union m.profile.Profile.join o.profile.Profile.join))
+          ~sigma:
+            (Attribute.Set.union m.profile.Profile.sigma
+               o.profile.Profile.sigma)
+      in
+      let hm, project_m = project mj_set m.header in
+      let ho, project_o = project oj_set o.header in
+      let tx_m =
+        transmission ~header:hm ~sender:m.at ~receiver:t
+          ~purpose:(Network.Join_attributes { join = id })
+          ~note:(note "master join attributes for n%d")
+          (Profile.project mj_set m.profile)
+      in
+      let tx_o =
+        transmission ~header:ho ~sender:o.at ~receiver:t
+          ~purpose:(Network.Join_attributes { join = id })
+          ~note:(note "other join attributes for n%d")
+          (Profile.project oj_set o.profile)
+      in
+      let hk, match_keys =
+        equi_join (Joinpath.Cond.make ~left:mj ~right:oj) hm ho
+      in
+      let hmatched, project_matched = project oj_set hk in
+      let tx_matched =
+        transmission ~header:hmatched ~sender:t ~receiver:o.at
+          ~purpose:(Network.Matched_keys { join = id })
+          ~note:(note "matched keys for n%d") (joined_info oj_set)
+      in
+      let reduce =
+        semi_join (Joinpath.Cond.make ~left:oj ~right:oj) o.header hmatched
+      in
+      let tx_reduced =
+        transmission ~header:o.header ~sender:o.at ~receiver:master
+          ~purpose:(Network.Semijoin_result { join = id })
+          ~note:(note "reduced operand for n%d")
+          (joined_info o.profile.Profile.pi)
+      in
+      let o_at = o.at in
+      let header, complete = oriented_join ~master_right m.header o.header in
+      ( header,
+        fun ctx mv ov ->
+          let m_keys = xmit ctx tx_m (project_m mv) in
+          let o_keys = xmit ctx tx_o (project_o ov) in
+          ensure_up ctx t id;
           let matched =
-            xmit ~node:n.id ~sender:t ~receiver:o.at
-              ~profile:(joined_info oj_set)
-              ~purpose:(Network.Matched_keys { join = n.id })
-              ~note:(Printf.sprintf "matched keys for n%d" n.id)
-              matched_at_t
+            xmit ctx tx_matched (project_matched (match_keys m_keys o_keys))
           in
-          ensure_up o.at n.id;
-          let reduced =
-            E.semi_join (Joinpath.Cond.make ~left:oj ~right:oj) o.value matched
-          in
-          let reduced =
-            xmit ~node:n.id ~sender:o.at ~receiver:master
-              ~profile:(joined_info o.profile.Profile.pi)
-              ~purpose:(Network.Semijoin_result { join = n.id })
-              ~note:(Printf.sprintf "reduced operand for n%d" n.id)
-              reduced
-          in
-          let value =
-            if left_master then E.equi_join cond m.value reduced
-            else E.equi_join cond reduced m.value
-          in
-          { value; at = master; profile }
-        in
-        let jl = Joinpath.Cond.left cond and jr = Joinpath.Cond.right cond in
-        match exec.Assignment.coordinator with
-        | Some t ->
-          if
-            Server.equal master lp.at
-            && exec.Assignment.slave = Some rp.at
-          then coordinated ~t ~m:lp ~o:rp ~mj:jl ~oj:jr ~left_master:true
-          else if
-            Server.equal master rp.at
-            && exec.Assignment.slave = Some lp.at
-          then coordinated ~t ~m:rp ~o:lp ~mj:jr ~oj:jl ~left_master:false
-          else
-            raise
-              (Fail (Structure (Planner.Safety.Slave_not_other_operand n.id)))
-        | None ->
-        if Server.equal master lp.at then (
+          ensure_up ctx o_at id;
+          complete mv (xmit ctx tx_reduced (reduce ov matched)) )
+    in
+    let jl = Joinpath.Cond.left cond and jr = Joinpath.Cond.right cond in
+    let slave_is (c : code) =
+      Option.equal Server.equal exec.Assignment.slave (Some c.at)
+    in
+    let not_other () =
+      structure (Planner.Safety.Slave_not_other_operand id)
+    in
+    if Server.equal lc.at rc.at && Server.equal master lc.at then
+      (* Fully local. *)
+      let header, run = equi_join cond lc.header rc.header in
+      node (header, fun _ lv rv -> run lv rv)
+    else
+      match exec.Assignment.coordinator with
+      | Some t ->
+        if Server.equal master lc.at && slave_is rc then
+          node (coordinated ~t ~m:lc ~o:rc ~mj:jl ~oj:jr ~master_right:false)
+        else if Server.equal master rc.at && slave_is lc then
+          node ~master_right:true
+            (coordinated ~t ~m:rc ~o:lc ~mj:jr ~oj:jl ~master_right:true)
+        else not_other ()
+      | None ->
+        if Server.equal master lc.at then
           match exec.Assignment.slave with
-          | None -> regular ~m:lp ~o:rp ~left_is_master:true
+          | None -> node (regular ~m:lc ~o:rc ~master_right:false)
           | Some slave ->
-            if not (Server.equal slave rp.at) then
-              raise
-                (Fail
-                   (Structure (Planner.Safety.Slave_not_other_operand n.id)));
-            semi ~slave ~m:lp ~o:rp ~mj:jl ~oj:jr ~left_is_master:true)
-        else if Server.equal master rp.at then (
+            if not (Server.equal slave rc.at) then not_other ();
+            node (semi ~slave ~m:lc ~o:rc ~mj:jl ~oj:jr ~master_right:false)
+        else if Server.equal master rc.at then
           match exec.Assignment.slave with
-          | None -> regular ~m:rp ~o:lp ~left_is_master:false
+          | None ->
+            node ~master_right:true (regular ~m:rc ~o:lc ~master_right:true)
           | Some slave ->
-            if not (Server.equal slave lp.at) then
-              raise
-                (Fail
-                   (Structure (Planner.Safety.Slave_not_other_operand n.id)));
-            semi ~slave ~m:rp ~o:lp ~mj:jr ~oj:jl ~left_is_master:false)
-        else if third_party && exec.Assignment.slave = None then (
+            if not (Server.equal slave lc.at) then not_other ();
+            node ~master_right:true
+              (semi ~slave ~m:rc ~o:lc ~mj:jr ~oj:jl ~master_right:true)
+        else if third_party && exec.Assignment.slave = None then begin
           (* Proxy join: both operands ship their results. *)
-          let lv =
-            xmit ~node:n.id ~sender:lp.at ~receiver:master
-              ~profile:lp.profile
-              ~purpose:(Network.Proxy_operand { join = n.id; side = `Left })
-              ~note:(Printf.sprintf "left operand for proxy n%d" n.id)
-              lp.value
+          let tx_l =
+            transmission ~header:lc.header ~sender:lc.at ~receiver:master
+              ~purpose:(Network.Proxy_operand { join = id; side = `Left })
+              ~note:(note "left operand for proxy n%d") lc.profile
           in
-          let rv =
-            xmit ~node:n.id ~sender:rp.at ~receiver:master
-              ~profile:rp.profile
-              ~purpose:(Network.Proxy_operand { join = n.id; side = `Right })
-              ~note:(Printf.sprintf "right operand for proxy n%d" n.id)
-              rp.value
+          let tx_r =
+            transmission ~header:rc.header ~sender:rc.at ~receiver:master
+              ~purpose:(Network.Proxy_operand { join = id; side = `Right })
+              ~note:(note "right operand for proxy n%d") rc.profile
           in
-          { value = E.equi_join cond lv rv; at = master; profile })
-        else
-          raise
-            (Fail (Structure (Planner.Safety.Master_not_an_operand n.id)))
+          let header, run = equi_join cond lc.header rc.header in
+          node
+            ( header,
+              fun ctx lv rv ->
+                let lv = xmit ctx tx_l lv in
+                run lv (xmit ctx tx_r rv) )
+        end
+        else structure (Planner.Safety.Master_not_an_operand id)
   in
   match go (Plan.root plan) with
-  | piece ->
+  | root -> Ok { root = root.step; location = root.at }
+  | exception Fail e -> Error e
+
+let run ?fault ?network ?deadline ?observe program =
+  let network = match network with Some n -> n | None -> Network.create () in
+  let fault =
+    match fault with Some f -> f | None -> Fault.start Fault.reliable
+  in
+  let ctx =
+    { fault; network; start = Fault.steps fault; deadline; observe; rows = [] }
+  in
+  match program.root ctx with
+  | result ->
     Ok
       {
-        result = piece.value;
-        location = piece.at;
+        result;
+        location = program.location;
         network;
-        node_rows = List.sort (fun (a, _) (b, _) -> Int.compare a b) !rows;
-        steps = spent ();
+        node_rows = List.sort (fun (a, _) (b, _) -> Int.compare a b) ctx.rows;
+        steps = spent ctx;
       }
   | exception Fail e -> Error e
+
+let execute ?third_party ?executor ?bloom ?fault ?network ?deadline ?observe
+    catalog ~instances plan assignment =
+  Result.bind
+    (compile ?third_party ?executor ?bloom catalog ~instances plan assignment)
+    (run ?fault ?network ?deadline ?observe)
 
 let centralized ~instances plan =
   let lookup schema =

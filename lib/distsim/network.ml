@@ -28,6 +28,7 @@ type message = {
   data : Relation.t;
   payload : payload;
   profile : Profile.t;
+  path_id : int;
   purpose : purpose;
   note : string;
   attempt : int;
@@ -47,17 +48,27 @@ let join_of = function
   | Proxy_operand { join; _ } ->
     join
 
-type t = { mutable log : message list (* reversed *) }
+type t = {
+  mutable log : message list; (* reversed *)
+  mutable count : int; (* [List.length log]: the next [seq] *)
+}
 
-let create () = { log = [] }
+let create () = { log = []; count = 0 }
 
-let send t ?(attempt = 1) ?(delivery = Delivered) ?(payload = Rows) ~sender
-    ~receiver ~profile ~purpose ~note data =
-  let seq = List.length t.log in
+let push t m =
+  t.log <- m :: t.log;
+  t.count <- t.count + 1
+
+let send t ?(attempt = 1) ?(delivery = Delivered) ?(payload = Rows) ?path_id
+    ~sender ~receiver ~(profile : Profile.t) ~purpose ~note data =
+  let seq = t.count in
+  let path_id =
+    match path_id with Some id -> id | None -> Intern.path_id profile.join
+  in
   Log.debug (fun m ->
       m "#%d %a -> %a: %d tuples (%s)" seq Server.pp sender Server.pp receiver
         (Relation.cardinality data) note);
-  t.log <-
+  push t
     {
       seq;
       sender;
@@ -65,12 +76,12 @@ let send t ?(attempt = 1) ?(delivery = Delivered) ?(payload = Rows) ~sender
       data;
       payload;
       profile;
+      path_id;
       purpose;
       note;
       attempt;
       delivery;
-    }
-    :: t.log;
+    };
   data
 
 let delivered t =
@@ -88,15 +99,14 @@ let retransmissions t =
   List.fold_left (fun acc m -> if m.attempt > 1 then acc + 1 else acc) 0 t.log
 
 let messages t = List.rev t.log
-let message_count t = List.length t.log
+let message_count t = t.count
 
 let concat ts =
-  let merged = { log = [] } in
+  let merged = create () in
   List.iter
     (fun t ->
       List.iter
-        (fun m ->
-          merged.log <- { m with seq = List.length merged.log } :: merged.log)
+        (fun m -> push merged { m with seq = merged.count })
         (List.rev t.log))
     ts;
   merged

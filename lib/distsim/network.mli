@@ -52,6 +52,10 @@ type message = {
   data : Relation.t;
   payload : payload;
   profile : Profile.t;
+  path_id : int;
+      (** the interned id of [profile]'s join path
+          ({!Authz.Intern.path_id}): the key {!Audit.run} finds the
+          flow's rules by *)
   purpose : purpose;
   note : string;  (** human-readable step, e.g. ["semi-join at n1"] *)
   attempt : int;  (** 1 for the first transmission, 2+ for retries *)
@@ -71,12 +75,16 @@ val create : unit -> t
 (** Record a transfer; returns the sent data unchanged so sends chain
     naturally inside expressions. [attempt] defaults to [1], [delivery]
     to [Delivered] and [payload] to [Rows] — fault-free row-shipping
-    code never mentions them. *)
+    code never mentions them. [path_id] must be
+    [Authz.Intern.path_id profile.join], which the engine computes once
+    per compiled transmission; when omitted, [send] interns the path
+    itself. The message is numbered in O(1). *)
 val send :
   t ->
   ?attempt:int ->
   ?delivery:delivery ->
   ?payload:payload ->
+  ?path_id:int ->
   sender:Server.t ->
   receiver:Server.t ->
   profile:Profile.t ->
@@ -99,7 +107,8 @@ val delivered : t -> message list
 (** Number of messages with [attempt > 1]. *)
 val retransmissions : t -> int
 
-(** Merge several logs into one, renumbering [seq] in order — the
+(** Merge several logs into one, renumbering [seq] in order, in time
+    linear in the messages — the
     cumulative log of a recovered execution (every aborted attempt's
     emissions followed by the final run's), ready for {!Audit.run}. *)
 val concat : t list -> t
@@ -107,6 +116,7 @@ val concat : t list -> t
 (** Messages in send order. *)
 val messages : t -> message list
 
+(** In O(1). *)
 val message_count : t -> int
 val total_tuples : t -> int
 val total_bytes : t -> int

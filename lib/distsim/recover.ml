@@ -56,7 +56,7 @@ type degraded = {
 type outcome = (recovered, degraded) result
 
 let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
-    ?seed catalog policy ~instances ~fault plan =
+    ?seed ?program catalog policy ~instances ~fault plan =
   let injector = Fault.start fault in
   let segments = ref [] in
   (* newest first *)
@@ -99,7 +99,7 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
             certified (the federation's plan cache, whose epoch gate
             just passed): execute it directly, without a fresh proof.
             Any failover replans — and proves — from scratch. *)
-         run i ~assignment ~certificate ~rescues
+         run i ?program ~assignment ~certificate ~rescues ()
        | _ -> replan i ~pending)
   and replan i ~pending =
     match
@@ -136,8 +136,8 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
       (match certified with
        | Error detail ->
          degraded (Replan_uncertified { dead = !excluded; detail })
-       | Ok _ -> run i ~assignment ~certificate ~rescues)
-  and run i ~assignment ~certificate ~rescues =
+       | Ok _ -> run i ~assignment ~certificate ~rescues ())
+  and run i ?program ~assignment ~certificate ~rescues () =
     let network = Network.create () in
     segments := network :: !segments;
     let partial = ref [] in
@@ -146,10 +146,18 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
     let remaining =
       Option.map (fun b -> max 0 (b - Fault.steps injector)) deadline
     in
+    let program =
+      match program with
+      | Some p -> Ok p
+      | None ->
+        (* Compiled after the proof, against it: a transmission the
+           certificate does not cover never leaves. *)
+        Engine.compile ~third_party:(rescues <> []) ?executor ?bloom
+          ?certificate catalog ~instances plan assignment
+    in
     match
-      Engine.execute ~third_party:(rescues <> []) ?executor ?bloom
-        ~fault:injector ~network ?deadline:remaining ~observe catalog
-        ~instances plan assignment
+      Result.bind program
+        (Engine.run ~fault:injector ~network ?deadline:remaining ~observe)
     with
     | Ok (o : Engine.outcome) ->
       let log = merged () in
@@ -193,7 +201,8 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
         let budget = match deadline with Some b -> b | None -> 0 in
         degraded ~failed_node:node ~partial
           (Deadline_exceeded { spent = Fault.steps injector; budget })
-      | Engine.Structure _ | Engine.Missing_instance _ ->
+      | Engine.Structure _ | Engine.Missing_instance _
+      | Engine.Stale_instance _ | Engine.Uncertified_flow _ ->
         degraded ~partial (Execution_failed (Fmt.str "%a" Engine.pp_error e)))
   in
   attempt 1 ~pending:None

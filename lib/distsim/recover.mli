@@ -1,7 +1,8 @@
 (** Safe recovery: a supervisor that executes a query plan under a
     fault plan and survives what can be survived.
 
-    The supervisor runs {!Engine.execute} with a {!Fault} injector.
+    The supervisor compiles and runs the plan ({!Engine.compile},
+    {!Engine.run}) with a {!Fault} injector.
     Message-level faults (drops, corruption, transient outages) are
     absorbed inside the engine by bounded retransmission with
     deterministic exponential backoff. What escapes to this layer is
@@ -12,8 +13,9 @@
     message is emitted — the replacement assignment is proved by
     {!Analysis.Certificate.certify}: a certificate emitted and checked
     against the base policy, or {!Planner.Safety.check} under an
-    open-mode policy. Only then does execution resume, from the root,
-    under the same injector.
+    open-mode policy. Only then is it compiled, against that
+    certificate, and execution resumes, from the root, under the same
+    injector.
 
     The central invariant is {b safety under failure}: no retry,
     retransmission or failover replan ever emits a message the policy
@@ -79,7 +81,8 @@ type reason =
           before a replan could even start. The work done so far is in
           [partial]; the answer is abandoned, never guessed. *)
   | Execution_failed of string
-      (** non-fault engine error (structural, missing instance) *)
+      (** non-fault engine error (structural, missing or changed
+          instance, a transmission its certificate does not cover) *)
 
 type recovered = {
   result : Relation.t;
@@ -149,8 +152,17 @@ type outcome = (recovered, degraded) result
     planned with its own flags — skipping the initial replan and its
     proof. Failovers still replan and prove from scratch.
 
-    [executor] and [bloom] are passed to every {!Engine.execute}
-    attempt unchanged (see there). *)
+    [program] is attempt 1's {!Engine.compile}d form of [seed], when
+    the caller kept one (the federation keeps a cache entry's program
+    from its first reuse on): attempt 1 then runs it instead of
+    compiling. It must have been compiled from [seed]'s assignment,
+    certificate and rescues with the same [executor] and [bloom]. It
+    is ignored without [seed].
+
+    Every other attempt compiles its assignment, with its certificate
+    when it has one, so a transmission the certificate does not cover
+    fails the attempt before it sends anything. [executor] and [bloom]
+    are passed to every {!Engine.compile} unchanged (see there). *)
 val execute :
   ?helpers:Server.t list ->
   ?executor:(module Relalg.Exec.S) ->
@@ -162,6 +174,7 @@ val execute :
     Planner.Assignment.t
     * Analysis.Certificate.plan_cert option
     * Planner.Third_party.rescue list ->
+  ?program:Engine.program ->
   Catalog.t ->
   Authz.Policy.t ->
   instances:(string -> Relation.t option) ->

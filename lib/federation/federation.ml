@@ -13,6 +13,9 @@ type cached = {
   c_servers : Server.t list;
       (* every server the assignment routes through — the quarantine
          sensitivity set *)
+  mutable c_program : Distsim.Engine.program option;
+      (* the compiled assignment, kept from the entry's first reuse on:
+         a plan that is never reused costs no program *)
   mutable c_epoch : int;  (* service epoch at last validation *)
   mutable c_health : int;  (* health epoch at last validation *)
   mutable c_used : int;  (* logical tick of last use, for LRU *)
@@ -540,6 +543,7 @@ let plan_query t ?sql query =
                  | Some cert -> Analysis.Certificate.rule_ids cert
                  | None -> []);
               c_servers = servers_of assignment;
+              c_program = None;
               c_epoch = t.service_epoch;
               c_health = t.health_epoch;
               c_used = 0;
@@ -599,6 +603,21 @@ let feed_breakers t ~newly_dead log =
     if Distsim.Health.breaker_opens t.health > opens then refresh_quarantine t
   end
 
+(* A reused entry's program, compiled at its first reuse and kept.
+   Compiling from insertion would make every plan that is never reused
+   (a plan-miss stream) retain a program as large as the rest of its
+   entry; a miss's supervisor compiles and drops it instead. A program
+   that does not compile is not kept: the supervisor compiles again and
+   reports the error as for a miss. *)
+let program_of t c =
+  if Option.is_none c.c_program then
+    c.c_program <-
+      Result.to_option
+        (Distsim.Engine.compile ~third_party:(c.c_rescues <> [])
+           ?certificate:c.c_certificate t.catalog ~instances:t.instances
+           c.c_plan c.c_assignment);
+  c.c_program
+
 let query ?fault ?deadline ?tenant t sql =
   (match deadline with
    | Some d when d <= 0 ->
@@ -649,6 +668,7 @@ let query ?fault ?deadline ?tenant t sql =
           Distsim.Recover.execute ~helpers:t.helpers ?closed:t.chase ?deadline
             ~excluded:t.quarantine
             ~seed:(cached.c_assignment, cached.c_certificate, cached.c_rescues)
+            ?program:(if from_cache then program_of t cached else None)
             t.catalog (base_policy t) ~instances:t.instances
             ~fault:(Option.value fault ~default:Distsim.Fault.reliable)
             cached.c_plan

@@ -90,6 +90,37 @@ and eval_negated lookup = function
   | Or (p, q) -> eval_negated lookup p && eval_negated lookup q
   | Not p -> eval lookup p
 
+(* [eval] with the attributes resolved to row positions up front. *)
+let rec compile position = function
+  | True -> fun _ -> true
+  | Cmp (a, c, op) -> compile_atom position a c op
+  | And (p, q) ->
+    let p = compile position p and q = compile position q in
+    fun row -> p row && q row
+  | Or (p, q) ->
+    let p = compile position p and q = compile position q in
+    fun row -> p row || q row
+  | Not p -> compile_negated position p
+
+and compile_negated position = function
+  | True -> fun _ -> false
+  | Cmp (a, c, op) -> compile_atom position a (negate_comparison c) op
+  | And (p, q) ->
+    let p = compile_negated position p and q = compile_negated position q in
+    fun row -> p row || q row
+  | Or (p, q) ->
+    let p = compile_negated position p and q = compile_negated position q in
+    fun row -> p row && q row
+  | Not p -> compile position p
+
+and compile_atom position a c op =
+  let i = position a in
+  match op with
+  | Const v -> fun row -> compare_values c row.(i) v
+  | Attr b ->
+    let j = position b in
+    fun row -> compare_values c row.(i) row.(j)
+
 let rec pp ppf = function
   | True -> Fmt.string ppf "TRUE"
   | Cmp (a, c, Const v) ->

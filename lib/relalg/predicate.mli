@@ -59,5 +59,13 @@ val attributes : t -> Attribute.Set.t
     @raise Not_found if [lookup] does. *)
 val eval : (Attribute.t -> Value.t) -> t -> bool
 
+(** [compile position t] is [t] as a test on positional rows: every
+    attribute is resolved through [position] once, here, and the
+    returned function reads [row.(position a)] with {!eval}'s
+    semantics, NULL contract included.
+
+    @raise Not_found if [position] does. *)
+val compile : (Attribute.t -> int) -> t -> Value.t array -> bool
+
 val pp : t Fmt.t
 val to_string : t -> string

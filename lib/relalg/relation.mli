@@ -8,6 +8,7 @@
     {b Representation.} A relation is positional: its header, and an
     array of rows, each a [Value.t array] in header order. Rows are
     distinct under {!Value.equal}, the invariant every operator keeps.
+    The header is a {!Header.t} value, built once per operator output.
     Operators are loops over the row arrays, hashing rows with
     {!Value.hash}: [project], [union] and the constructors deduplicate
     through a hash set, the joins build a hash index on the right
@@ -24,6 +25,29 @@
     order. That order is deterministic though not exposed: the
     constructors keep their input order, [select] and [semi_join] keep
     their operand's, and the joins follow their left operand's. *)
+
+(** A header value: the attribute list, its array and its set, each
+    built once and shared by every relation over it. The set is built
+    on first use unless a constructor already has it. *)
+module Header : sig
+  type t
+
+  (** Membership, without building the set. *)
+  val mem : t -> Attribute.t -> bool
+
+  (** The position of an attribute of the header.
+      @raise Invalid_argument if it is not one. *)
+  val position : t -> Attribute.t -> int
+
+  (** Same attributes in the same order (physical equality first). *)
+  val equal : t -> t -> bool
+
+  (** [share_set h s] — when [s] holds exactly [h]'s attributes, [s]
+      itself is [h]'s set from then on, so a caller holding [s] (a flow
+      profile's [pi]) can compare the two physically. Otherwise [h] is
+      left alone. *)
+  val share_set : t -> Attribute.Set.t -> unit
+end
 
 type t
 
@@ -46,6 +70,11 @@ val of_rows : Schema.t -> Value.t list list -> t
 val of_arrays : Attribute.t list -> Value.t array array -> t
 
 val header : t -> Attribute.t list
+
+(** The header value itself: relations computed by one planned operator
+    share it. *)
+val header_value : t -> Header.t
+
 val attribute_set : t -> Attribute.Set.t
 
 (** The tuples, ascending under {!Tuple.compare}: lexicographic by
@@ -104,6 +133,34 @@ val natural_join : t -> t -> t
     in another order.
     @raise Invalid_argument if the attribute sets differ. *)
 val union : t -> t -> t
+
+(** {1 Planned operators}
+
+    Each [plan_*] does once, against its operands' header values, the
+    work its namesake above does on every call: the same checks,
+    raising the same [Invalid_argument], then the key positions and
+    the output header. It returns the output header and a function
+    that does only the row work; the namesake is exactly [plan_*]
+    applied to its operands' headers, then to the operands.
+
+    The returned function must be given operands over the planned
+    headers (the same values, or the same attributes in the same
+    order); it reads the positions it computed.
+    @raise Invalid_argument when an operand's header differs. *)
+
+val plan_project : Attribute.Set.t -> Header.t -> Header.t * (t -> t)
+
+(** The predicate is compiled once ({!Predicate.compile}); the output
+    header is the operand's. *)
+val plan_select : Predicate.t -> Header.t -> t -> t
+
+val plan_equi_join :
+  Joinpath.Cond.t -> Header.t -> Header.t -> Header.t * (t -> t -> t)
+
+(** The output header is the left operand's. *)
+val plan_semi_join : Joinpath.Cond.t -> Header.t -> Header.t -> t -> t -> t
+
+val plan_natural_join : Header.t -> Header.t -> Header.t * (t -> t -> t)
 
 (** Set equality: same attribute set and same set of tuples. *)
 val equal : t -> t -> bool

@@ -1,6 +1,7 @@
 type t = {
   name : string;
   attributes : Attribute.t list;
+  attribute_set : Attribute.Set.t;
   key : Attribute.t list;
 }
 
@@ -31,11 +32,17 @@ let make name ~key attrs =
           name)
    | [] -> ());
   let mk n = Attribute.make ~relation:name n in
-  { name; attributes = List.map mk attrs; key = List.map mk key }
+  let attributes = List.map mk attrs in
+  {
+    name;
+    attributes;
+    attribute_set = Attribute.Set.of_list attributes;
+    key = List.map mk key;
+  }
 
 let name t = t.name
 let attributes t = t.attributes
-let attribute_set t = Attribute.Set.of_list t.attributes
+let attribute_set t = t.attribute_set
 let key t = t.key
 
 let attribute t n =

@@ -7,6 +7,7 @@
 type t = private {
   name : string;
   attributes : Attribute.t list;  (** in declaration order *)
+  attribute_set : Attribute.Set.t;  (** [attributes] as a set, built once *)
   key : Attribute.t list;  (** primary key, subset of [attributes] *)
 }
 
@@ -20,7 +21,12 @@ val make : string -> key:string list -> string list -> t
 
 val name : t -> string
 val attributes : t -> Attribute.t list
+
+(** The attributes as a set: the one value {!make} built, so callers
+    that compare it physically (a relation profile's [pi], a relation
+    header) share it. *)
 val attribute_set : t -> Attribute.Set.t
+
 val key : t -> Attribute.t list
 
 (** [attribute t n] is the attribute of [t] called [n], if any. *)

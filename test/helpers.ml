@@ -45,6 +45,13 @@ let rel ?(key = []) name attr_names rows =
   Relation.of_rows schema
     (List.map (List.map (fun s -> Value.String s)) rows)
 
+(* [Policy.authorizing_rule] for a flow known only by its profile: the
+   path interned by the rules that use it, no rule when none does. *)
+let authorizing_rule policy (profile : Authz.Profile.t) receiver =
+  Option.bind (Authz.Intern.find_path profile.join) (fun path_id ->
+      Authz.Policy.authorizing_rule policy ~path_id receiver
+        (Authz.Profile.visible profile))
+
 let check_ok pp = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %a" pp e

@@ -1,4 +1,5 @@
 module Tree_relation = Tree_relation
+module Interpreter = Interpreter
 
 open Relalg
 open Authz

@@ -9,6 +9,10 @@
     of the positional {!Relalg.Relation}. *)
 module Tree_relation = Tree_relation
 
+(** The tree-walking execution engine: the twin of the compiled
+    {!Distsim.Engine}. *)
+module Interpreter = Interpreter
+
 open Relalg
 open Authz
 

@@ -193,6 +193,7 @@ let test_reason_rendering () =
           data;
           payload = Network.Rows;
           profile = Authz.Profile.of_base M.insurance;
+          path_id = Authz.Intern.path_id Joinpath.empty;
           purpose = Network.Full_operand { join = 0 };
           note = "test";
           attempt = 1;
@@ -258,7 +259,7 @@ let reference policy (m : Network.message) =
          m.profile.Authz.Profile.pi)
   then Mismatch
   else if Authz.Policy.can_view policy m.profile m.receiver then
-    Admitted (Authz.Policy.authorizing_rule policy m.profile m.receiver)
+    Admitted (Helpers.authorizing_rule policy m.profile m.receiver)
   else Denied
 
 let equal_verdict a b =

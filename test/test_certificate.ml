@@ -545,7 +545,7 @@ let reference_emit ~third_party ~base ~trace ~closure catalog plan assignment =
   let rules = Array.of_list (List.rev !universe) in
   let witness (f : Planner.Safety.flow) =
     match
-      Option.bind (P.authorizing_rule closure f.profile f.receiver) (fun w ->
+      Option.bind (Helpers.authorizing_rule closure f.profile f.receiver) (fun w ->
           Hashtbl.find_opt index (rid w))
     with
     | Some i -> i

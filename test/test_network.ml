@@ -68,6 +68,29 @@ let test_empty () =
   check Alcotest.int "no bytes" 0 (Network.total_bytes n);
   check Alcotest.int "empty matrix" 0 (List.length (Network.traffic_matrix n))
 
+(* A merged log numbers its messages 0, 1, ... in order, and the kept
+   count agrees with the messages at every step. *)
+let test_concat_numbering () =
+  let a = sample_network () and b = sample_network () in
+  let merged = Network.concat [ a; Network.create (); b ] in
+  check Alcotest.(list int) "renumbered" [ 0; 1; 2; 3; 4; 5 ]
+    (List.map (fun m -> m.Network.seq) (Network.messages merged));
+  check Alcotest.(list string) "in order"
+    [ "first"; "second"; "third"; "first"; "second"; "third" ]
+    (List.map (fun m -> m.Network.note) (Network.messages merged));
+  check Alcotest.int "count" 6 (Network.message_count merged);
+  check Alcotest.(list int) "sources untouched" [ 0; 1; 2 ]
+    (List.map (fun m -> m.Network.seq) (Network.messages b));
+  let r = sample_relation () in
+  let (_ : Relation.t) =
+    Network.send merged ~sender:M.s_h ~receiver:M.s_i
+      ~profile:(Authz.Profile.of_base M.insurance)
+      ~purpose:(Network.Full_operand { join = 0 }) ~note:"after" r
+  in
+  check Alcotest.int "next seq" 6
+    (List.nth (Network.messages merged) 6).Network.seq;
+  check Alcotest.int "count follows" 7 (Network.message_count merged)
+
 let suite =
   [
     c "send returns the data" `Quick test_send_returns_data;
@@ -75,4 +98,5 @@ let suite =
     c "counters" `Quick test_counters;
     c "traffic matrix" `Quick test_traffic_matrix;
     c "empty network" `Quick test_empty;
+    c "concat renumbers, count follows" `Quick test_concat_numbering;
   ]

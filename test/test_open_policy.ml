@@ -94,7 +94,7 @@ let test_accessors () =
   check Alcotest.int "denial removed" 2
     (List.length (Policy.denials (Policy.remove_denial extra p)));
   check Alcotest.bool "no positive rule cited" true
-    (Policy.authorizing_rule open_medical (profile [ "Holder" ]) M.s_i = None)
+    (Helpers.authorizing_rule open_medical (profile [ "Holder" ]) M.s_i = None)
 
 let test_planning_under_open_policy () =
   (* The whole pipeline runs unchanged under an open policy. *)

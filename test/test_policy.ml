@@ -86,13 +86,13 @@ let test_closed_policy () =
     (Policy.can_view M.policy (profile [ "Holder" ]) stranger)
 
 let test_authorizing_rule () =
-  (match Policy.authorizing_rule M.policy (profile [ "Holder" ]) M.s_i with
+  (match Helpers.authorizing_rule M.policy (profile [ "Holder" ]) M.s_i with
    | Some rule ->
      check Alcotest.bool "rule covers Holder" true
        (Attribute.Set.mem (M.attr "Holder") rule.Authorization.attrs)
    | None -> Alcotest.fail "no rule found");
   check Alcotest.bool "none for denied view" true
-    (Policy.authorizing_rule M.policy
+    (Helpers.authorizing_rule M.policy
        (profile [ "Holder"; "Plan"; "Patient" ])
        M.s_i
     = None)

@@ -45,7 +45,15 @@ let test_attribute_set () =
   let s = Schema.make "R" ~key:[] [ "B"; "A" ] in
   check Helpers.attribute_set "set"
     (Attribute.Set.of_names ~relation:"R" [ "A"; "B" ])
-    (Schema.attribute_set s)
+    (Schema.attribute_set s);
+  (* Built once, in [make]: every caller shares the one value, base
+     profiles and instance headers included. *)
+  check Alcotest.bool "kept" true
+    (Schema.attribute_set s == Schema.attribute_set s);
+  check Alcotest.bool "the base profile's pi" true
+    ((Authz.Profile.of_base s).pi == Schema.attribute_set s);
+  check Alcotest.bool "an instance's header" true
+    (Relation.attribute_set (Relation.of_rows s []) == Schema.attribute_set s)
 
 let suite =
   [
