@@ -572,15 +572,32 @@ let run_cmd =
     let rescues = Planner.Third_party.rescues_of plan assignment in
     let fault = Option.value fault ~default:Distsim.Fault.reliable in
     (* One path for every run, the one [Federation.query] takes: the
-       certified assignment seeds attempt 1, and any failover is
-       replanned and re-certified against the base policy. *)
+       certified assignment, compiled against its certificate, seeds
+       attempt 1, and any failover is replanned and re-certified against
+       the base policy. A program that does not compile sent nothing: it
+       degrades like a failed attempt 1. *)
     let outcome =
-      Distsim.Recover.execute
-        ~helpers:(if third_party then fed.helpers else [])
-        ?executor ?bloom ?closed:handle ?deadline
-        ~seed:(assignment, certificate, rescues)
-        fed.catalog (base_policy fed handle) ~instances:fed.instances ~fault
-        plan
+      match
+        Distsim.Engine.compile ~third_party:(rescues <> []) ?executor ?bloom
+          ?certificate fed.catalog ~instances:fed.instances plan assignment
+      with
+      | Error e ->
+        Error
+          {
+            Distsim.Recover.reason =
+              Execution_failed (Fmt.str "%a" Distsim.Engine.pp_error e);
+            log = Distsim.Network.create ();
+            failovers = [];
+            partial = [];
+            failed_node = None;
+            excluded = [];
+            schedule = [];
+          }
+      | Ok seed ->
+        Distsim.Recover.execute
+          ~helpers:(if third_party then fed.helpers else [])
+          ?executor ?bloom ?closed:handle ?deadline ~seed fed.catalog
+          (base_policy fed handle) ~instances:fed.instances ~fault plan
     in
     (match outcome with
      | Ok { failovers; _ } | Error { failovers; _ } ->

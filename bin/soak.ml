@@ -30,8 +30,8 @@
    executed workload, the static knowledge accumulated from
    Planner.Safety.flows must equal the runtime replay of the message
    log, the semi-naive indexed saturation must reach the same
-   CISQP030/031 verdicts as the naive reference engine, and the
-   incremental audit cursor must agree with batch lint.
+   CISQP030/031 verdicts as the naive reference engine, and linting
+   the runtime log must agree with linting the planned flows.
 
    Certificate slice (--certify-cases, default 2000): proof-carrying
    safety at soak scale — every safely planned random case must emit a
@@ -433,13 +433,13 @@ let knowledge_slice () =
               (Oracle.subset fast.K.knowledge slow.K.knowledge
               && Oracle.covered_by slow.K.knowledge fast.K.knowledge)
               "KNOWLEDGE coverage failure at seed %d" seed;
-            let batch_diags = K.lint ~joins policy static in
-            let cursor_diags =
+            let static_diags = K.lint ~joins policy static in
+            let runtime_diags =
               Oracle.runtime_inference ~joins sys.catalog policy network
             in
             Harness.check
-              (diag_verdicts batch_diags = diag_verdicts cursor_diags)
-              "KNOWLEDGE cursor/batch verdict drift at seed %d" seed;
+              (diag_verdicts static_diags = diag_verdicts runtime_diags)
+              "KNOWLEDGE runtime/static verdict drift at seed %d" seed;
             if verdicts policy fast <> [] then incr leaking)))
   done;
   Fmt.pr "soak (knowledge): %d cases, %d with findings@." !total !leaking

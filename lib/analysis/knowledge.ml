@@ -106,9 +106,9 @@ type outcome = { knowledge : t; exhausted : Server.t list }
    the adds-nothing check are int hashtable probes; join attempts are
    memoised process-wide on [(cond id, profile id, profile id)] keys
    (canonical, like the interner itself, so sharing across saturations
-   and across cursor steps is sound); and provenance travels as sets of
-   interned ids (message seq numbers, condition ids) with set unions in
-   place of the quadratic list appends. *)
+   is sound); and provenance travels as sets of interned ids (message
+   seq numbers, condition ids) with set unions in place of the
+   quadratic list appends. *)
 
 module Int_set = Set.Make (Int)
 
@@ -166,9 +166,8 @@ let subset_ids aid1 s1 aid2 s2 =
 (* Join attempts memoised on (condition, unordered profile pair):
    [Profile.try_join] is symmetric, so the key is orientation-free.
    The same few thousand distinct pairs are attempted from many
-   frontier orders (and again on every cursor step and every re-run
-   over a grown log), and after the first attempt a pair costs one
-   hash probe. *)
+   frontier orders (and again on every re-run over a grown log), and
+   after the first attempt a pair costs one hash probe. *)
 let join_memo : (int * int * int, int option) Hashtbl.t = Hashtbl.create 4096
 
 let try_join_ids cid cond (a : pinfo) (b : pinfo) =
@@ -403,74 +402,24 @@ let materialize sources_reg st =
     st.entries PMap.empty
 
 (* ------------------------------------------------------------------ *)
-(* Incremental cursor: a replayed message log feeds one message at a
-   time and re-saturates only from that message's frontier. *)
+(* The cursor: the saturated per-server states, kept with their
+   provenance so a leak witness can be reconstructed from them. *)
 
 type cursor = {
-  c_budget : int;
-  c_jinfos : joinfo list;
-  c_sides : (int * Attribute.Set.t) list;
   c_states : (Server.t, sstate) Hashtbl.t;
   c_sources : (int, source) Hashtbl.t;
 }
 
 let cursor ?(budget = default_budget) ~joins t =
   let jinfos, sides = joinfo_of joins in
-  let c =
-    {
-      c_budget = budget;
-      c_jinfos = jinfos;
-      c_sides = sides;
-      c_states = Hashtbl.create 16;
-      c_sources = Hashtbl.create 64;
-    }
-  in
+  let c = { c_states = Hashtbl.create 16; c_sources = Hashtbl.create 64 } in
   Server.Map.iter
     (fun server table ->
       let st = seed_state ~sides c.c_sources table in
-      drain ~budget c.c_jinfos st;
+      drain ~budget jinfos st;
       Hashtbl.replace c.c_states server st)
     t;
   c
-
-let feed c ~receiver ~(source : source) profile =
-  Hashtbl.replace c.c_sources source.seq source;
-  let st =
-    match Hashtbl.find_opt c.c_states receiver with
-    | Some st -> st
-    | None ->
-      let st = new_state ~sides:c.c_sides () in
-      Hashtbl.replace c.c_states receiver st;
-      st
-  in
-  let info = intern profile in
-  let delivery = { profile; sources = [ source ]; via = [] } in
-  match Hashtbl.find_opt st.entries info.pid with
-  | None ->
-    (* A delivery is accumulation, not derivation: it enters the base
-       unconditionally (budget- and subsumption-exempt, like every
-       seed of the batch engine); only the joins it unlocks are
-       budgeted. *)
-    insert st
-      { info; srcs = Int_set.singleton source.seq; vias = Int_set.empty };
-    Hashtbl.replace st.origins info.pid delivery;
-    drain ~budget:c.c_budget c.c_jinfos st
-  | Some e when not (Int_set.is_empty e.vias) ->
-    (* The receiver had derived this profile. Batch saturation seeds
-       every delivery, so the receiver's base is re-seeded from its
-       stored relations and deliveries, this one included, and
-       re-saturated: the join witness goes, with the CISQP030 the batch
-       engine would not report, and whatever the derived entry pruned
-       comes back. *)
-    Hashtbl.replace st.origins info.pid delivery;
-    let seeds =
-      Hashtbl.fold (fun _ it acc -> PMap.add it.profile it acc) st.origins
-        PMap.empty
-    in
-    let st = seed_state ~sides:c.c_sides c.c_sources seeds in
-    drain ~budget:c.c_budget c.c_jinfos st;
-    Hashtbl.replace c.c_states receiver st
-  | Some _ -> ()
 
 let snapshot c =
   let knowledge =
@@ -487,7 +436,6 @@ let snapshot c =
   in
   { knowledge; exhausted }
 
-(* Batch saturation is a cursor fed nothing beyond its seeds. *)
 let saturate ?budget ~joins t = snapshot (cursor ?budget ~joins t)
 
 (* Reconstruct the join tree behind a derived profile from the
@@ -495,8 +443,8 @@ let saturate ?budget ~joins t = snapshot (cursor ?budget ~joins t)
    single deliveries, parents point strictly backwards, so the walk is
    linear in the tree size and never re-runs saturation. [None] when
    the profile was seeded pre-joined (a knowledge base not built by
-   {!of_catalog}/{!feed}), in which case no checkable counterexample
-   exists. *)
+   {!of_catalog}/{!receive}), in which case no checkable
+   counterexample exists. *)
 let explain c catalog server profile =
   match Hashtbl.find_opt c.c_states server with
   | None -> None
@@ -596,11 +544,8 @@ let diagnostics ~budget policy { knowledge; exhausted } =
   in
   leak_diags @ budget_diags
 
-let cursor_lint policy c =
-  diagnostics ~budget:c.c_budget policy (snapshot c)
-
-let lint ?budget ~joins policy t =
-  cursor_lint policy (cursor ?budget ~joins t)
+let lint ?(budget = default_budget) ~joins policy t =
+  diagnostics ~budget policy (saturate ~budget ~joins t)
 
 let pp ppf t =
   let pp_server ppf (server, table) =

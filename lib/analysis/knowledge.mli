@@ -112,38 +112,21 @@ type outcome = {
     pruned profile has a same-path dominator (a [pi] and [sigma] at
     least as wide).
 
-    It is the {!snapshot} of a fresh {!cursor} over [t]: batch and
-    incremental saturation share one seed-and-drain loop. *)
+    It is the {!snapshot} of a fresh {!cursor} over [t]. *)
 val saturate : ?budget:int -> joins:Joinpath.Cond.t list -> t -> outcome
 
-(** {2 Incremental saturation}
+(** {2 Saturated state with provenance} *)
 
-    A replayed message log arrives one delivery at a time, with a
-    re-check after each. Re-saturating the whole log per message is
-    quadratic in log length; a cursor keeps the saturated per-server
-    bases alive and extends them from each new message's frontier only
-    — joins between already-known profiles were all attempted when
-    they first met. *)
-
-(** A mutable saturated-knowledge handle. *)
+(** A saturated-knowledge handle: the per-server bases of one
+    saturation, with the provenance {!explain} reads a witness from. *)
 type cursor
 
 (** [cursor ~joins t] seeds a handle with the accumulated bases of [t]
-    (typically {!of_catalog}) and saturates them. *)
+    (typically {!of_catalog} and {!receive}) and saturates them. *)
 val cursor : ?budget:int -> joins:Joinpath.Cond.t list -> t -> cursor
 
-(** [feed c ~receiver ~source profile] folds one delivery in and
-    re-saturates the receiver's base from the new entry's frontier. A
-    profile the receiver already stores or was already delivered keeps
-    its first witness. One the receiver had only derived becomes a
-    delivery, as in batch seeding: the receiver's base is re-seeded
-    from its stored relations and deliveries and re-saturated.
-    Deliveries are accumulation, not derivation: like batch seeds they
-    are budget- and subsumption-exempt. *)
-val feed : cursor -> receiver:Server.t -> source:source -> Profile.t -> unit
-
-(** The current saturated state, materialised. Exhausted servers are
-    deduped and sorted. *)
+(** The saturated state, materialised. Exhausted servers are deduped
+    and sorted. *)
 val snapshot : cursor -> outcome
 
 (** [explain c catalog server profile] — the join tree behind
@@ -157,12 +140,6 @@ val snapshot : cursor -> outcome
     base or was seeded pre-joined. *)
 val explain :
   cursor -> Catalog.t -> Server.t -> Profile.t -> Certificate.tree option
-
-(** {!lint} on the cursor's current state, without re-saturating:
-    [cursor_lint policy c] = [lint ~joins policy accumulated] for the
-    accumulated deliveries fed so far (same CISQP030/031 verdicts; the
-    witness items may differ by exploration order). *)
-val cursor_lint : Policy.t -> cursor -> Diagnostic.t list
 
 type leak = { server : Server.t; item : item }
 

@@ -76,7 +76,12 @@ type ctx = {
 type program = {
   root : ctx -> Relation.t;
   location : Server.t;
+  assignment : Assignment.t;
+  certificate : Analysis.Certificate.plan_cert option;
 }
+
+let assignment p = p.assignment
+let certificate p = p.certificate
 
 (* ------------------------------------------------------------------ *)
 (* Run-time steps: the fault injector's charge-check-act discipline.   *)
@@ -607,7 +612,7 @@ let compile ?(third_party = false) ?executor ?bloom ?certificate catalog
         else structure (Planner.Safety.Master_not_an_operand id)
   in
   match go (Plan.root plan) with
-  | root -> Ok { root = root.step; location = root.at }
+  | root -> Ok { root = root.step; location = root.at; assignment; certificate }
   | exception Fail e -> Error e
 
 let run ?fault ?network ?deadline ?observe program =

@@ -79,9 +79,16 @@ module Assignment = Planner.Assignment
 val pp_error : error Fmt.t
 
 (** A plan compiled under one assignment: what {!run} executes. It
-    keeps the instance lookup it was compiled with, and no instance
-    data. *)
+    keeps the instance lookup, assignment and certificate it was
+    compiled with, and no instance data. *)
 type program
+
+(** The assignment the program was compiled from. *)
+val assignment : program -> Assignment.t
+
+(** The certificate the program was compiled against ([None] when
+    compiled without one). *)
+val certificate : program -> Analysis.Certificate.plan_cert option
 
 (** [compile catalog ~instances plan assignment] compiles the plan.
     [instances] maps base-relation names to their stored instances;

@@ -56,7 +56,7 @@ type degraded = {
 type outcome = (recovered, degraded) result
 
 let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
-    ?seed ?program catalog policy ~instances ~fault plan =
+    ?seed catalog policy ~instances ~fault plan =
   let injector = Fault.start fault in
   let segments = ref [] in
   (* newest first *)
@@ -92,15 +92,19 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
       (* The budget ran out before this attempt could even replan:
          abandon rather than plan work we cannot run. *)
       degraded (Deadline_exceeded { spent = Fault.steps injector; budget })
-    | _ ->
-      (match (seed, i, pending) with
-       | Some (assignment, certificate, rescues), 1, None ->
-         (* The caller seeded attempt 1 with an assignment it already
-            certified (the federation's plan cache, whose epoch gate
-            just passed): execute it directly, without a fresh proof.
-            Any failover replans — and proves — from scratch. *)
-         run i ?program ~assignment ~certificate ~rescues ()
-       | _ -> replan i ~pending)
+    | _ -> (
+      match (seed, pending) with
+      | Some program, None ->
+        (* The caller seeded attempt 1 with a program compiled from an
+           assignment it already certified (the federation's plan
+           cache, whose epoch gate just passed): run it directly,
+           without a fresh proof. Any failover replans — and proves —
+           from scratch. *)
+        run i
+          ~rescues:
+            (Planner.Third_party.rescues_of plan (Engine.assignment program))
+          program
+      | _ -> replan i ~pending)
   and replan i ~pending =
     match
       Planner.Third_party.plan ~excluded:!excluded ?closed ~helpers catalog
@@ -136,8 +140,16 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
       (match certified with
        | Error detail ->
          degraded (Replan_uncertified { dead = !excluded; detail })
-       | Ok _ -> run i ~assignment ~certificate ~rescues ())
-  and run i ?program ~assignment ~certificate ~rescues () =
+       | Ok _ -> (
+         (* Compiled after the proof, against it: a transmission the
+            certificate does not cover never leaves. *)
+         match
+           Engine.compile ~third_party:(rescues <> []) ?executor ?bloom
+             ?certificate catalog ~instances plan assignment
+         with
+         | Ok program -> run i ~rescues program
+         | Error e -> failed i ~partial:[] e))
+  and run i ~rescues program =
     let network = Network.create () in
     segments := network :: !segments;
     let partial = ref [] in
@@ -146,18 +158,8 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
     let remaining =
       Option.map (fun b -> max 0 (b - Fault.steps injector)) deadline
     in
-    let program =
-      match program with
-      | Some p -> Ok p
-      | None ->
-        (* Compiled after the proof, against it: a transmission the
-           certificate does not cover never leaves. *)
-        Engine.compile ~third_party:(rescues <> []) ?executor ?bloom
-          ?certificate catalog ~instances plan assignment
-    in
     match
-      Result.bind program
-        (Engine.run ~fault:injector ~network ?deadline:remaining ~observe)
+      Engine.run ~fault:injector ~network ?deadline:remaining ~observe program
     with
     | Ok (o : Engine.outcome) ->
       let log = merged () in
@@ -167,8 +169,8 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
           location = o.Engine.location;
           outcome = o;
           log;
-          assignment;
-          certificate;
+          assignment = Engine.assignment program;
+          certificate = Engine.certificate program;
           rescues;
           failovers = List.rev !failovers;
           excluded = !excluded;
@@ -178,32 +180,31 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
           steps = Fault.steps injector;
           schedule = Fault.events injector;
         }
-    | Error e -> (
-      let partial =
-        List.sort (fun (a, _) (b, _) -> Int.compare a b) !partial
-      in
-      match e with
-      | Engine.Server_down { server; node; permanent } ->
-        (* No more failovers than the catalog has servers, worked out
-           only here: a query in which nothing dies never pays for it. *)
-        let max_failovers = Server.Set.cardinal (Catalog.servers catalog) in
-        if List.length !excluded - pre_excluded >= max_failovers then
-          degraded ~failed_node:node ~partial
-            (Failover_limit { dead = !excluded @ [ server ] })
-        else begin
-          excluded := !excluded @ [ server ];
-          attempt (i + 1) ~pending:(Some (server, permanent, node, i))
-        end
-      | Engine.Transfer_failed { sender; receiver; node; attempts } ->
+    | Error e -> failed i ~partial:!partial e
+  and failed i ~partial e =
+    let partial = List.sort (fun (a, _) (b, _) -> Int.compare a b) partial in
+    match e with
+    | Engine.Server_down { server; node; permanent } ->
+      (* No more failovers than the catalog has servers, worked out
+         only here: a query in which nothing dies never pays for it. *)
+      let max_failovers = Server.Set.cardinal (Catalog.servers catalog) in
+      if List.length !excluded - pre_excluded >= max_failovers then
         degraded ~failed_node:node ~partial
-          (Transfer_failed { sender; receiver; node; attempts })
-      | Engine.Deadline_exceeded { node; _ } ->
-        let budget = match deadline with Some b -> b | None -> 0 in
-        degraded ~failed_node:node ~partial
-          (Deadline_exceeded { spent = Fault.steps injector; budget })
-      | Engine.Structure _ | Engine.Missing_instance _
-      | Engine.Stale_instance _ | Engine.Uncertified_flow _ ->
-        degraded ~partial (Execution_failed (Fmt.str "%a" Engine.pp_error e)))
+          (Failover_limit { dead = !excluded @ [ server ] })
+      else begin
+        excluded := !excluded @ [ server ];
+        attempt (i + 1) ~pending:(Some (server, permanent, node, i))
+      end
+    | Engine.Transfer_failed { sender; receiver; node; attempts } ->
+      degraded ~failed_node:node ~partial
+        (Transfer_failed { sender; receiver; node; attempts })
+    | Engine.Deadline_exceeded { node; _ } ->
+      let budget = match deadline with Some b -> b | None -> 0 in
+      degraded ~failed_node:node ~partial
+        (Deadline_exceeded { spent = Fault.steps injector; budget })
+    | Engine.Structure _ | Engine.Missing_instance _
+    | Engine.Stale_instance _ | Engine.Uncertified_flow _ ->
+      degraded ~partial (Execution_failed (Fmt.str "%a" Engine.pp_error e))
   in
   attempt 1 ~pending:None
 

@@ -1,8 +1,9 @@
 (** Safe recovery: a supervisor that executes a query plan under a
     fault plan and survives what can be survived.
 
-    The supervisor compiles and runs the plan ({!Engine.compile},
-    {!Engine.run}) with a {!Fault} injector.
+    The supervisor runs a compiled plan ({!Engine.compile},
+    {!Engine.run}) with a {!Fault} injector: the caller's, or one it
+    planned, proved and compiled itself.
     Message-level faults (drops, corruption, transient outages) are
     absorbed inside the engine by bounded retransmission with
     deterministic exponential backoff. What escapes to this layer is
@@ -146,23 +147,22 @@ type outcome = (recovered, degraded) result
     breakers) from the initial plan and every replan; they do not
     count against the failover limit.
 
-    [seed] supplies attempt 1 with an assignment (+ certificate +
-    rescues) the caller already certified — a federation's cached plan
-    whose epoch gate just passed, or the assignment [cisqp run]
-    planned with its own flags — skipping the initial replan and its
-    proof. Failovers still replan and prove from scratch.
+    [seed] supplies attempt 1 with a program the caller compiled
+    ({!Engine.compile}) from an assignment it already certified, against
+    that certificate — a federation's cached plan whose epoch gate just
+    passed, or the assignment [cisqp run] planned with its own flags —
+    skipping the initial replan and its proof. Attempt 1 runs it as it
+    is: its assignment and certificate are the program's
+    ({!Engine.assignment}, {!Engine.certificate}), and its rescues are
+    {!Planner.Third_party.rescues_of} the plan and that assignment.
+    Failovers still replan and prove from scratch.
 
-    [program] is attempt 1's {!Engine.compile}d form of [seed], when
-    the caller kept one (the federation keeps a cache entry's program
-    from its first reuse on): attempt 1 then runs it instead of
-    compiling. It must have been compiled from [seed]'s assignment,
-    certificate and rescues with the same [executor] and [bloom]. It
-    is ignored without [seed].
-
-    Every other attempt compiles its assignment, with its certificate
-    when it has one, so a transmission the certificate does not cover
-    fails the attempt before it sends anything. [executor] and [bloom]
-    are passed to every {!Engine.compile} unchanged (see there). *)
+    Every replanned attempt compiles its assignment, with its
+    certificate when it has one, so a transmission the certificate
+    does not cover fails the attempt before it sends anything; a
+    compile error degrades with {!Execution_failed}. [executor] and
+    [bloom] are passed to every such {!Engine.compile} unchanged (see
+    there); the seed keeps the ones it was compiled with. *)
 val execute :
   ?helpers:Server.t list ->
   ?executor:(module Relalg.Exec.S) ->
@@ -170,11 +170,7 @@ val execute :
   ?closed:Authz.Chase.closed ->
   ?deadline:int ->
   ?excluded:Server.t list ->
-  ?seed:
-    Planner.Assignment.t
-    * Analysis.Certificate.plan_cert option
-    * Planner.Third_party.rescue list ->
-  ?program:Engine.program ->
+  ?seed:Engine.program ->
   Catalog.t ->
   Authz.Policy.t ->
   instances:(string -> Relation.t option) ->

@@ -3,21 +3,16 @@ open Relalg
 type cached = {
   c_key : string;
   c_plan : Plan.t;
-  c_assignment : Planner.Assignment.t;
-  c_rescues : Planner.Third_party.rescue list;
-  c_certificate : Analysis.Certificate.plan_cert option;
-  c_trace : Planner.Safe_planner.trace;
+  c_program : Distsim.Engine.program;
+      (* the certified assignment, compiled against its certificate at
+         the miss; both are read back through the program *)
   c_rule_ids : int list;
       (* interned ids of every base/derived rule the certificate's
          witnesses depend on — the revocation sensitivity set *)
   c_servers : Server.t list;
       (* every server the assignment routes through — the quarantine
          sensitivity set *)
-  mutable c_program : Distsim.Engine.program option;
-      (* the compiled assignment, kept from the entry's first reuse on:
-         a plan that is never reused costs no program *)
   mutable c_epoch : int;  (* service epoch at last validation *)
-  mutable c_health : int;  (* health epoch at last validation *)
   mutable c_used : int;  (* logical tick of last use, for LRU *)
 }
 
@@ -123,10 +118,6 @@ type t = {
   (* --- resilience layer --- *)
   health : Distsim.Health.t;
   breaker : bool;
-  mutable health_epoch : int;
-      (* bumped whenever the quarantine set changes; cached plans carry
-         the health epoch they were last checked against, mirroring the
-         lazy policy-epoch re-stamping *)
   mutable quarantine : Server.t list;  (* sorted by name *)
   mutable clock : int;  (* one tick per request: the breakers' clock *)
   mutable admission : Workload.Bucket.t option;
@@ -179,7 +170,6 @@ let create ~catalog ~policy ?(helpers = []) ?close_under ?(cache_capacity = 256)
     flows = window ();
     health = Distsim.Health.create ?config:health_config ();
     breaker;
-    health_epoch = 0;
     quarantine = [];
     clock = 0;
     admission = None;
@@ -196,24 +186,6 @@ let create ~catalog ~policy ?(helpers = []) ?close_under ?(cache_capacity = 256)
     quota_rejections = 0;
     deadline_exceeded_count = 0;
   }
-
-let of_text ~schema ~authz ?data ?(helpers = []) ?cache_capacity () =
-  let lift what r =
-    Result.map_error
-      (fun e -> Fmt.str "%s: %a" what Text.Line_reader.pp_error e)
-      r
-  in
-  let* sys = lift "schema" (Text.Schema_text.parse schema) in
-  let* policy = lift "authz" (Text.Authz_text.parse sys.catalog authz) in
-  let* instances =
-    match data with
-    | None -> Ok (fun _ -> None)
-    | Some data -> lift "data" (Text.Data_text.parse sys.catalog data)
-  in
-  Ok
-    (create ~catalog:sys.catalog ~policy
-       ~helpers:(List.map Server.make helpers)
-       ?cache_capacity ~instances ())
 
 type response = {
   plan : Plan.t;
@@ -326,44 +298,30 @@ let servers_of assignment =
     []
     (Planner.Assignment.bindings assignment)
 
-(* Re-read the breakers and, if the quarantine set changed (a breaker
-   opened, or a cooldown lapsed into a half-open probe), bump the
-   health epoch so cached plans re-validate lazily — the same
-   mechanics as the policy epoch. *)
+(* Re-read the breakers: a breaker opened, or a cooldown lapsed into a
+   half-open probe. Without breakers nothing is ever quarantined. *)
 let refresh_quarantine t =
-  if t.breaker then begin
-    let q = Distsim.Health.quarantined t.health ~now:t.clock in
-    let same =
-      List.length q = List.length t.quarantine
-      && List.for_all2 Server.equal q t.quarantine
-    in
-    if not same then begin
-      t.quarantine <- q;
-      t.health_epoch <- t.health_epoch + 1
-    end
-  end
+  if t.breaker then
+    t.quarantine <- Distsim.Health.quarantined t.health ~now:t.clock
 
-(* The health gate, run after the epoch gate: an entry checked at the
-   current health epoch is served; otherwise it is re-validated against
-   the quarantine set — plans routing through a quarantined server are
-   dropped (to be re-planned around it), the rest re-stamp in place.
-   Mirrors the lazy policy-epoch re-stamping of [find_valid]. *)
+(* The health gate, run after the epoch gate: a plan routing through a
+   quarantined server is dropped (to be re-planned around it). The
+   quarantine is almost always empty, and a plan is only checked
+   against it when looked up: one that waits out a cooldown serves
+   again without ever being dropped. *)
 let health_valid t key c =
-  (not t.breaker) || c.c_health = t.health_epoch
-  ||
-  if
-    List.exists
-      (fun q -> List.exists (Server.equal q) c.c_servers)
-      t.quarantine
-  then begin
-    Hashtbl.remove t.plan_cache key;
-    t.invalidations <- t.invalidations + 1;
-    false
-  end
-  else begin
-    c.c_health <- t.health_epoch;
-    true
-  end
+  match t.quarantine with
+  | [] -> true
+  | quarantine ->
+    (not
+       (List.exists
+          (fun q -> List.exists (Server.equal q) c.c_servers)
+          quarantine))
+    || begin
+      Hashtbl.remove t.plan_cache key;
+      t.invalidations <- t.invalidations + 1;
+      false
+    end
 
 (* [find_valid] is the epoch gate: it runs before a single message of
    an execution is sent. An entry stamped at the current epoch is
@@ -472,7 +430,7 @@ let revoke t auth =
       Hashtbl.fold
         (fun key c acc ->
           let cites =
-            match c.c_certificate with
+            match Distsim.Engine.certificate c.c_program with
             | Some _ -> List.mem dead c.c_rule_ids
             | None -> true
           in
@@ -488,16 +446,6 @@ let revoke t auth =
   end
 
 (* ------------------------------------------------------------------ *)
-
-(* The planning call of a cache miss, shared by [query] and [explain]
-   so that a trace always describes the assignment [query] would run. *)
-let plan_fresh t plan =
-  Planner.Third_party.plan ~excluded:t.quarantine ~helpers:t.helpers
-    ?closed:t.chase t.catalog t.policy plan
-
-let infeasible t plan (f : Planner.Third_party.failure) =
-  let advice = Planner.Advisor.advise t.catalog t.policy plan in
-  Infeasible { failed_at = f.failed_at; advice }
 
 (* Remember a successful parse, bounded at 8 texts per cache slot so a
    stream of unique spellings cannot grow the memo without bound. *)
@@ -515,46 +463,55 @@ let plan_query t ?sql query =
   | Some c ->
     touch t c;
     Ok (c, true)
-  | None ->
+  | None -> (
+    (* A miss plans around the quarantine, proves the assignment, and
+       compiles it against that proof. Only a plan that compiles is
+       cached: the program is what every later hit runs. *)
     let plan = Query.to_plan query in
-    (match plan_fresh t plan with
-     | Ok { assignment; rescues; trace } ->
-       (* The fresh plan's one proof, before it is cached or a single
-          message is sent: [certify] checks its certificate against the
-          *base* policy (pre-chase when the federation was created with
-          [close_under]), or under an open-mode policy proves it with
-          [Safety.check] against the denials and gives [None]. *)
-       (match
-          Analysis.Certificate.certify ?closed:t.chase t.catalog
-            (base_policy t) plan assignment
-        with
-        | Error detail -> Error (Uncertified detail)
-        | Ok certificate ->
-          let c =
-            {
-              c_key = key;
-              c_plan = plan;
-              c_assignment = assignment;
-              c_rescues = rescues;
-              c_certificate = certificate;
-              c_trace = trace;
-              c_rule_ids =
-                (match certificate with
-                 | Some cert -> Analysis.Certificate.rule_ids cert
-                 | None -> []);
-              c_servers = servers_of assignment;
-              c_program = None;
-              c_epoch = t.service_epoch;
-              c_health = t.health_epoch;
-              c_used = 0;
-            }
-          in
-          touch t c;
-          cache_insert t key c;
-          Ok (c, false))
-     | Error f ->
-       t.infeasible_count <- t.infeasible_count + 1;
-       Error (infeasible t plan f))
+    match
+      Planner.Third_party.plan ~excluded:t.quarantine ~helpers:t.helpers
+        ?closed:t.chase t.catalog t.policy plan
+    with
+    | Error f ->
+      t.infeasible_count <- t.infeasible_count + 1;
+      let advice = Planner.Advisor.advise t.catalog t.policy plan in
+      Error (Infeasible { failed_at = f.failed_at; advice })
+    | Ok { assignment; rescues; _ } ->
+      (* The fresh plan's one proof, before it is compiled, cached or a
+         single message is sent: [certify] checks its certificate
+         against the *base* policy (pre-chase when the federation was
+         created with [close_under]), or under an open-mode policy
+         proves it with [Safety.check] against the denials and gives
+         [None]. *)
+      let* certificate =
+        Result.map_error
+          (fun detail -> Uncertified detail)
+          (Analysis.Certificate.certify ?closed:t.chase t.catalog
+             (base_policy t) plan assignment)
+      in
+      let* program =
+        Result.map_error
+          (fun e -> Execution_error (Fmt.str "%a" Distsim.Engine.pp_error e))
+          (Distsim.Engine.compile ~third_party:(rescues <> []) ?certificate
+             t.catalog ~instances:t.instances plan assignment)
+      in
+      let c =
+        {
+          c_key = key;
+          c_plan = plan;
+          c_program = program;
+          c_rule_ids =
+            (match certificate with
+             | Some cert -> Analysis.Certificate.rule_ids cert
+             | None -> []);
+          c_servers = servers_of assignment;
+          c_epoch = t.service_epoch;
+          c_used = 0;
+        }
+      in
+      touch t c;
+      cache_insert t key c;
+      Ok (c, false))
 
 let plan_sql t sql =
   (* Fast path: a text seen before maps straight to its canonical key,
@@ -603,21 +560,6 @@ let feed_breakers t ~newly_dead log =
     if Distsim.Health.breaker_opens t.health > opens then refresh_quarantine t
   end
 
-(* A reused entry's program, compiled at its first reuse and kept.
-   Compiling from insertion would make every plan that is never reused
-   (a plan-miss stream) retain a program as large as the rest of its
-   entry; a miss's supervisor compiles and drops it instead. A program
-   that does not compile is not kept: the supervisor compiles again and
-   reports the error as for a miss. *)
-let program_of t c =
-  if Option.is_none c.c_program then
-    c.c_program <-
-      Result.to_option
-        (Distsim.Engine.compile ~third_party:(c.c_rescues <> [])
-           ?certificate:c.c_certificate t.catalog ~instances:t.instances
-           c.c_plan c.c_assignment);
-  c.c_program
-
 let query ?fault ?deadline ?tenant t sql =
   (match deadline with
    | Some d when d <= 0 ->
@@ -656,20 +598,18 @@ let query ?fault ?deadline ?tenant t sql =
       | Error e -> Error e
       | Ok (cached, from_cache) ->
         (* The epoch and health gates just passed, so the cached
-           assignment — certified when it was planned — seeds the
-           supervisor's first attempt directly; any failover replans
-           around the union of the quarantine and whatever dies, and is
-           re-certified before its first message. The policy we hand
-           over is the {e base} policy (with the shared chase handle),
-           because certificates check against the base. No fault plan
-           means the reliable one: the same path, with nothing to
-           inject. *)
+           program — compiled at the miss from the assignment certified
+           then — seeds the supervisor's first attempt directly; any
+           failover replans around the union of the quarantine and
+           whatever dies, and is re-certified before its first message.
+           The policy we hand over is the {e base} policy (with the
+           shared chase handle), because certificates check against the
+           base. No fault plan means the reliable one: the same path,
+           with nothing to inject. *)
         let r =
           Distsim.Recover.execute ~helpers:t.helpers ?closed:t.chase ?deadline
-            ~excluded:t.quarantine
-            ~seed:(cached.c_assignment, cached.c_certificate, cached.c_rescues)
-            ?program:(if from_cache then program_of t cached else None)
-            t.catalog (base_policy t) ~instances:t.instances
+            ~excluded:t.quarantine ~seed:cached.c_program t.catalog
+            (base_policy t) ~instances:t.instances
             ~fault:(Option.value fault ~default:Distsim.Fault.reliable)
             cached.c_plan
         in
@@ -730,23 +670,6 @@ let query ?fault ?deadline ?tenant t sql =
                   }))
     end
 
-let explain t sql =
-  match parse t sql with
-  | Error e -> Error e
-  | Ok query -> (
-    (* Serve the explain from the cached, epoch-valid plan when one
-       exists, and otherwise plan as [query] would, so the trace always
-       describes the assignment [query] would actually execute. *)
-    match find_valid t (Query.canonical query) with
-    | Some c ->
-      touch t c;
-      Ok c.c_trace
-    | None -> (
-      let plan = Query.to_plan query in
-      match plan_fresh t plan with
-      | Ok { trace; _ } -> Ok trace
-      | Error f -> Error (infeasible t plan f)))
-
 type cached_plan = {
   key : string;
   plan : Plan.t;
@@ -763,8 +686,8 @@ let cached_plans t =
           {
             key = c.c_key;
             plan = c.c_plan;
-            assignment = c.c_assignment;
-            certificate = c.c_certificate;
+            assignment = Distsim.Engine.assignment c.c_program;
+            certificate = Distsim.Engine.certificate c.c_program;
             stamped_at = c.c_epoch;
           } )
         :: acc)

@@ -65,18 +65,6 @@ val create :
   unit ->
   t
 
-(** Build from the text formats (file {e contents}, not paths):
-    a schema definition, an authorization file (positive or [DENY]
-    rules) and optionally a data bundle. *)
-val of_text :
-  schema:string ->
-  authz:string ->
-  ?data:string ->
-  ?helpers:string list ->
-  ?cache_capacity:int ->
-  unit ->
-  (t, string) result
-
 type response = {
   plan : Plan.t;
   assignment : Planner.Assignment.t;
@@ -119,9 +107,10 @@ type error =
           (** minimal grants that would repair it, when one exists *)
     }
   | Execution_error of string
-      (** the engine refused the assignment or found a base relation
-          without an instance ({!Distsim.Recover.Execution_failed}) —
-          not a fault, so not a degradation *)
+      (** the engine refused the assignment, found a base relation
+          without an instance or one whose header changed since the plan
+          was compiled ({!Distsim.Engine.pp_error}'s text) — not a
+          fault, so not a degradation *)
   | Degraded of {
       reason : Distsim.Recover.reason;
       failovers : int;  (** failovers that {e did} succeed before *)
@@ -159,10 +148,24 @@ val pp_error : error Fmt.t
     breakers enabled, against the current quarantine set — before any
     message is sent; execution and auditing always run.
 
+    A cache miss plans the query around the quarantine, proves the
+    assignment ({!Analysis.Certificate.certify}) and compiles it
+    against that proof ({!Distsim.Engine.compile}); only then is the
+    program cached. A plan that does not compile (a base relation
+    without an instance, say) is refused with {!Execution_error} before
+    any message is sent, and nothing is cached. Each cached plan is
+    compiled exactly once: every later hit runs the program compiled
+    at its miss, so a hit whose leaf instance changed its header since
+    that miss fails with {!Execution_error} (the stale-instance
+    refusal), and stays cached. A cached plan routing through a
+    quarantined server is dropped when it is looked up, and counted in
+    [invalidations]; one not looked up until that server's breaker
+    half-opens serves again.
+
     Every query runs through one path, {!Distsim.Recover.execute},
     under [fault] ({!Distsim.Fault.reliable} when absent), with the
-    cached (already certified) assignment seeding the first attempt
-    and the quarantined servers excluded. Message-level faults are
+    cached program seeding the first attempt and the quarantined
+    servers excluded. Message-level faults are
     absorbed by retransmission, dead servers by safe replanning; the
     cumulative log of every attempt — a failed run's included — is
     audited, appended to the compliance window ({!audit_log}) and fed
@@ -185,13 +188,6 @@ val query :
   t ->
   string ->
   (response, error) result
-
-(** Planner trace for a query, without executing it. Served from the
-    cached, epoch-valid plan when one exists, and otherwise planned with
-    the call {!query} makes on a cache miss (same helpers, around the
-    same quarantine), so the trace describes the assignment {!query}
-    would actually execute. *)
-val explain : t -> string -> (Planner.Safe_planner.trace, error) result
 
 (** {1 The service layer: grant, revoke, epochs} *)
 

@@ -182,9 +182,4 @@ let runtime_knowledge catalog network =
     (Distsim.Network.messages network)
 
 let runtime_inference ?budget ~joins catalog policy network =
-  let cursor = K.cursor ?budget ~joins (K.of_catalog catalog) in
-  List.iter
-    (fun (m : Distsim.Network.message) ->
-      K.feed cursor ~receiver:m.receiver ~source:(source_of m) m.profile)
-    (Distsim.Network.messages network);
-  K.cursor_lint policy cursor
+  K.lint ?budget ~joins policy (runtime_knowledge catalog network)

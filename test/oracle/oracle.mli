@@ -61,10 +61,8 @@ val covered_by : Analysis.Knowledge.t -> Analysis.Knowledge.t -> bool
     flows. *)
 val runtime_knowledge : Catalog.t -> Distsim.Network.t -> Analysis.Knowledge.t
 
-(** The message log fed one message at a time into an
-    {!Analysis.Knowledge.cursor}, then linted: the same CISQP030/031
-    verdicts as a batch {!Analysis.Knowledge.lint} of the static
-    accumulation. *)
+(** {!Analysis.Knowledge.lint} of {!runtime_knowledge}: the same
+    CISQP030/031 verdicts as a lint of the static accumulation. *)
 val runtime_inference :
   ?budget:int ->
   joins:Joinpath.Cond.t list ->

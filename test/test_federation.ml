@@ -144,41 +144,6 @@ let test_coordinator_through_facade () =
     check Alcotest.int "four messages" 4 r.messages;
     check Alcotest.int "two outcome rows" 2 (Relation.cardinality r.result)
 
-let test_explain () =
-  let fed = medical () in
-  match Federation.explain fed M.example_query_sql with
-  | Error e -> Alcotest.failf "%a" Federation.pp_error e
-  | Ok trace ->
-    check Alcotest.int "seven visits" 7
-      (List.length trace.Planner.Safe_planner.visit_order)
-
-let test_of_text () =
-  let schema = Text.Schema_text.print { catalog = M.catalog; join_graph = M.join_graph } in
-  let authz = Text.Authz_text.print M.policy in
-  let data =
-    Text.Data_text.print
-      (List.filter_map
-         (fun s ->
-           Option.map (fun r -> (Schema.name s, r)) (M.instances (Schema.name s)))
-         (Catalog.schemas M.catalog))
-  in
-  match Federation.of_text ~schema ~authz ~data () with
-  | Error msg -> Alcotest.fail msg
-  | Ok fed ->
-    (match Federation.query fed M.example_query_sql with
-     | Ok r -> check Alcotest.int "three answers" 3 (Relation.cardinality r.result)
-     | Error e -> Alcotest.failf "%a" Federation.pp_error e)
-
-let test_of_text_errors () =
-  (match Federation.of_text ~schema:"garbage" ~authz:"" () with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "bad schema accepted");
-  match
-    Federation.of_text ~schema:"relation R at S (X*)" ~authz:"[{Nope}, -] -> S" ()
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad authz accepted"
-
 let test_close_under_chase () =
   (* Give S_D an explicit grant on Hospital; the joined Disease_list ⋈
      Hospital view is only admitted once the policy is chase-closed. *)
@@ -347,9 +312,6 @@ let suite =
     c "helper rescue through the facade" `Quick
       test_helper_rescue_through_facade;
     c "coordinator through the facade" `Quick test_coordinator_through_facade;
-    c "explain" `Quick test_explain;
-    c "of_text" `Quick test_of_text;
-    c "of_text errors" `Quick test_of_text_errors;
     c "close_under runs the chase" `Quick test_close_under_chase;
     c "fault: answered after failover" `Quick test_query_with_fault_failover;
     c "fault: typed degradation" `Quick test_query_with_fault_degraded;

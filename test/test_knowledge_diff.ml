@@ -2,9 +2,8 @@
    knowledge-saturation engine: on random delivery logs the indexed
    fixpoint must reach verdicts identical to the naive reference
    ([Oracle.saturate]), saturation must be independent of delivery
-   order, the incremental audit cursor must agree with batch
-   saturation, and subsumption pruning must drop only entries a
-   retained entry dominates — never a CISQP030 witness. *)
+   order, and subsumption pruning must drop only entries a retained
+   entry dominates — never a CISQP030 witness. *)
 
 open Relalg
 open Authz
@@ -164,44 +163,6 @@ let pa_proj =
 
 let msg i = { K.seq = i; sender = other; note = Printf.sprintf "m%d" i }
 
-let cursor_agrees ~what catalog joins policy messages =
-  let batch = K.saturate ~joins (accumulate catalog messages) in
-  let cursor = K.cursor ~joins (K.of_catalog catalog) in
-  List.iter
-    (fun (receiver, source, profile) -> K.feed cursor ~receiver ~source profile)
-    messages;
-  let incr = K.snapshot cursor in
-  if
-    not
-      (Oracle.covered_by incr.K.knowledge batch.K.knowledge
-      && Oracle.covered_by batch.K.knowledge incr.K.knowledge)
-  then Alcotest.failf "%s: cursor and batch bases do not cover" what;
-  if verdicts policy incr <> verdicts policy batch then
-    Alcotest.failf "%s: cursor and batch verdicts disagree" what;
-  if incr.K.exhausted <> batch.K.exhausted then
-    Alcotest.failf "%s: exhaustion reports disagree" what
-
-let test_cursor_vs_batch () =
-  for seed = 1 to 60 do
-    let catalog, joins, policy, messages = random_case seed in
-    cursor_agrees ~what:(Printf.sprintf "seed %d" seed) catalog joins policy
-      messages
-  done;
-  (* One server, the empty policy, the join delivered after the cursor
-     derived it. Batch seeding holds it as a delivery, which no CISQP030
-     cites. With the projection of A also delivered before it, the
-     derived join had pruned the projection's join, a CISQP030 that
-     batch keeps once the dominator is a mere delivery. *)
-  let joined = Profile.join xy_join pa pb in
-  List.iter
-    (fun (what, log) ->
-      cursor_agrees ~what Catalog.empty [ xy_join ] Policy.empty
-        (List.mapi (fun i p -> (sv, msg i, p)) log))
-    [
-      ("join delivered after its derivation", [ pa; pb; joined ]);
-      ("join delivered after it pruned", [ pa; pb; pa_proj; joined ]);
-    ]
-
 let test_pruning_drops_dominated () =
   (* Everything arrives by message: both joined profiles qualify for a
      leak, so the dominated one is pruned and the verdict set is
@@ -256,7 +217,6 @@ let suite =
     c "differential soak: indexed = naive verdicts on 200 logs" `Quick
       test_differential_soak;
     c "delivery-order independence" `Quick test_permutation_independence;
-    c "cursor = batch on 60 logs" `Quick test_cursor_vs_batch;
     c "subsumption drops dominated profiles only" `Quick
       test_pruning_drops_dominated;
     c "pruning keeps qualified leak witnesses" `Quick

@@ -222,14 +222,60 @@ let test_revoke_invalidates_exactly () =
   check Alcotest.bool "the citing plan still serves from cache" true
     (serve chain sql).F.from_cache
 
-let test_explain_from_cache () =
-  let fed = medical () in
-  ignore (serve fed M.example_query_sql);
-  match F.explain fed M.example_query_sql with
-  | Error e -> Alcotest.failf "%a" F.pp_error e
-  | Ok trace ->
-    check Alcotest.int "trace covers the full visit order" 7
-      (List.length trace.Planner.Safe_planner.visit_order)
+(* A miss caches only a plan that compiles: without a Hospital
+   instance the certified plan is refused before any message, and
+   nothing is left in the cache to be served later. *)
+let test_uncompiled_miss_caches_nothing () =
+  let instances name = if name = "Hospital" then None else M.instances name in
+  let fed = F.create ~catalog:M.catalog ~policy:M.policy ~instances () in
+  let refused () =
+    match F.query fed M.example_query_sql with
+    | Error (F.Execution_error msg) -> msg
+    | Ok _ -> Alcotest.fail "answered without a Hospital instance"
+    | Error e -> Alcotest.failf "wrong error: %a" F.pp_error e
+  in
+  let missing = {|no instance for base relation "Hospital"|} in
+  check Alcotest.string "the miss names the relation" missing (refused ());
+  check Alcotest.int "nothing cached" 0 (List.length (F.cached_plans fed));
+  check Alcotest.string "the retry is a miss again" missing (refused ());
+  check Alcotest.int "still nothing cached" 0
+    (List.length (F.cached_plans fed));
+  let s = F.stats fed in
+  check Alcotest.int "nothing served" 0 s.F.queries_served;
+  check Alcotest.int "no hit" 0 s.F.cache_hits;
+  check Alcotest.int "nothing audited" 0 (F.audited fed)
+
+(* A hit runs the program compiled at its miss and is never compiled
+   again: a leaf instance whose header order changed after the miss is
+   refused by the first hit, and the entry stays cached. *)
+let test_hit_runs_the_miss_program () =
+  let hospital = Option.get (M.instances "Hospital") in
+  let current = ref hospital in
+  let instances name =
+    if name = "Hospital" then Some !current else M.instances name
+  in
+  let fed = F.create ~catalog:M.catalog ~policy:M.policy ~instances () in
+  check Alcotest.bool "the miss" false
+    (serve fed M.example_query_sql).F.from_cache;
+  current :=
+    Relation.of_arrays
+      (List.rev (Relation.header hospital))
+      (Array.map
+         (fun row -> Array.of_list (List.rev (Array.to_list row)))
+         (Relation.rows hospital));
+  (match F.query fed M.example_query_sql with
+   | Error (F.Execution_error msg) ->
+     check Alcotest.string "the first hit refuses the reordered instance"
+       {|the instance of "Hospital" no longer has the header it was compiled for|}
+       msg
+   | Ok _ -> Alcotest.fail "the first hit compiled the plan again"
+   | Error e -> Alcotest.failf "wrong error: %a" F.pp_error e);
+  check Alcotest.int "the plan stays cached" 1
+    (List.length (F.cached_plans fed));
+  current := hospital;
+  let r = serve fed M.example_query_sql in
+  check Alcotest.bool "the compiled header serves again" true r.F.from_cache;
+  check Alcotest.int "one hit" 1 (F.stats fed).F.cache_hits
 
 (* Interleaved grant/revoke/query churn, differential against the
    plan-per-call twin. Every served response re-proves its certificate
@@ -335,7 +381,10 @@ let suite =
     c "grants keep cached plans" `Quick test_grant_keeps_plans;
     c "revoke invalidates exactly the citing plans" `Quick
       test_revoke_invalidates_exactly;
-    c "explain served from cache" `Quick test_explain_from_cache;
+    c "a miss that does not compile caches nothing" `Quick
+      test_uncompiled_miss_caches_nothing;
+    c "a hit runs the program compiled at its miss" `Quick
+      test_hit_runs_the_miss_program;
     c "grant/revoke churn differential" `Quick test_churn_differential;
     c "stats consistency" `Quick test_stats_consistency;
   ]
