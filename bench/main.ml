@@ -1210,12 +1210,51 @@ let run_health_bench () =
    pipeline at growing row counts (asserts >= 10x row throughput at the
    10^6-row point, and result equality at every point — the bench
    doubles as a differential), with the positional default
-   ([Algebra.eval]) timed alongside, ungated, plus
+   ([Algebra.eval]) timed alongside and its allocation counted (asserts
+   at most 1.5 words per input row at every point); a join on keys
+   strided by 2^16 against the same join on sequential keys (asserts
+   at most 3x the time: a row index whose slots came from a hash's low
+   bits would pile the strided keys into a few slots); plus
    the Bloom semi-join wire sweep on scaled medical instances (asserts
    the filter leg ships strictly fewer bytes than the projected
    column, and the whole Bloom run strictly fewer total bytes, at
    every rows x bits point — with identical answers and clean audits).
    Written to BENCH_exec.json. *)
+
+(* Words [f ()] allocates: [Gc.minor_words] for the minor heap, and
+   [Gc.counters]' major minus promoted words for blocks allocated
+   straight into the major heap ([Gc.counters]' own minor count reads
+   low on OCaml 5.1). Counts, not times: they hold on any host. *)
+let allocated_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  let r = Sys.opaque_identity (f ()) in
+  (r, words () -. before)
+
+(* [equi_join] on a 10^5-row build side keyed [i * stride], probed by
+   the same keys: best-of seconds. *)
+let strided_join_seconds ~rows stride =
+  let l_schema = Schema.make "XL" ~key:[] [ "K"; "V" ]
+  and r_schema = Schema.make "XK" ~key:[] [ "J"; "W" ] in
+  let keyed schema =
+    Relation.of_rows schema
+      (List.init rows (fun i -> [ Value.Int (i * stride); Value.Int i ]))
+  in
+  let l = keyed l_schema and r = keyed r_schema in
+  let cond =
+    Joinpath.Cond.eq
+      (Attribute.make ~relation:"XL" "K")
+      (Attribute.make ~relation:"XK" "J")
+  in
+  let out, dt = Harness.best_of (fun () -> Relation.equi_join cond l r) in
+  Harness.check
+    (Relation.cardinality out = rows)
+    "exec bench: strided join (stride %d) gave %d rows, not %d" stride
+    (Relation.cardinality out) rows;
+  dt
 
 let run_exec_bench () =
   (* Throughput pipeline: project(join(select(R), S)) — the
@@ -1272,6 +1311,14 @@ let run_exec_bench () =
     Harness.check
       (Relation.equal naive_res positional_res)
       "exec bench: positional result drift at %d rows" n;
+    let words_per_row =
+      snd (allocated_words (fun () -> Algebra.eval ~lookup expr))
+      /. float_of_int (n + 100)
+    in
+    Harness.check (words_per_row <= 1.5)
+      "exec bench: positional pipeline allocates %.2f words per input row \
+       at %d rows, above the 1.5 budget"
+      words_per_row n;
     let dict = Batch.Dict.create () in
     let (rb, sb), encode_dt =
       Harness.time (fun () ->
@@ -1287,11 +1334,11 @@ let run_exec_bench () =
     let rows = float_of_int (n + 100) in
     let speedup = naive_dt /. batch_dt in
     ( Printf.sprintf
-        {|{"kind":"throughput","rows":%d,"result_rows":%d,"naive_seconds":%.9f,"positional_seconds":%.9f,"batch_seconds":%.9f,"encode_seconds":%.9f,"naive_rows_per_s":%.0f,"batch_rows_per_s":%.0f,"speedup":%.2f}|}
+        {|{"kind":"throughput","rows":%d,"result_rows":%d,"naive_seconds":%.9f,"positional_seconds":%.9f,"positional_words_per_row":%.3f,"batch_seconds":%.9f,"encode_seconds":%.9f,"naive_rows_per_s":%.0f,"batch_rows_per_s":%.0f,"speedup":%.2f}|}
         n
         (Relation.cardinality naive_res)
-        naive_dt positional_dt batch_dt encode_dt (rows /. naive_dt)
-        (rows /. batch_dt) speedup,
+        naive_dt positional_dt words_per_row batch_dt encode_dt
+        (rows /. naive_dt) (rows /. batch_dt) speedup,
       speedup )
   in
   (* Bloom wire sweep: the medical plan of Figure 2 on scaled
@@ -1401,8 +1448,22 @@ let run_exec_bench () =
     (not (top_speedup < 10.0))
     "exec bench: batch speedup %.1fx below the 10x budget at 10^6 rows"
     top_speedup;
+  let strided =
+    let rows = 100_000 and stride = 1 lsl 16 in
+    let sequential_dt = strided_join_seconds ~rows 1 in
+    let strided_dt = strided_join_seconds ~rows stride in
+    let ratio = strided_dt /. sequential_dt in
+    Harness.check (ratio <= 3.0)
+      "exec bench: join on keys strided by %d takes %.1fx the sequential \
+       join at %d rows, above the 3x budget"
+      stride ratio rows;
+    Printf.sprintf
+      {|{"kind":"strided_join","rows":%d,"stride":%d,"sequential_seconds":%.9f,"strided_seconds":%.9f,"ratio":%.2f}|}
+      rows stride sequential_dt strided_dt ratio
+  in
   Harness.write_json "BENCH_exec.json" ~bench:"executor-throughput"
-    (List.map fst throughput @ List.concat_map bloom_points [ 200; 1000; 4000 ])
+    (List.map fst throughput
+    @ (strided :: List.concat_map bloom_points [ 200; 1000; 4000 ]))
 
 (* ------------------------------------------------------------------ *)
 

@@ -8,7 +8,8 @@
 
    Every operator is planned against its operands' headers first
    ([plan_*]: checks, positions, output header) and then applied to
-   rows; the unplanned operators plan on every call. *)
+   rows; the unplanned operators plan on every call. Every operator
+   that matches rows runs on one index of row numbers (below). *)
 
 module Header = struct
   type t = {
@@ -65,23 +66,169 @@ type t = {
   rows : Value.t array array;
 }
 
-(* Rows, and join keys cut from rows, hashed in [Value.equal] classes:
-   [Int 3] and [Float 3.] are one key, and so are two NULLs. *)
-module Row_tbl = Hashtbl.Make (struct
-  type t = Value.t array
+(* The row index: open addressing over the numbers of the rows
+   [indexed], keyed by their values at positions [at], in [Value.equal]
+   classes ([Int 3] and
+   [Float 3.] are one key, and so are two NULLs). [slots] holds row
+   numbers, -1 when empty, at a load of at most 2/3; a key's first
+   slot is the high bits of its hash times a Fibonacci constant (low
+   bits would pile keys strided by a power of two into a few slots),
+   and a probe goes on to the next slot, wrapping. [hashes.(i)] is row
+   [i]'s key hash, compared before any value. In a join's index,
+   [next.(i)] is the next row after [i] with its key, -1 at the last,
+   and the slot holds the first: a key's rows in row order.
 
-  let equal a b =
-    let n = Array.length a in
-    let rec from i = i = n || (Value.equal a.(i) b.(i) && from (i + 1)) in
-    n = Array.length b && from 0
+   A probe compares the stored row's key positions in place, so no
+   key, cell, list or closure is allocated per row. The loops are
+   top-level functions with explicit arguments: without flambda, a
+   local recursive function capturing the probed row is a closure
+   allocated per probe. *)
+type index = {
+  indexed : Value.t array array;
+  at : int array;
+  hashes : int array;
+  slots : int array;
+  shift : int; (* [Sys.int_size] - log2 (slot count) *)
+  next : int array; (* [[||]] outside a join *)
+}
 
-  let hash r =
-    let h = ref 0 in
-    for i = 0 to Array.length r - 1 do
-      h := (!h * 65599) + Value.hash r.(i)
-    done;
-    !h land max_int
-end)
+(* 2^63 over the golden ratio, made odd. *)
+let fibonacci = 0x4F1BBCDCBFA53E0B
+
+let index ~chained rows pos =
+  let n = Array.length rows in
+  let bits = ref 1 in
+  while 2 lsl !bits < 3 * n do
+    incr bits
+  done;
+  {
+    indexed = rows;
+    at = pos;
+    hashes = Array.make n 0;
+    slots = Array.make (1 lsl !bits) (-1);
+    shift = Sys.int_size - !bits;
+    next = (if chained then Array.make n (-1) else [||]);
+  }
+
+let hash_at row pos =
+  let h = ref 0 in
+  for k = 0 to Array.length pos - 1 do
+    h := (!h * fibonacci) + Value.key_hash row.(pos.(k))
+  done;
+  !h
+
+let rec same_key a apos b bpos k =
+  k < 0
+  || (let x = a.(apos.(k)) and y = b.(bpos.(k)) in
+      x == y || Value.equal x y)
+     && same_key a apos b bpos (k - 1)
+
+let rec find ix row pos h s =
+  let i = ix.slots.(s) in
+  if
+    i < 0
+    || ix.hashes.(i) = h
+       && same_key ix.indexed.(i) ix.at row pos (Array.length pos - 1)
+  then s
+  else find ix row pos h ((s + 1) land (Array.length ix.slots - 1))
+
+(* The slot of [row]'s key at [pos], whose hash is [h]: the one holding
+   an indexed row with that key, or the empty one where it would go. *)
+let slot ix row pos h = find ix row pos h ((h * fibonacci) lsr ix.shift)
+
+(* The indexed row number with [row]'s key at [pos], or -1 (in a join's
+   index, the first of them). *)
+let lookup ix row pos = ix.slots.(slot ix row pos (hash_at row pos))
+
+(* Indexes row [i] unless an indexed row has its key: whether it did. *)
+let add ix i =
+  let row = ix.indexed.(i) in
+  let h = hash_at row ix.at in
+  ix.hashes.(i) <- h;
+  let s = slot ix row ix.at h in
+  if ix.slots.(s) >= 0 then false
+  else begin
+    ix.slots.(s) <- i;
+    true
+  end
+
+(* A set of [rows]' keys at [pos]. *)
+let key_set rows pos =
+  let ix = index ~chained:false rows pos in
+  for i = 0 to Array.length rows - 1 do
+    ignore (add ix i)
+  done;
+  ix
+
+(* A join's index: every row of [rows], chained by key at [pos]. Rows
+   go in from the last, each at the head of its key's chain. *)
+let chains rows pos =
+  let ix = index ~chained:true rows pos in
+  for i = Array.length rows - 1 downto 0 do
+    let row = rows.(i) in
+    let h = hash_at row pos in
+    ix.hashes.(i) <- h;
+    let s = slot ix row pos h in
+    ix.next.(i) <- ix.slots.(s);
+    ix.slots.(s) <- i
+  done;
+  ix
+
+(* The numbers of the first row of each key of [rows] at [pos], in
+   order, and how many there are. *)
+let firsts rows pos =
+  let ix = index ~chained:false rows pos in
+  let kept = Array.make (Array.length rows) 0 in
+  let m = ref 0 in
+  for i = 0 to Array.length rows - 1 do
+    if add ix i then begin
+      kept.(!m) <- i;
+      incr m
+    end
+  done;
+  (kept, !m)
+
+(* [row]'s values at [pos]. *)
+let pick pos row =
+  let out = Array.make (Array.length pos) Value.Null in
+  for k = 0 to Array.length pos - 1 do
+    out.(k) <- row.(pos.(k))
+  done;
+  out
+
+(* [lrow] followed by [rrow]'s values at [extra], in one allocation. *)
+let glue lrow rrow extra =
+  let nl = Array.length lrow in
+  let out = Array.make (nl + Array.length extra) Value.Null in
+  Array.blit lrow 0 out 0 nl;
+  for k = 0 to Array.length extra - 1 do
+    out.(nl + k) <- rrow.(extra.(k))
+  done;
+  out
+
+(* Each row of [lrows] glued to every indexed row its key at [lpos]
+   matches: left row order, then each left row's matches in the
+   index's row order. The output array grows by doubling. *)
+let join ix lrows lpos extra =
+  let out = ref (Array.make (max 16 (Array.length lrows)) [||]) in
+  let n = ref 0 in
+  for i = 0 to Array.length lrows - 1 do
+    let lrow = lrows.(i) in
+    let r = ref (lookup ix lrow lpos) in
+    while !r >= 0 do
+      if !n = Array.length !out then begin
+        let bigger = Array.make (2 * !n) [||] in
+        Array.blit !out 0 bigger 0 !n;
+        out := bigger
+      end;
+      !out.(!n) <- glue lrow ix.indexed.(!r) extra;
+      incr n;
+      r := ix.next.(!r)
+    done
+  done;
+  if !n = Array.length !out then !out else Array.sub !out 0 !n
+
+let identity n = Array.init n Fun.id
 
 (* [filter keep rows] keeps the rows [keep] accepts, in order; [rows]
    itself when it accepts all. *)
@@ -98,19 +245,13 @@ let filter keep rows =
   done;
   if !m = n then rows else Array.sub out 0 !m
 
-(* First occurrence of each row. *)
-let distinct rows =
+(* First occurrence of each row of width [arity]. *)
+let distinct arity rows =
   if Array.length rows < 2 then rows
   else
-    let seen = Row_tbl.create (Array.length rows) in
-    let fresh row =
-      if Row_tbl.mem seen row then false
-      else begin
-        Row_tbl.add seen row ();
-        true
-      end
-    in
-    filter fresh rows
+    let kept, m = firsts rows (identity arity) in
+    if m = Array.length rows then rows
+    else Array.init m (fun k -> rows.(kept.(k)))
 
 let check_tuple header_set tuple =
   if not (Attribute.Set.equal (Tuple.attributes tuple) header_set) then
@@ -124,7 +265,11 @@ let make header tuples =
   let row_of tuple =
     Array.of_list (List.map (Tuple.find tuple) header.Header.attrs)
   in
-  { header; rows = distinct (Array.of_list (List.map row_of tuples)) }
+  {
+    header;
+    rows =
+      distinct (Header.arity header) (Array.of_list (List.map row_of tuples));
+  }
 
 let of_arrays header rows =
   let header = Header.of_list "of_arrays" header in
@@ -136,7 +281,7 @@ let of_arrays header rows =
           (Printf.sprintf "Relation.of_arrays: row of width %d (arity %d)"
              (Array.length row) arity))
     rows;
-  { header; rows = distinct rows }
+  { header; rows = distinct arity rows }
 
 (* The schema's attributes are distinct and its set is built: the
    header shares it. *)
@@ -152,7 +297,7 @@ let of_rows schema rows =
   in
   {
     header = Header.unchecked ~set:(Schema.attribute_set schema) attrs;
-    rows = distinct (Array.of_list (List.map row_of rows));
+    rows = distinct arity (Array.of_list (List.map row_of rows));
   }
 
 let header t = t.header.attrs
@@ -163,12 +308,14 @@ let cardinality t = Array.length t.rows
 let is_empty t = Array.length t.rows = 0
 
 let byte_size t =
-  Array.fold_left
-    (fun acc row ->
-      Array.fold_left (fun acc v -> acc + Value.byte_width v) acc row)
-    0 t.rows
-
-let pick pos row = Array.map (fun p -> row.(p)) pos
+  let n = ref 0 in
+  for i = 0 to Array.length t.rows - 1 do
+    let row = t.rows.(i) in
+    for j = 0 to Array.length row - 1 do
+      n := !n + Value.byte_width row.(j)
+    done
+  done;
+  !n
 
 (* [Tuple.compare] on tuples over one header: values compared in
    [Attribute.compare] order of their attributes. *)
@@ -229,7 +376,11 @@ let plan_project attrs h =
     ( out,
       fun t ->
         expect "project" h t;
-        { header = out; rows = distinct (Array.map (pick pos) t.rows) } )
+        let kept, m = firsts t.rows pos in
+        {
+          header = out;
+          rows = Array.init m (fun k -> pick pos t.rows.(kept.(k)));
+        } )
 
 let project attrs t = snd (plan_project attrs t.header) t
 
@@ -252,24 +403,6 @@ let check_side op side_name side_attrs h =
              side_name Attribute.pp_qualified a))
     side_attrs
 
-(* Hash index of [rel]'s rows on the key at [pos]. *)
-let index_by pos rel =
-  let index = Row_tbl.create (Array.length rel.rows) in
-  Array.iter (fun row -> Row_tbl.add index (pick pos row) row) rel.rows;
-  index
-
-(* Probe [index] with every row of [l] on the key at [lpos]; each match
-   contributes [combine lrow rrow]. *)
-let probe index lpos l combine =
-  let out = ref [] in
-  for i = Array.length l.rows - 1 downto 0 do
-    let lrow = l.rows.(i) in
-    List.iter
-      (fun rrow -> out := combine lrow rrow :: !out)
-      (Row_tbl.find_all index (pick lpos lrow))
-  done;
-  Array.of_list !out
-
 let plan_equi_join cond lh rh =
   let jl = Joinpath.Cond.left cond and jr = Joinpath.Cond.right cond in
   check_side "equi_join" "left" jl lh;
@@ -278,13 +411,14 @@ let plan_equi_join cond lh rh =
     invalid_arg "Relation.equi_join: operands share attributes";
   let out = Header.unchecked (lh.Header.attrs @ rh.Header.attrs) in
   let lpos = Header.positions lh jl and rpos = Header.positions rh jr in
+  let all = identity (Header.arity rh) in
   ( out,
     fun l r ->
       expect "equi_join" lh l;
       expect "equi_join" rh r;
       (* Distinct left rows paired with distinct right rows: the
          concatenations are distinct. *)
-      { header = out; rows = probe (index_by rpos r) lpos l Array.append } )
+      { header = out; rows = join (chains r.rows rpos) l.rows lpos all } )
 
 let equi_join cond l r = snd (plan_equi_join cond l.header r.header) l r
 
@@ -296,12 +430,8 @@ let plan_semi_join cond lh rh =
   fun l r ->
     expect "semi_join" lh l;
     expect "semi_join" rh r;
-    let keys = Row_tbl.create (Array.length r.rows) in
-    Array.iter (fun row -> Row_tbl.replace keys (pick rpos row) ()) r.rows;
-    {
-      header = lh;
-      rows = filter (fun row -> Row_tbl.mem keys (pick lpos row)) l.rows;
-    }
+    let keys = key_set r.rows rpos in
+    { header = lh; rows = filter (fun row -> lookup keys row lpos >= 0) l.rows }
 
 let semi_join cond l r = plan_semi_join cond l.header r.header l r
 
@@ -324,26 +454,28 @@ let plan_natural_join lh rh =
       expect "natural_join" rh r;
       (* Matching rows agree on the shared columns, so two results
          coincide only when both their left and their right rows do. *)
-      {
-        header = out;
-        rows =
-          probe (index_by rpos r) lpos l (fun lrow rrow ->
-              Array.append lrow (pick extra rrow));
-      } )
+      { header = out; rows = join (chains r.rows rpos) l.rows lpos extra } )
 
 let natural_join l r = snd (plan_natural_join l.header r.header) l r
 
-(* [b]'s rows in [a]'s header order. *)
-let rows_in_order_of a b =
-  let perm = Header.positions b.header a.header.Header.attrs in
-  let identity = ref true in
-  Array.iteri (fun i p -> if i <> p then identity := false) perm;
-  if !identity then b.rows else Array.map (pick perm) b.rows
+(* [a]'s rows as a set, and where each of [a]'s attributes sits in [b]'s
+   header. *)
+let aligned a b =
+  ( key_set a.rows (identity (Header.arity a.header)),
+    Header.positions b.header a.header.Header.attrs )
 
+(* Both sides are distinct, so the result is [a]'s rows, then [b]'s
+   rows that no row of [a] equals, in [a]'s header order. *)
 let union a b =
   if not (Attribute.Set.equal (attribute_set a) (attribute_set b)) then
     invalid_arg "Relation.union: incompatible headers";
-  { a with rows = distinct (Array.append a.rows (rows_in_order_of a b)) }
+  let seen, perm = aligned a b in
+  let fresh = filter (fun row -> lookup seen row perm < 0) b.rows in
+  let fresh =
+    if Array.for_all2 Int.equal perm (identity (Array.length perm)) then fresh
+    else Array.map (pick perm) fresh
+  in
+  { a with rows = Array.append a.rows fresh }
 
 (* Both sides are distinct, so equal counts and one inclusion make equal
    sets. *)
@@ -351,9 +483,8 @@ let equal a b =
   Attribute.Set.equal (attribute_set a) (attribute_set b)
   && Array.length a.rows = Array.length b.rows
   &&
-  let seen = Row_tbl.create (Array.length a.rows) in
-  Array.iter (fun row -> Row_tbl.add seen row ()) a.rows;
-  Array.for_all (fun row -> Row_tbl.mem seen row) (rows_in_order_of a b)
+  let seen, perm = aligned a b in
+  Array.for_all (fun row -> lookup seen row perm >= 0) b.rows
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a@,%a@]"

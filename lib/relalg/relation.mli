@@ -9,22 +9,33 @@
     array of rows, each a [Value.t array] in header order. Rows are
     distinct under {!Value.equal}, the invariant every operator keeps.
     The header is a {!Header.t} value, built once per operator output.
-    Operators are loops over the row arrays, hashing rows with
-    {!Value.hash}: [project], [union] and the constructors deduplicate
-    through a hash set, the joins build a hash index on the right
-    operand's key and probe it with the left's (their output is
-    distinct by construction), and [select] and [semi_join] filter.
-    {!Tuple.t} attribute maps appear only at the text and printing
-    edges: {!make}, {!tuples}, {!pp}.
+    Operators are loops over the row arrays. Every operator that
+    matches rows runs on one private index: open addressing over row
+    numbers, keyed by values at given positions under {!Value.key_hash}
+    (not {!Value.hash}, which stays the Bloom filter's), comparing a
+    stored row's key positions in place. [project], [union] and the
+    constructors deduplicate through it, [equal] and [semi_join] look
+    rows up in it, and the joins chain the right operand's rows by key
+    and probe with the left's (their output is distinct by
+    construction); [select] filters. An operator allocates its output
+    and O(n) ints, nothing per row it only looks at. {!Tuple.t}
+    attribute maps appear only at the text and printing edges:
+    {!make}, {!tuples}, {!pp}.
 
     {b Representatives.} [Int 3] and [Float 3.] are one value under
     {!Value.equal}, so two rows that differ only between such twins are
     one row, and the first occurrence survives: the first given to
     {!make}, {!of_rows} or {!of_arrays}, [a]'s over [b]'s in
     [union a b], and for [project] the first in its operand's row
-    order. That order is deterministic though not exposed: the
-    constructors keep their input order, [select] and [semi_join] keep
-    their operand's, and the joins follow their left operand's. *)
+    order.
+
+    {b Row order.} {!rows} gives each relation's row order, which every
+    operator fixes: the constructors keep their input order (first
+    occurrences), [project] its operand's (first occurrences),
+    [select] and [semi_join] their operand's, and [union a b] is [a]'s
+    rows followed by those of [b]'s rows that no row of [a] equals, in
+    [b]'s order. The joins follow their left operand's order, and one
+    left row's matches follow the right operand's row order. *)
 
 (** A header value: the attribute list, its array and its set, each
     built once and shared by every relation over it. The set is built

@@ -70,6 +70,17 @@ let hash = function
   | Float f -> Hashtbl.hash f
   | String s -> Hashtbl.hash s
 
+(* [Int i] is [equal] to [Float f] exactly when [f] is integral, inside
+   the int range and [Float.to_int f = i], so such a float hashes as
+   that int; every other float has no [Int] twin. *)
+let key_hash = function
+  | Int i -> i
+  | Float f ->
+    if Float.is_integer f && f >= min_int_f && f < max_int_f then
+      Float.to_int f
+    else Hashtbl.hash f
+  | (Null | Bool _ | String _) as v -> Hashtbl.hash v
+
 let type_name = function
   | Null -> "null"
   | Bool _ -> "bool"

@@ -35,6 +35,14 @@ val equal : t -> t -> bool
     hash on their own. *)
 val hash : t -> int
 
+(** [key_hash v] is also compatible with {!equal}, and boxes nothing: an
+    [Int] hashes as itself, an integral [Float] inside the int range as
+    the [Int] it equals, and any other value through [Hashtbl.hash].
+    It is the key hash of {!Relation}'s row index, which mixes it with
+    a multiply, and it is not {!hash}: the Bloom filter and the batch
+    dictionary hash with {!hash}, so their bits do not move with it. *)
+val key_hash : t -> int
+
 (** Name of the runtime type, e.g. ["int"]. *)
 val type_name : t -> string
 

@@ -59,11 +59,15 @@ let test_compare_precision () =
     (Value.compare (Int min_int) (Float nan) > 0)
 
 let test_equal_hash_compatible () =
-  let pairs = [ (Value.Int 3, Value.Float 3.0); (Int 7, Int 7) ] in
+  let pairs =
+    [ (Value.Int 3, Value.Float 3.0); (Int 7, Int 7); (Int 0, Float (-0.)) ]
+  in
   List.iter
     (fun (a, b) ->
       check Alcotest.bool "equal" true (Value.equal a b);
-      check Alcotest.int "hash agrees" (Value.hash a) (Value.hash b))
+      check Alcotest.int "hash agrees" (Value.hash a) (Value.hash b);
+      check Alcotest.int "key_hash agrees" (Value.key_hash a)
+        (Value.key_hash b))
     pairs
 
 let test_of_literal () =
@@ -94,14 +98,14 @@ let test_pp () =
 
 (* Deliberately boundary-heavy: integers around 2^52/2^53 and the int
    range ends, floats that are images of those integers, non-finite
-   floats — the inputs the exact Int/Float comparison must order
-   consistently. *)
+   floats and -0. — the inputs the exact Int/Float comparison must
+   order consistently. *)
 let arb_value =
-  let two_53 = 9_007_199_254_740_992 in
+  let two_52 = 4_503_599_627_370_496 and two_53 = 9_007_199_254_740_992 in
   let boundary_ints =
     [
-      0; 1; -1; two_53; two_53 + 1; two_53 - 1; -two_53; -two_53 - 1;
-      max_int; max_int - 1; min_int; min_int + 1;
+      0; 1; -1; two_52; two_52 + 1; -two_52; two_53; two_53 + 1; two_53 - 1;
+      -two_53; -two_53 - 1; max_int; max_int - 1; min_int; min_int + 1;
     ]
   in
   QCheck.(
@@ -114,9 +118,32 @@ let arb_value =
         map (fun i -> Value.Float (float_of_int i)) (oneofl boundary_ints);
         map (fun f -> Value.Float f) (float_bound_exclusive 1000.0);
         oneofl
-          [ Value.Float infinity; Value.Float neg_infinity; Value.Float nan ];
+          [
+            Value.Float infinity;
+            Value.Float neg_infinity;
+            Value.Float nan;
+            Value.Float (-0.);
+          ];
         map (fun s -> Value.String s) small_printable_string;
       ])
+
+(* A value and its other-constructor image: [Float (float_of_int i)]
+   for [Int i], [Int (Float.to_int f)] for an integral [Float f] in the
+   int range; any other value paired with itself. Equal exactly when
+   the conversion is exact (2^53 + 1 and max_int are not), so most of
+   these pairs pass the [assume] that independent pairs almost never
+   pass. *)
+let arb_twins =
+  QCheck.map
+    (fun v ->
+      ( v,
+        match (v : Value.t) with
+        | Int i -> Value.Float (float_of_int i)
+        | Float f
+          when Float.is_integer f && Float.abs f < 4.611686018427387904e18 ->
+          Value.Int (Float.to_int f)
+        | v -> v ))
+    arb_value
 
 let sign c = compare c 0
 
@@ -142,10 +169,10 @@ let prop_compare_trans =
 
 let prop_equal_hash =
   QCheck.Test.make ~name:"equal values hash equally" ~count:2000
-    QCheck.(pair arb_value arb_value)
+    QCheck.(oneof [ pair arb_value arb_value; arb_twins ])
     (fun (a, b) ->
       QCheck.assume (Value.equal a b);
-      Value.hash a = Value.hash b)
+      Value.hash a = Value.hash b && Value.key_hash a = Value.key_hash b)
 
 let suite =
   [
