@@ -1211,7 +1211,7 @@ let run_health_bench () =
    10^6-row point, and result equality at every point — the bench
    doubles as a differential), with the positional default
    ([Algebra.eval]) timed alongside and its allocation counted (asserts
-   at most 1.5 words per input row at every point); a join on keys
+   at most 0.5 words per input row at every point); a join on keys
    strided by 2^16 against the same join on sequential keys (asserts
    at most 3x the time: a row index whose slots came from a hash's low
    bits would pile the strided keys into a few slots); plus
@@ -1315,9 +1315,12 @@ let run_exec_bench () =
       snd (allocated_words (fun () -> Algebra.eval ~lookup expr))
       /. float_of_int (n + 100)
     in
-    Harness.check (words_per_row <= 1.5)
+    (* Measured 0.30-0.39 (the 10^4 point the highest: fixed costs over
+       fewer rows) since [select] filters through a byte mask; 0.5
+       leaves 0.11 words per row of margin. *)
+    Harness.check (words_per_row <= 0.5)
       "exec bench: positional pipeline allocates %.2f words per input row \
-       at %d rows, above the 1.5 budget"
+       at %d rows, above the 0.5 budget"
       words_per_row n;
     let dict = Batch.Dict.create () in
     let (rb, sb), encode_dt =

@@ -370,10 +370,20 @@ let plan_query fed query ~third_party ~no_semijoins ~optimize =
       die "no feasible join order"
   end
   else
-    let plan = Query.to_plan query in
-    match Planner.Safe_planner.plan ~config ~helpers fed.catalog fed.policy plan with
-    | Ok { assignment; trace } -> (plan, assignment, Some trace)
-    | Error f -> die "%a" Planner.Safe_planner.pp_failure f
+    (* The order a federation's plan miss serves: the cheapest under
+       the cost model, or the SQL order. *)
+    match
+      Planner.Optimizer.served query
+        (Planner.Safe_planner.plan ~config ~helpers fed.catalog fed.policy)
+    with
+    | plan, Ok { assignment; trace } ->
+      let order = Plan.relations plan in
+      if order <> Query.relations query then
+        Fmt.pr "join order: %a (ranked cheapest by the cost model)@."
+          Fmt.(list ~sep:(any " > ") string)
+          order;
+      (plan, assignment, Some trace)
+    | _, Error f -> die "%a" Planner.Safe_planner.pp_failure f
 
 let plan_cmd =
   let dot_flag =
@@ -394,10 +404,6 @@ let plan_cmd =
   in
   let run fed sql third_party no_semijoins optimize chase certify cert_out dot
       script =
-    if certify && optimize then
-      usage_error (D.Flag "--certify")
-        "--certify and --optimize cannot be combined: certificates replay \
-         the canonical plan shape derived from the SQL";
     let fed, handle = with_chase chase fed in
     let query = parse_query fed sql in
     let plan, assignment, trace =
@@ -532,10 +538,6 @@ let run_cmd =
   let run fed sql third_party no_semijoins optimize chase certify cert_out
       makespan crashes drop corrupt fault_seed retries deadline exec_choice
       bloom =
-    if certify && optimize then
-      usage_error (D.Flag "--certify")
-        "--certify and --optimize cannot be combined: certificates replay \
-         the canonical plan shape derived from the SQL";
     (match deadline with
      | Some d when d <= 0 ->
        service_error (D.Flag "--deadline")
@@ -791,12 +793,23 @@ let certify_cmd =
       | Ok cert -> cert
       | Error msg -> stale "%s: not a plan certificate: %s" cert_path msg
     in
-    (* The plan shape is canonical from the SQL (Query.to_plan is
-       deterministic and policy-independent), so the checker replays
-       the certificate against a freshly derived tree — no planner
-       involved. Chase-derived witnesses carry their own derivation
-       chains, so no --chase is needed either. *)
+    (* The plan is rebuilt from the SQL in the join order the
+       certificate names (the SQL order when it names none):
+       Optimizer.reorder and Query.to_plan are deterministic and
+       policy-independent, so the checker replays the certificate
+       against a freshly derived tree — no planner involved.
+       Chase-derived witnesses carry their own derivation chains, so no
+       --chase is needed either. *)
     let query = parse_query fed sql in
+    let query =
+      match cert.C.order with
+      | None -> query
+      | Some order -> (
+        try Planner.Optimizer.reorder query order
+        with Invalid_argument msg ->
+          stale "%s: unusable join order %s: %s" cert_path
+            (String.concat " > " order) msg)
+    in
     let plan = Query.to_plan query in
     match
       C.check_plan ~revalidate ~joins:fed.joins fed.catalog fed.policy plan

@@ -565,14 +565,15 @@ let service_slice () =
     let policy = Authz_gen.generate rng ~density sys in
     if not (Authz.Policy.is_open policy) then begin
       (* A pool of distinct SQL texts; the stream re-draws from it so
-         the cache actually gets hits. WHERE is left out: its
-         canonicalization is pinned by unit tests, and values would
-         have to survive an SQL round-trip here. *)
+         the cache actually gets hits. Some queries carry one
+         [a <= Int] conjunct, which survives the SQL round trip: the
+         miss then ranks join orders on it, so the differential and the
+         freshness re-proofs below run on reordered plans too. *)
       let pool =
         List.filter_map
           (fun _ ->
             Option.map Query.to_string
-              (Query_gen.generate rng ~where_prob:0.0
+              (Query_gen.generate rng ~where_prob:0.3
                  ~joins:(1 + (seed mod 3))
                  sys))
           (List.init 6 (fun i -> i))

@@ -30,6 +30,7 @@ type flow_evidence = {
 type plan_cert = {
   epoch : string;
   third_party : bool;
+  order : string list option;
   assignment : Planner.Assignment.t;
   rules : rule list;
   flows : flow_evidence list;
@@ -91,6 +92,7 @@ type failure =
   | Composition_sides of { rule : int }
   | Composition_union of { rule : int }
   | Plan_structure of string
+  | Order_mismatch of { plan : string list; certificate : string list }
   | Flow_unevidenced of { node : int }
   | Flow_fabricated of { node : int }
   | Witness_out_of_range of { node : int; witness : int }
@@ -124,6 +126,10 @@ let pp_failure ppf = function
   | Composition_union { rule } ->
     Fmt.pf ppf "rule %d: conclusion is not the merge of its premises" rule
   | Plan_structure msg -> Fmt.pf ppf "plan structure: %s" msg
+  | Order_mismatch { plan; certificate } ->
+    let order = Fmt.(list ~sep:(any " > ") string) in
+    Fmt.pf ppf "certificate proves join order %a, the plan joins %a" order
+      certificate order plan
   | Flow_unevidenced { node } ->
     Fmt.pf ppf "flow at node n%d has no evidence in the certificate" node
   | Flow_fabricated { node } ->
@@ -228,6 +234,12 @@ let check_plan ?(revalidate = false) ~joins catalog policy plan
        let e = epoch policy in
        if not (String.equal e cert.epoch) then
          fail (Stale_epoch { expected = e; found = cert.epoch }));
+    (match cert.order with
+     | None -> ()
+     | Some certificate ->
+       let plan = Plan.relations plan in
+       if not (List.equal String.equal plan certificate) then
+         fail (Order_mismatch { plan; certificate }));
     List.iter fail (check_rules ~joins policy cert.rules);
     let rules = Array.of_list cert.rules in
     let nrules = Array.length rules in
@@ -430,6 +442,7 @@ let emit_plan ?(third_party = false) ?closed catalog policy plan assignment =
         {
           epoch = epoch base;
           third_party;
+          order = Some (Plan.relations plan);
           assignment;
           rules = List.map rule kept;
           flows =
@@ -544,17 +557,25 @@ let json_of_assignment a =
        (Planner.Assignment.bindings a))
 
 let plan_to_json (cert : plan_cert) =
+  let order =
+    match cert.order with
+    | None -> []
+    | Some order -> [ ("order", Json.Arr (List.map (fun r -> Json.Str r) order)) ]
+  in
   Json.to_string
     (Json.Obj
-       [
-         ("kind", Json.Str kind_tag);
-         ("version", Json.Num 1.0);
-         ("epoch", Json.Str cert.epoch);
-         ("third_party", Json.Bool cert.third_party);
-         ("assignment", json_of_assignment cert.assignment);
-         ("rules", Json.Arr (List.map json_of_rule cert.rules));
-         ("flows", Json.Arr (List.map json_of_flow cert.flows));
-       ])
+       ([
+          ("kind", Json.Str kind_tag);
+          ("version", Json.Num 1.0);
+          ("epoch", Json.Str cert.epoch);
+          ("third_party", Json.Bool cert.third_party);
+        ]
+       @ order
+       @ [
+           ("assignment", json_of_assignment cert.assignment);
+           ("rules", Json.Arr (List.map json_of_rule cert.rules));
+           ("flows", Json.Arr (List.map json_of_flow cert.flows));
+         ]))
 
 (* Parsing: every interned value is rebuilt through its checked
    constructor, so a malformed certificate fails here rather than
@@ -693,9 +714,18 @@ let plan_of_json text =
     else
       let* epoch = Result.bind (field "epoch" j) str_of in
       let* third_party = Result.bind (field "third_party" j) bool_of in
+      (* Written before certificates named their order: the SQL order. *)
+      let* order =
+        match Json.member "order" j with
+        | None -> Ok None
+        | Some o ->
+          let* l = list_of o in
+          let* names = map_m str_of l in
+          Ok (Some names)
+      in
       let* assignment = Result.bind (field "assignment" j) assignment_of_json in
       let* rules_j = Result.bind (field "rules" j) list_of in
       let* rules = map_m rule_of_json rules_j in
       let* flows_j = Result.bind (field "flows" j) list_of in
       let* flows = map_m flow_of_json flows_j in
-      Ok { epoch; third_party; assignment; rules; flows }
+      Ok { epoch; third_party; order; assignment; rules; flows }

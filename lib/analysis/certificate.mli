@@ -71,6 +71,14 @@ type flow_evidence = {
 type plan_cert = {
   epoch : string;
   third_party : bool;
+  order : string list option;
+      (** the FROM order of the plan it proves, read off the plan's
+          leaves left to right ({!Relalg.Plan.relations}); every
+          emitted certificate has one. [None] (a certificate written
+          before certificates named their order) means the SQL order:
+          the plan to check it against is [Query.to_plan] of the SQL
+          itself, and [Some order] the plan of
+          [Planner.Optimizer.reorder catalog query order]. *)
   assignment : Planner.Assignment.t;
   rules : rule list;
   flows : flow_evidence list;
@@ -123,6 +131,9 @@ type failure =
   | Composition_sides of { rule : int }
   | Composition_union of { rule : int }
   | Plan_structure of string
+  | Order_mismatch of { plan : string list; certificate : string list }
+      (** the certificate names a join order other than its plan's: it
+          proves a different plan *)
   | Flow_unevidenced of { node : int }
   | Flow_fabricated of { node : int }
   | Witness_out_of_range of { node : int; witness : int }
@@ -157,7 +168,9 @@ val check_rules :
   joins:Joinpath.Cond.t list -> Policy.t -> rule list -> failure list
 
 (** [check_plan ~joins catalog policy plan cert] — the full plan
-    check: epoch pin (unless [revalidate]), derivation trace, exact
+    check: epoch pin (unless [revalidate]), the certificate's join
+    order against the plan's leaves (when it names one), derivation
+    trace, exact
     (multiset) agreement of the evidenced flows with the flows the
     plan structurally performs under the certified assignment, and
     Definition 3.3 against each witness. [policy] is the {e base}

@@ -464,14 +464,17 @@ let plan_query t ?sql query =
     touch t c;
     Ok (c, true)
   | None -> (
-    (* A miss plans around the quarantine, proves the assignment, and
+    (* A miss plans the join order the cost model ranks cheapest
+       around the quarantine, or the SQL order when the ranked one is
+       infeasible ([Optimizer.served]), proves the assignment, and
        compiles it against that proof. Only a plan that compiles is
        cached: the program is what every later hit runs. *)
-    let plan = Query.to_plan query in
-    match
-      Planner.Third_party.plan ~excluded:t.quarantine ~helpers:t.helpers
-        ?closed:t.chase t.catalog t.policy plan
-    with
+    let plan, planned =
+      Planner.Optimizer.served query
+        (Planner.Third_party.plan ~excluded:t.quarantine ~helpers:t.helpers
+           ?closed:t.chase t.catalog t.policy)
+    in
+    match planned with
     | Error f ->
       t.infeasible_count <- t.infeasible_count + 1;
       let advice = Planner.Advisor.advise t.catalog t.policy plan in

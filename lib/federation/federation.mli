@@ -67,6 +67,9 @@ val create :
 
 type response = {
   plan : Plan.t;
+      (** the plan the cache miss chose: the join order the cost model
+          ranks cheapest ({!Planner.Optimizer.served}), which need not
+          be the SQL's FROM order; a failover replans this same plan *)
   assignment : Planner.Assignment.t;
   certificate : Analysis.Certificate.plan_cert option;
       (** proof-carrying witness for the assignment that answered:
@@ -80,6 +83,10 @@ type response = {
   rescues : Planner.Third_party.rescue list;
       (** non-empty when a helper had to step in *)
   result : Relation.t;
+      (** the answer, with the columns in the order of [plan]'s header:
+          they follow the ranked join order, as they follow the FROM
+          order when the SQL order is served; as a set it is the SQL
+          order's answer *)
   location : Server.t;
   messages : int;  (** transfers this execution performed *)
   bytes : int;
@@ -148,10 +155,20 @@ val pp_error : error Fmt.t
     breakers enabled, against the current quarantine set — before any
     message is sent; execution and auditing always run.
 
-    A cache miss plans the query around the quarantine, proves the
-    assignment ({!Analysis.Certificate.certify}) and compiles it
-    against that proof ({!Distsim.Engine.compile}); only then is the
-    program cached. A plan that does not compile (a base relation
+    A cache miss ranks the query's valid left-deep join orders by the
+    summed rows of their joins under a uniform cost model
+    ({!Planner.Optimizer.rank}; catalog-level inputs only, never
+    instance statistics) and plans the cheapest around the quarantine;
+    a tie keeps the SQL's FROM order, so a query without a selective
+    WHERE conjunct plans exactly in its SQL order. When the ranked
+    order is infeasible, the miss plans the SQL order instead and an
+    infeasible query reports the SQL order's failure and advice: the
+    Figure-6 planner runs at most twice, and reordering to recover
+    feasibility stays {!Planner.Optimizer.optimize}'s job. The miss
+    then proves the assignment ({!Analysis.Certificate.certify}; the
+    certificate names the plan's join order) and compiles it against
+    that proof ({!Distsim.Engine.compile}); only then is the program
+    cached. A plan that does not compile (a base relation
     without an instance, say) is refused with {!Execution_error} before
     any message is sent, and nothing is cached. Each cached plan is
     compiled exactly once: every later hit runs the program compiled
@@ -233,8 +250,11 @@ val catalog : t -> Catalog.t
 (** One prepared plan as cached, for audit tooling: [stamped_at] is the
     epoch the entry was last validated at. *)
 type cached_plan = {
-  key : string;  (** canonical query key *)
-  plan : Plan.t;
+  key : string;
+      (** canonical query key ({!Relalg.Query.canonical} of the SQL): it
+          keeps the FROM spelling, so two spellings of one query in
+          different FROM orders are two entries *)
+  plan : Plan.t;  (** the ranked plan the miss chose *)
   assignment : Planner.Assignment.t;
   certificate : Analysis.Certificate.plan_cert option;
   stamped_at : int;

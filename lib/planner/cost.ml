@@ -23,19 +23,25 @@ let uniform ~card =
     attr_bytes = 8.0;
   }
 
+(* Standard independence estimate |L ⋈ R| = sel · |L| · |R|, clamped
+   to [0, |L|·|R|]: a selectivity is a fraction of the cross product,
+   so estimates beyond it (or below zero) are model-configuration
+   artefacts, not cardinalities. *)
+let[@inline] join_rows model lr rr =
+  let cross = lr *. rr in
+  Float.max 0.0 (Float.min (model.join_selectivity *. cross) cross)
+
+let join_prefix model ~rows ~sums d leaves f =
+  let r = join_rows model rows.(d - 1) leaves.(f) in
+  rows.(d) <- r;
+  sums.(d) <- sums.(d - 1) +. r
+
 let rec node_rows model (n : Plan.node) =
   match n.op with
   | Plan.Leaf schema -> model.card (Schema.name schema)
   | Plan.Project (_, c) -> node_rows model c
   | Plan.Select (_, c) -> model.select_selectivity *. node_rows model c
-  | Plan.Join (_, l, r) ->
-    (* Standard independence estimate |L ⋈ R| = sel · |L| · |R|,
-       clamped to [0, |L|·|R|]: a selectivity is a fraction of the
-       cross product, so estimates beyond it (or below zero) are
-       model-configuration artefacts, not cardinalities. *)
-    let lr = node_rows model l and rr = node_rows model r in
-    let cross = lr *. rr in
-    Float.max 0.0 (Float.min (model.join_selectivity *. cross) cross)
+  | Plan.Join (_, l, r) -> join_rows model (node_rows model l) (node_rows model r)
 
 let width attrs = float_of_int (Attribute.Set.cardinal attrs)
 

@@ -31,6 +31,23 @@ val uniform : card:float -> model
     not a cardinality). *)
 val node_rows : model -> Plan.node -> float
 
+(** [join_prefix model ~rows ~sums d leaves f] extends a left-deep
+    prefix by one join, in place: given the prefix's rows [rows.(d-1)]
+    and the summed rows of its joins [sums.(d-1)], it sets [rows.(d)] to
+    {!node_rows}' estimate of a join of the prefix with a leaf of
+    [leaves.(f)] rows, and [sums.(d)] to
+    [sums.(d-1) +. rows.(d)]. Over a left-deep plan these are
+    {!node_rows} of each join and their sum, bottom join first; the
+    arrays keep every number unboxed. *)
+val join_prefix :
+  model ->
+  rows:float array ->
+  sums:float array ->
+  int ->
+  float array ->
+  int ->
+  unit
+
 (** Estimated bytes of one flow (its payload sized with the model).
     [Matched_keys]/[Semijoin_result] payloads stay bounded by
     [min(join result, slave operand)], consistent with {!node_rows}'s

@@ -94,6 +94,15 @@ let rec output n =
 
 let label n = Printf.sprintf "n%d" n.id
 
+let relations t =
+  let rec go n acc =
+    match n.op with
+    | Leaf schema -> Schema.name schema :: acc
+    | Project (_, c) | Select (_, c) -> go c acc
+    | Join (_, l, r) -> go l (go r acc)
+  in
+  go t.root []
+
 let children n =
   match n.op with
   | Leaf _ -> []

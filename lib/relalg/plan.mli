@@ -41,6 +41,10 @@ val output : node -> Attribute.Set.t
 (** Node label, ["n4"]. *)
 val label : node -> string
 
+(** The relations of the leaves, left to right: the FROM order of a
+    plan built from a query. *)
+val relations : t -> string list
+
 (** Children of a node (0, 1 or 2). *)
 val children : node -> node list
 

@@ -87,6 +87,52 @@ let make catalog ~select ~base ~joins ~where =
 let relations t =
   Schema.name t.base :: List.map (fun (s, _) -> Schema.name s) t.joins
 
+(* The relations, conditions, SELECT and WHERE stay those [make]
+   checked, so only the spelling of the FROM clause needs checking: a
+   permutation of its relations, each condition one of [t]'s (pair by
+   pair) and sided with the prefix on the left. *)
+let permute t ~base ~joins =
+  let fail what = invalid_arg ("Query.permute: " ^ what) in
+  let from = relations t in
+  let names = Schema.name base :: List.map (fun (s, _) -> Schema.name s) joins in
+  let rec distinct = function
+    | [] -> true
+    | n :: rest -> (not (List.mem n rest)) && distinct rest
+  in
+  if
+    not
+      (List.compare_lengths names from = 0
+      && distinct names
+      && List.for_all (fun n -> List.mem n from) names)
+  then fail "not a permutation of the FROM clause";
+  let pairs conds =
+    List.concat_map (fun c -> Joinpath.Cond.pairs c) conds
+  in
+  let old_pairs = pairs (List.map snd t.joins)
+  and new_pairs = pairs (List.map snd joins) in
+  let same (a, b) (c, d) = Attribute.equal a c && Attribute.equal b d in
+  if
+    not
+      (List.compare_lengths old_pairs new_pairs = 0
+      && List.for_all (fun p -> List.exists (same p) old_pairs) new_pairs)
+  then fail "conditions differ from the query's";
+  ignore
+    (List.fold_left
+       (fun prefix (schema, cond) ->
+         let fresh = Schema.name schema in
+         if
+           not
+             (List.for_all
+                (fun a -> List.mem (Attribute.relation a) prefix)
+                (Joinpath.Cond.left cond)
+             && List.for_all
+                  (fun a -> String.equal (Attribute.relation a) fresh)
+                  (Joinpath.Cond.right cond))
+         then fail ("condition of JOIN " ^ fresh ^ " not sided prefix-first");
+         fresh :: prefix)
+       [ Schema.name base ] joins);
+  { t with base; joins }
+
 let join_path t = Joinpath.of_list (List.map snd t.joins)
 
 (* Flatten a predicate into its top-level conjuncts. *)
@@ -169,27 +215,153 @@ let to_plan ?push_selections t =
    commutative conjunction, so both are sorted here; the FROM/JOIN
    order is kept (it fixes the left-deep plan shape) with each ON
    condition already orientation-normalised by [make]. Keyword case
-   and whitespace never reach [t] at all. *)
+   and whitespace never reach [t] at all.
+
+   The key is the string [Fmt] renders: SELECT attributes dotted
+   ([Attribute.pp_qualified]), sorted and deduplicated as strings, each
+   join as [Joinpath.Cond.pp] and each conjunct as [Predicate.pp]
+   (bare names), conjuncts sorted and deduplicated as strings. It is
+   built in one buffer; only a WHERE of several conjuncts renders each
+   one on its own, to sort them. *)
+
+(* Byte [i] of [r ^ "." ^ n]. *)
+let qualified_at r n i =
+  let k = String.length r in
+  if i < k then r.[i] else if i = k then '.' else n.[i - k - 1]
+
+let rec compare_spelled ra na rb nb i =
+  let la = String.length ra + 1 + String.length na
+  and lb = String.length rb + 1 + String.length nb in
+  if i = la || i = lb then Int.compare la lb
+  else
+    match Char.compare (qualified_at ra na i) (qualified_at rb nb i) with
+    | 0 -> compare_spelled ra na rb nb (i + 1)
+    | c -> c
+
+let rec is_prefix s t i =
+  i = String.length s || (s.[i] = t.[i] && is_prefix s t (i + 1))
+
+(* [String.compare] of the two dotted names, without building them:
+   within one relation the names decide, and across relations the
+   relation names do unless one is a prefix of the other. *)
+let compare_qualified a b =
+  let ra = Attribute.relation a and rb = Attribute.relation b in
+  let la = String.length ra and lb = String.length rb in
+  if la = lb && String.equal ra rb then
+    String.compare (Attribute.name a) (Attribute.name b)
+  else if
+    (la < lb && is_prefix ra rb 0) || (lb < la && is_prefix rb ra 0)
+  then compare_spelled ra (Attribute.name a) rb (Attribute.name b) 0
+  else String.compare ra rb
+
+let add_value b = function
+  | Value.Null -> Buffer.add_string b "NULL"
+  | Value.Bool x -> Buffer.add_string b (string_of_bool x)
+  | Value.Int i -> Buffer.add_string b (string_of_int i)
+  | Value.Float f -> Printf.bprintf b "%g" f
+  | Value.String s ->
+    Buffer.add_char b '\'';
+    Buffer.add_string b s;
+    Buffer.add_char b '\''
+
+let add_comparison b (c : Predicate.comparison) =
+  Buffer.add_string b
+    (match c with
+     | Eq -> "="
+     | Neq -> "<>"
+     | Lt -> "<"
+     | Le -> "<="
+     | Gt -> ">"
+     | Ge -> ">=")
+
+let rec add_predicate b = function
+  | Predicate.True -> Buffer.add_string b "TRUE"
+  | Predicate.Cmp (a, c, op) ->
+    Buffer.add_string b (Attribute.name a);
+    Buffer.add_char b ' ';
+    add_comparison b c;
+    Buffer.add_char b ' ';
+    (match op with
+     | Predicate.Const v -> add_value b v
+     | Predicate.Attr a' -> Buffer.add_string b (Attribute.name a'))
+  | Predicate.And (p, q) -> add_binary b p " AND " q
+  | Predicate.Or (p, q) -> add_binary b p " OR " q
+  | Predicate.Not p ->
+    Buffer.add_string b "NOT ";
+    add_predicate b p
+
+and add_binary b p op q =
+  Buffer.add_char b '(';
+  add_predicate b p;
+  Buffer.add_string b op;
+  add_predicate b q;
+  Buffer.add_char b ')'
+
+(* [Fmt.str "%s ON %a" name Joinpath.Cond.pp]. The condition is a
+   [Format] box, and a box opened past the formatter's maximum
+   indentation (column 68) starts a new line: so it does after the name
+   of a relation longer than 64 bytes. *)
+let add_join b (schema, cond) =
+  let name = Schema.name schema in
+  Buffer.add_string b " \xe2\x8b\x88 ";
+  Buffer.add_string b name;
+  Buffer.add_string b " ON ";
+  if String.length name > 64 then Buffer.add_char b '\n';
+  Buffer.add_string b "\xe2\x9f\xa8";
+  (match (Joinpath.Cond.left cond, Joinpath.Cond.right cond) with
+   | [ l ], [ r ] ->
+     Buffer.add_string b (Attribute.name l);
+     Buffer.add_string b ", ";
+     Buffer.add_string b (Attribute.name r)
+   | ls, rs ->
+     List.iteri
+       (fun i (l, r) ->
+         if i > 0 then Buffer.add_string b ", ";
+         Buffer.add_char b '(';
+         Buffer.add_string b (Attribute.name l);
+         Buffer.add_char b ',';
+         Buffer.add_string b (Attribute.name r);
+         Buffer.add_char b ')')
+       (List.combine ls rs));
+  Buffer.add_string b "\xe2\x9f\xa9"
+
 let canonical t =
-  let attr a = Fmt.str "%a" Attribute.pp_qualified a in
-  let select =
-    List.sort_uniq String.compare (List.map attr t.select)
-  in
-  let join (schema, cond) =
-    Fmt.str "%s ON %a" (Schema.name schema) Joinpath.Cond.pp cond
-  in
-  let where =
-    List.sort_uniq String.compare
-      (List.map (Fmt.str "%a" Predicate.pp) (conjuncts t.where))
-  in
-  Fmt.str "π{%s} %s%s%s"
-    (String.concat "," select)
-    (Schema.name t.base)
-    (String.concat ""
-       (List.map (fun j -> " ⋈ " ^ join j) t.joins))
-    (match where with
-     | [] -> ""
-     | ws -> " σ{" ^ String.concat " ∧ " ws ^ "}")
+  let b = Buffer.create 256 in
+  Buffer.add_string b "\xcf\x80{";
+  let select = Array.of_list t.select in
+  Array.stable_sort compare_qualified select;
+  Array.iteri
+    (fun i a ->
+      if i = 0 || compare_qualified select.(i - 1) a <> 0 then begin
+        if i > 0 then Buffer.add_char b ',';
+        Buffer.add_string b (Attribute.relation a);
+        Buffer.add_char b '.';
+        Buffer.add_string b (Attribute.name a)
+      end)
+    select;
+  Buffer.add_string b "} ";
+  Buffer.add_string b (Schema.name t.base);
+  List.iter (add_join b) t.joins;
+  (match conjuncts t.where with
+   | [] -> ()
+   | ps ->
+     Buffer.add_string b " \xcf\x83{";
+     (match ps with
+      | [ p ] -> add_predicate b p
+      | ps ->
+        let one = Buffer.create 64 in
+        let render p =
+          Buffer.clear one;
+          add_predicate one p;
+          Buffer.contents one
+        in
+        List.iteri
+          (fun i w ->
+            if i > 0 then Buffer.add_string b " \xe2\x88\xa7 ";
+            Buffer.add_string b w)
+          (List.sort_uniq String.compare (List.map render ps)));
+     Buffer.add_char b '}');
+  Buffer.contents b
 
 let pp ppf t =
   let pp_join ppf (schema, cond) =

@@ -39,6 +39,17 @@ val make :
 (** Relations of the FROM clause, in order. *)
 val relations : t -> string list
 
+(** [permute t ~base ~joins] is [t] with its FROM clause spelled in
+    another order: [base] and the [joins] name the same relations as
+    [t]'s FROM clause, their conditions hold the same equality pairs as
+    [t]'s, and each condition has the relations before it on the left
+    and the relation it joins on the right. SELECT and WHERE carry
+    over, their scope unchanged. No catalog lookup: it checks names and
+    pairs only.
+    @raise Invalid_argument otherwise. *)
+val permute :
+  t -> base:Schema.t -> joins:(Schema.t * Joinpath.Cond.t) list -> t
+
 (** The join path of the whole query. *)
 val join_path : t -> Joinpath.t
 

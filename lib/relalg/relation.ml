@@ -231,19 +231,31 @@ let join ix lrows lpos extra =
 let identity n = Array.init n Fun.id
 
 (* [filter keep rows] keeps the rows [keep] accepts, in order; [rows]
-   itself when it accepts all. *)
+   itself when it accepts all. [keep] runs once per row, into a
+   survivors mask of one byte per row, so the only other allocation is
+   the output itself. *)
 let filter keep rows =
   let n = Array.length rows in
-  let out = Array.make n [||] in
+  let mask = Bytes.make n '\000' in
   let m = ref 0 in
   for i = 0 to n - 1 do
-    let row = rows.(i) in
-    if keep row then begin
-      out.(!m) <- row;
+    if keep rows.(i) then begin
+      Bytes.set mask i '\001';
       incr m
     end
   done;
-  if !m = n then rows else Array.sub out 0 !m
+  if !m = n then rows
+  else begin
+    let out = Array.make !m [||] in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get mask i <> '\000' then begin
+        out.(!k) <- rows.(i);
+        incr k
+      end
+    done;
+    out
+  end
 
 (* First occurrence of each row of width [arity]. *)
 let distinct arity rows =

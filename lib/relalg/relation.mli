@@ -18,7 +18,10 @@
     rows up in it, and the joins chain the right operand's rows by key
     and probe with the left's (their output is distinct by
     construction); [select] filters. An operator allocates its output
-    and O(n) ints, nothing per row it only looks at. {!Tuple.t}
+    and O(n) ints, nothing per row it only looks at; [select] and
+    [semi_join] allocate their output plus a survivors mask of one byte
+    per operand row, and return the operand itself when every row
+    survives. {!Tuple.t}
     attribute maps appear only at the text and printing edges:
     {!make}, {!tuples}, {!pp}.
 

@@ -591,6 +591,7 @@ let reference_emit ~third_party ~base ~trace ~closure catalog plan assignment =
   {
     C.epoch = C.epoch base;
     third_party;
+    order = Some (Plan.relations plan);
     assignment;
     rules =
       List.filteri (fun i _ -> keep.(i)) (Array.to_list rules)
@@ -787,6 +788,133 @@ let prop_emission_under_churn =
       ignore (List.fold_left step (h, true) ops);
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Certificates name their join order.                                 *)
+
+(* A medical query the federation serves in another order than its
+   SQL's: the selection on Hospital ranks Nat_registry, Hospital,
+   Insurance first. *)
+let reordered_sql =
+  "SELECT Patient, Plan, HealthAid FROM Insurance JOIN Nat_registry ON \
+   Holder = Citizen JOIN Hospital ON Citizen = Patient WHERE Patient = 'x'"
+
+let served_reordered () =
+  let fed =
+    Federation.create ~catalog:M.catalog ~policy:M.policy
+      ~instances:M.instances ()
+  in
+  match Federation.query fed reordered_sql with
+  | Error e -> Alcotest.failf "%a" Federation.pp_error e
+  | Ok r -> (
+    match r.certificate with
+    | Some cert -> (Sql_parser.parse_exn M.catalog reordered_sql, r.plan, cert)
+    | None -> Alcotest.fail "no certificate")
+
+let order_mismatch fs =
+  List.exists (function C.Order_mismatch _ -> true | _ -> false) fs
+
+(* The flows [assignment] performs on [plan], as a sorted list. *)
+let flows_of plan assignment =
+  match Planner.Safety.flows M.catalog plan assignment with
+  | Error _ -> None
+  | Ok fs ->
+    Some
+      (List.sort compare
+         (List.map
+            (fun (f : Planner.Safety.flow) ->
+              (f.at, Server.name f.sender, Server.name f.receiver,
+               Fmt.str "%a" Authz.Profile.pp f.profile))
+            fs))
+
+let test_certificate_names_its_order () =
+  let q, plan, cert = served_reordered () in
+  check Alcotest.(option (list string)) "the served order"
+    (Some [ "Nat_registry"; "Hospital"; "Insurance" ])
+    cert.C.order;
+  check Alcotest.bool "not the SQL order" true
+    (cert.C.order <> Some (Query.relations q));
+  no_failures "checks against its plan" (check_medical plan cert);
+  no_failures "and against the plan rebuilt from the SQL in its order"
+    (check_medical
+       (Query.to_plan
+          (Planner.Optimizer.reorder q (Option.get cert.C.order)))
+       cert);
+  match C.plan_of_json (C.plan_to_json cert) with
+  | Error msg -> Alcotest.failf "round trip: %s" msg
+  | Ok back ->
+    check Alcotest.(option (list string)) "JSON keeps the order" cert.C.order
+      back.C.order
+
+(* Each mutant fails with a typed failure, or checks clean only when
+   the plan it is checked against performs exactly the certified
+   flows. *)
+let test_order_mutants () =
+  let q, plan, cert = served_reordered () in
+  let served = Option.get cert.C.order in
+  (* Swapped for another valid order. *)
+  List.iter
+    (fun order ->
+      if order <> served then begin
+        let forged = { cert with C.order = Some order } in
+        check Alcotest.bool "swapped: refused against the served plan" true
+          (order_mismatch (check_medical plan forged));
+        let rebuilt = Query.to_plan (Planner.Optimizer.reorder q order) in
+        (match check_medical rebuilt forged with
+         | _ :: _ -> ()
+         | [] ->
+           check Alcotest.bool "swapped: clean only on identical flows" true
+             (flows_of rebuilt cert.C.assignment = flows_of plan cert.C.assignment))
+      end)
+    (Planner.Optimizer.valid_orders q);
+  (* Not a permutation of the FROM clause. *)
+  List.iter
+    (fun order ->
+      let forged = { cert with C.order = Some order } in
+      check Alcotest.bool "non-permutation refused" true
+        (order_mismatch (check_medical plan forged));
+      match Planner.Optimizer.reorder q order with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "a non-permutation rebuilt a plan")
+    [
+      [ "Hospital"; "Hospital"; "Insurance" ];
+      [ "Hospital"; "Insurance" ];
+      [ "Nat_registry"; "Hospital"; "Insurance"; "Insurance" ];
+      [ "Nat_registry"; "Hospital"; "Disease_list" ];
+    ];
+  (* Dropped: read as the SQL order, whose plan is another. *)
+  let dropped = { cert with C.order = None } in
+  let sql_plan = Query.to_plan q in
+  (match check_medical sql_plan dropped with
+   | _ :: _ -> ()
+   | [] ->
+     check Alcotest.bool "dropped: clean only on identical flows" true
+       (flows_of sql_plan cert.C.assignment = flows_of plan cert.C.assignment));
+  (* Checked against a plan of another order. *)
+  check Alcotest.bool "another order's plan refused" true
+    (order_mismatch (check_medical sql_plan cert));
+  check Alcotest.(list string) "the failure is a CISQP050 on the whole plan"
+    [ "CISQP050" ]
+    (List.sort_uniq compare
+       (List.map
+          (fun (d : D.t) -> d.code)
+          (C.to_diagnostics
+             (List.filter
+                (function C.Order_mismatch _ -> true | _ -> false)
+                (check_medical sql_plan cert)))))
+
+(* Written before certificates named their order: no "order" field,
+   read as the SQL order, and still checks. *)
+let parent_format_json =
+  {|{"kind":"cisqp-plan-certificate","version":1,"epoch":"5516ea73cd0b5896a0a5a49960f2cbc5","third_party":false,"assignment":[{"node":0,"master":"S_H"},{"node":1,"master":"S_H","slave":"S_N"},{"node":2,"master":"S_N"},{"node":3,"master":"S_H"},{"node":4,"master":"S_I"},{"node":5,"master":"S_N"},{"node":6,"master":"S_H"}],"rules":[{"auth":{"server":"S_H","attrs":["Nat_registry.Citizen","Hospital.Disease","Nat_registry.HealthAid","Insurance.Holder","Hospital.Patient","Hospital.Physician","Insurance.Plan"],"path":[{"left":["Nat_registry.Citizen"],"right":["Insurance.Holder"]},{"left":["Hospital.Patient"],"right":["Nat_registry.Citizen"]}]}},{"auth":{"server":"S_N","attrs":["Hospital.Disease","Hospital.Patient"],"path":[]}},{"auth":{"server":"S_N","attrs":["Insurance.Holder","Insurance.Plan"],"path":[]}}],"flows":[{"at":2,"sender":"S_I","receiver":"S_N","profile":{"pi":["Insurance.Holder","Insurance.Plan"],"join":[],"sigma":[]},"witness":2},{"at":1,"sender":"S_H","receiver":"S_N","profile":{"pi":["Hospital.Patient"],"join":[],"sigma":[]},"witness":1},{"at":1,"sender":"S_N","receiver":"S_H","profile":{"pi":["Nat_registry.Citizen","Nat_registry.HealthAid","Insurance.Holder","Hospital.Patient","Insurance.Plan"],"join":[{"left":["Insurance.Holder"],"right":["Nat_registry.Citizen"]},{"left":["Nat_registry.Citizen"],"right":["Hospital.Patient"]}],"sigma":[]},"witness":0}]}|}
+
+let test_parent_format_checks () =
+  match C.plan_of_json parent_format_json with
+  | Error msg -> Alcotest.failf "parse: %s" msg
+  | Ok cert ->
+    check Alcotest.(option (list string)) "no order" None cert.C.order;
+    no_failures "checks against the SQL order's plan"
+      (check_medical (M.example_plan ()) cert)
+
 let suite =
   [
     c "chase trace replays" `Quick test_chase_trace_checks;
@@ -814,4 +942,8 @@ let suite =
     c "emission after a grant cites the new derivation" `Quick
       test_emission_after_grant;
     Helpers.qcheck prop_emission_under_churn;
+    c "a certificate names its join order" `Quick
+      test_certificate_names_its_order;
+    c "order mutants are refused" `Quick test_order_mutants;
+    c "a certificate without an order checks" `Quick test_parent_format_checks;
   ]
