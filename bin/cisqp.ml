@@ -349,7 +349,19 @@ let report_certificate cert_out = function
     Fmt.pr "Certificate: OK (%d rule(s), %d flow(s) checked)@."
       (List.length cert.rules) (List.length cert.flows)
 
-let plan_query fed query ~third_party ~no_semijoins ~optimize =
+(* The plan a federation's plan miss serves for [query] and its Figure-6
+   outcome: the order the cost model ranks cheapest, or the SQL order
+   ([Optimizer.served]). Every subcommand that plans SQL plans it here,
+   so what it reports is what [plan], [run] and the service execute. *)
+let plan_query ?(config = Planner.Safe_planner.default_config) ?(helpers = [])
+    catalog policy query =
+  Planner.Optimizer.served query
+    (Planner.Safe_planner.plan ~config ~helpers catalog policy)
+
+(* [plan_query] for [plan] and [run], which need an assignment: it
+   prints the join order when the cost model reordered the query, and
+   with --optimize takes the cheapest feasible order instead. *)
+let assign_query fed query ~third_party ~no_semijoins ~optimize =
   let config =
     {
       Planner.Safe_planner.default_config with
@@ -370,12 +382,7 @@ let plan_query fed query ~third_party ~no_semijoins ~optimize =
       die "no feasible join order"
   end
   else
-    (* The order a federation's plan miss serves: the cheapest under
-       the cost model, or the SQL order. *)
-    match
-      Planner.Optimizer.served query
-        (Planner.Safe_planner.plan ~config ~helpers fed.catalog fed.policy)
-    with
+    match plan_query ~config ~helpers fed.catalog fed.policy query with
     | plan, Ok { assignment; trace } ->
       let order = Plan.relations plan in
       if order <> Query.relations query then
@@ -407,7 +414,7 @@ let plan_cmd =
     let fed, handle = with_chase chase fed in
     let query = parse_query fed sql in
     let plan, assignment, trace =
-      plan_query fed query ~third_party ~no_semijoins ~optimize
+      assign_query fed query ~third_party ~no_semijoins ~optimize
     in
     if script then
       match Planner.Script.of_assignment ~third_party fed.catalog plan assignment with
@@ -568,7 +575,7 @@ let run_cmd =
     let fed, handle = with_chase chase fed in
     let query = parse_query fed sql in
     let plan, assignment, _ =
-      plan_query fed query ~third_party ~no_semijoins ~optimize
+      assign_query fed query ~third_party ~no_semijoins ~optimize
     in
     let certificate = certify_plan fed handle plan assignment in
     let rescues = Planner.Third_party.rescues_of plan assignment in
@@ -646,11 +653,9 @@ let run_cmd =
 
 let advise_cmd =
   let run fed sql =
-    let query = parse_query fed sql in
-    let plan = Query.to_plan query in
-    match Planner.Safe_planner.plan fed.catalog fed.policy plan with
-    | Ok _ -> Fmt.pr "the query is already feasible; nothing to grant@."
-    | Error failure ->
+    match plan_query fed.catalog fed.policy (parse_query fed sql) with
+    | _, Ok _ -> Fmt.pr "the query is already feasible; nothing to grant@."
+    | plan, Error failure ->
       Fmt.pr "blocked at n%d; options:@.%a@.@."
         failure.Planner.Safe_planner.failed_at
         Fmt.(
@@ -677,9 +682,12 @@ let impact_cmd =
           ~doc:"Queries of the workload (one per positional argument).")
   in
   let run fed sqls =
-    let plans =
-      List.map (fun sql -> Query.to_plan (parse_query fed sql)) sqls
+    let planned =
+      List.map
+        (fun sql -> plan_query fed.catalog fed.policy (parse_query fed sql))
+        sqls
     in
+    let plans = List.map fst planned in
     let impacts = Planner.Revocation.impact fed.catalog fed.policy plans in
     Fmt.pr "Impact of revoking each rule on %d quer%s:@." (List.length plans)
       (if List.length plans = 1 then "y" else "ies");
@@ -688,10 +696,10 @@ let impact_cmd =
       impacts;
     (* Per-query support sets. *)
     List.iter2
-      (fun sql plan ->
-        match Planner.Safe_planner.plan fed.catalog fed.policy plan with
+      (fun sql (plan, outcome) ->
+        match outcome with
         | Error _ -> Fmt.pr "@.%s: infeasible@." sql
-        | Ok { assignment; _ } ->
+        | Ok { Planner.Safe_planner.assignment; _ } ->
           (* The rules its certificate cites: one witness per flow. *)
           (match
              Analysis.Certificate.certify fed.catalog fed.policy plan
@@ -706,7 +714,7 @@ let impact_cmd =
                         Fmt.pf ppf "    %a" Authz.Authorization.pp r.auth)))
                (Option.map (fun c -> c.Analysis.Certificate.rules) cert)
            | Error msg -> Fmt.pr "@.%s: %s@." sql msg))
-      sqls plans
+      sqls planned
   in
   Cmd.v
     (Cmd.info "impact"
@@ -943,7 +951,7 @@ let lint_cmd =
       | ps -> ps
     in
     let want p = List.mem p passes in
-    let catalog, policy, joins, helpers, plans =
+    let catalog, policy, joins, helpers, queries =
       match random_seed with
       | Some seed ->
         let rng = Workload.Rng.make ~seed in
@@ -952,17 +960,18 @@ let lint_cmd =
             ~extra:2 ~topology:Workload.System_gen.Chain
         in
         let policy = Workload.Authz_gen.generate rng ~density sys in
-        let plans =
+        let queries =
           List.init queries (fun _ ->
-              Workload.Query_gen.generate_plan rng ~joins:query_joins sys)
+              Workload.Query_gen.generate rng ~joins:query_joins sys)
           |> List.filter_map Fun.id
         in
-        (sys.catalog, policy, sys.join_graph, [], plans)
+        (sys.catalog, policy, sys.join_graph, [], queries)
       | None ->
-        let plans =
-          List.map (fun sql -> Query.to_plan (parse_query fed sql)) sqls
-        in
-        (fed.catalog, fed.policy, fed.joins, fed.helpers, plans)
+        ( fed.catalog,
+          fed.policy,
+          fed.joins,
+          fed.helpers,
+          List.map (parse_query fed) sqls )
     in
     let policy_diags =
       if want `Policy then Analysis.Policy_lint.lint ~joins ~chase_budget policy
@@ -979,10 +988,7 @@ let lint_cmd =
        consume the results. *)
     let planned =
       if want `Plan || want `Inference then
-        List.map
-          (fun plan ->
-            (plan, Planner.Safe_planner.plan ~config ~helpers catalog policy plan))
-          plans
+        List.map (plan_query ~config ~helpers catalog policy) queries
       else []
     in
     let unplannable_diags =

@@ -65,8 +65,7 @@ let () =
    | None -> assert false
    | Some assignment -> execute tracking assignment);
   let regular_only =
-    { Planner.Safe_planner.allow_semijoins = false; allow_regular = true;
-      prefer_high_count = true }
+    { Planner.Safe_planner.default_config with allow_semijoins = false }
   in
   Fmt.pr "with semi-joins disabled the same query is infeasible: %b@."
     (not

@@ -44,11 +44,8 @@ let lint ?(third_party = false) ?model catalog policy plan assignment =
       let m = exec.P.Assignment.master in
       let l_server = le.P.Assignment.master
       and r_server = re.P.Assignment.master in
-      let operand_master = [ Server.equal m l_server; Server.equal m r_server ]
-      in
-      if exec.P.Assignment.coordinator <> None || not (List.mem true operand_master)
-      then begin
-        (* Third party in play: would an operand's executor do? *)
+      (* Third party in play: would an operand's executor do? *)
+      let third_party_used tp =
         let candidates =
           [ (l_server, r_server); (r_server, l_server) ]
           |> List.concat_map (fun (master, other) ->
@@ -57,32 +54,30 @@ let lint ?(third_party = false) ?model catalog policy plan assignment =
                    P.Assignment.executor ~slave:other master;
                  ])
         in
-        let ok =
+        match
           List.find_opt
             (fun e -> safe (with_executor n.Plan.id e assignment))
             candidates
-        in
-        match ok with
+        with
         | None -> []
         | Some e ->
-          let tp =
-            match exec.P.Assignment.coordinator with
-            | Some c -> Server.name c
-            | None -> Server.name m
-          in
           [
             D.make "CISQP021" (D.Node n.Plan.id)
               "third party %s is used although operand server %s can execute \
                the join safely"
-              tp
+              (Server.name tp)
               (Server.name e.P.Assignment.master);
           ]
-      end
-      else if
-        exec.P.Assignment.slave = None && not (Server.equal l_server r_server)
-      then begin
+      in
+      match
+        P.Safety.protocol ~third_party ~node:n.Plan.id exec ~left:l_server
+          ~right:r_server
+      with
+      | Ok (Coordinated (_, _, t)) -> third_party_used t
+      | Ok Proxy -> third_party_used m
+      | Ok (Regular side) ->
         (* Cross-server regular join: try the semi-join variant. *)
-        let other = if Server.equal m l_server then r_server else l_server in
+        let other = if side = Left then r_server else l_server in
         let variant =
           with_executor n.Plan.id (P.Assignment.executor ~slave:other m)
             assignment
@@ -98,9 +93,8 @@ let lint ?(third_party = false) ?model catalog policy plan assignment =
             ]
           else []
         else []
-      end
-      else [])
-    | _ -> [] (* unassigned nodes are the script verifier's business *)
+      | Ok (Local | Semi _) | Error _ -> [])
+    | _ -> [] (* unassigned nodes and structural errors are the script verifier's business *)
   in
   Plan.nodes plan
   |> List.concat_map (fun (n : Plan.node) ->

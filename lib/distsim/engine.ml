@@ -362,13 +362,6 @@ let compile ?(third_party = false) ?executor ?bloom ?certificate catalog
 
   and join (n : Plan.node) exec (lc : code) (rc : code) cond =
     let master = exec.Assignment.master and id = n.id in
-    (* Oriented so that its left attributes come from the left child,
-       whose output header holds exactly the left sub-plan's output. *)
-    let cond =
-      if List.for_all (Header.mem lc.header) (Joinpath.Cond.left cond) then
-        cond
-      else Joinpath.Cond.flip cond
-    in
     let profile = Profile.join cond lc.profile rc.profile in
     let transmission = transmission ~node:id in
     let note fmt = Printf.sprintf fmt id in
@@ -556,60 +549,46 @@ let compile ?(third_party = false) ?executor ?bloom ?certificate catalog
           complete mv (xmit ctx tx_reduced (reduce ov matched)) )
     in
     let jl = Joinpath.Cond.left cond and jr = Joinpath.Cond.right cond in
-    let slave_is (c : code) =
-      Option.equal Server.equal exec.Assignment.slave (Some c.at)
+    (* The master's operand [m] and the other one [o], with their join
+       attributes. *)
+    let sided (side : Planner.Safety.side) protocol =
+      match side with
+      | Left -> node (protocol ~m:lc ~o:rc ~mj:jl ~oj:jr ~master_right:false)
+      | Right ->
+        node ~master_right:true
+          (protocol ~m:rc ~o:lc ~mj:jr ~oj:jl ~master_right:true)
     in
-    let not_other () =
-      structure (Planner.Safety.Slave_not_other_operand id)
-    in
-    if Server.equal lc.at rc.at && Server.equal master lc.at then
-      (* Fully local. *)
+    match
+      Planner.Safety.protocol ~third_party ~node:id exec ~left:lc.at
+        ~right:rc.at
+    with
+    | Error e -> structure e
+    | Ok Local ->
       let header, run = equi_join cond lc.header rc.header in
       node (header, fun _ lv rv -> run lv rv)
-    else
-      match exec.Assignment.coordinator with
-      | Some t ->
-        if Server.equal master lc.at && slave_is rc then
-          node (coordinated ~t ~m:lc ~o:rc ~mj:jl ~oj:jr ~master_right:false)
-        else if Server.equal master rc.at && slave_is lc then
-          node ~master_right:true
-            (coordinated ~t ~m:rc ~o:lc ~mj:jr ~oj:jl ~master_right:true)
-        else not_other ()
-      | None ->
-        if Server.equal master lc.at then
-          match exec.Assignment.slave with
-          | None -> node (regular ~m:lc ~o:rc ~master_right:false)
-          | Some slave ->
-            if not (Server.equal slave rc.at) then not_other ();
-            node (semi ~slave ~m:lc ~o:rc ~mj:jl ~oj:jr ~master_right:false)
-        else if Server.equal master rc.at then
-          match exec.Assignment.slave with
-          | None ->
-            node ~master_right:true (regular ~m:rc ~o:lc ~master_right:true)
-          | Some slave ->
-            if not (Server.equal slave lc.at) then not_other ();
-            node ~master_right:true
-              (semi ~slave ~m:rc ~o:lc ~mj:jr ~oj:jl ~master_right:true)
-        else if third_party && exec.Assignment.slave = None then begin
-          (* Proxy join: both operands ship their results. *)
-          let tx_l =
-            transmission ~header:lc.header ~sender:lc.at ~receiver:master
-              ~purpose:(Network.Proxy_operand { join = id; side = `Left })
-              ~note:(note "left operand for proxy n%d") lc.profile
-          in
-          let tx_r =
-            transmission ~header:rc.header ~sender:rc.at ~receiver:master
-              ~purpose:(Network.Proxy_operand { join = id; side = `Right })
-              ~note:(note "right operand for proxy n%d") rc.profile
-          in
-          let header, run = equi_join cond lc.header rc.header in
-          node
-            ( header,
-              fun ctx lv rv ->
-                let lv = xmit ctx tx_l lv in
-                run lv (xmit ctx tx_r rv) )
-        end
-        else structure (Planner.Safety.Master_not_an_operand id)
+    | Ok (Regular side) ->
+      sided side (fun ~m ~o ~mj:_ ~oj:_ ~master_right ->
+          regular ~m ~o ~master_right)
+    | Ok (Semi (side, slave)) -> sided side (semi ~slave)
+    | Ok (Coordinated (side, _, t)) -> sided side (coordinated ~t)
+    | Ok Proxy ->
+      (* Proxy join: both operands ship their results. *)
+      let tx_l =
+        transmission ~header:lc.header ~sender:lc.at ~receiver:master
+          ~purpose:(Network.Proxy_operand { join = id; side = `Left })
+          ~note:(note "left operand for proxy n%d") lc.profile
+      in
+      let tx_r =
+        transmission ~header:rc.header ~sender:rc.at ~receiver:master
+          ~purpose:(Network.Proxy_operand { join = id; side = `Right })
+          ~note:(note "right operand for proxy n%d") rc.profile
+      in
+      let header, run = equi_join cond lc.header rc.header in
+      node
+        ( header,
+          fun ctx lv rv ->
+            let lv = xmit ctx tx_l lv in
+            run lv (xmit ctx tx_r rv) )
   in
   match go (Plan.root plan) with
   | root -> Ok { root = root.step; location = root.at; assignment; certificate }

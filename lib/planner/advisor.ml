@@ -67,83 +67,37 @@ let explain catalog policy plan (failure : Safe_planner.failure) =
       | None -> invalid_arg "Advisor.explain: child not visited"
     in
     let linfo = info l.Plan.id and rinfo = info r.Plan.id in
-    let cond = Safety.oriented_cond cond l in
-    let jl = Attribute.Set.of_list (Joinpath.Cond.left cond) in
-    let jr = Attribute.Set.of_list (Joinpath.Cond.right cond) in
-    let lp = linfo.profile and rp = rinfo.profile in
-    let right_slave_view = Profile.project jl lp in
-    let left_slave_view = Profile.project jr rp in
-    let right_master_view = Profile.join cond lp (Profile.project jr rp) in
-    let left_master_view = Profile.join cond (Profile.project jl lp) rp in
-    let options =
-      (* Regular joins: one obligation per master candidate. *)
+    let v = Safety.views cond linfo.profile rinfo.profile in
+    let option mode (master : Safe_planner.candidate) obligations =
+      Option.map
+        (fun missing ->
+          { node = node.Plan.id; mode; master = master.server; missing })
+        (missing_grants policy obligations)
+    in
+    (* Regular joins: one obligation per master candidate. *)
+    let regular ~(other : Safety.side_views) masters =
       List.filter_map
-        (fun (c : Safe_planner.candidate) ->
-          Option.map
-            (fun missing ->
-              {
-                node = node.Plan.id;
-                mode = Safe_planner.Regular;
-                master = c.server;
-                missing;
-              })
-            (missing_grants policy [ (rp, c.server) ]))
-        linfo.candidates
-      @ List.filter_map
-          (fun (c : Safe_planner.candidate) ->
-            Option.map
-              (fun missing ->
-                {
-                  node = node.Plan.id;
-                  mode = Safe_planner.Regular;
-                  master = c.server;
-                  missing;
-                })
-              (missing_grants policy [ (lp, c.server) ]))
-          rinfo.candidates
-      (* Semi-joins: master + slave obligations, one option per pair. *)
-      @ List.concat_map
-          (fun (m : Safe_planner.candidate) ->
-            List.filter_map
-              (fun (s : Safe_planner.candidate) ->
-                if Server.equal m.server s.server then None
-                else
-                  Option.map
-                    (fun missing ->
-                      {
-                        node = node.Plan.id;
-                        mode = Safe_planner.Semi;
-                        master = m.server;
-                        missing;
-                      })
-                    (missing_grants policy
-                       [
-                         (right_slave_view, s.server);
-                         (left_master_view, m.server);
-                       ]))
-              rinfo.candidates)
-          linfo.candidates
-      @ List.concat_map
-          (fun (m : Safe_planner.candidate) ->
-            List.filter_map
-              (fun (s : Safe_planner.candidate) ->
-                if Server.equal m.server s.server then None
-                else
-                  Option.map
-                    (fun missing ->
-                      {
-                        node = node.Plan.id;
-                        mode = Safe_planner.Semi;
-                        master = m.server;
-                        missing;
-                      })
-                    (missing_grants policy
-                       [
-                         (left_slave_view, s.server);
-                         (right_master_view, m.server);
-                       ]))
-              linfo.candidates)
-          rinfo.candidates
+        (fun m -> option Safe_planner.Regular m [ (other.full, m.server) ])
+        masters
+    in
+    (* Semi-joins: master + slave obligations, one option per pair. *)
+    let semi ~(mine : Safety.side_views) masters slaves =
+      List.concat_map
+        (fun (m : Safe_planner.candidate) ->
+          List.filter_map
+            (fun (s : Safe_planner.candidate) ->
+              if Server.equal m.server s.server then None
+              else
+                option Safe_planner.Semi m
+                  [ (mine.keys, s.server); (mine.semi, m.server) ])
+            slaves)
+        masters
+    in
+    let options =
+      regular ~other:v.right linfo.candidates
+      @ regular ~other:v.left rinfo.candidates
+      @ semi ~mine:v.left linfo.candidates rinfo.candidates
+      @ semi ~mine:v.right rinfo.candidates linfo.candidates
     in
     List.sort
       (fun a b ->

@@ -27,10 +27,7 @@ let options catalog policy plan =
         (fun (a, s) -> (Assignment.set n.id (Assignment.executor s) a, s))
         (go c)
     | Plan.Join (cond, l, r) ->
-      let cond = Safety.oriented_cond cond l in
-      let jl = Attribute.Set.of_list (Joinpath.Cond.left cond) in
-      let jr = Attribute.Set.of_list (Joinpath.Cond.right cond) in
-      let lp = Safety.profile_of l and rp = Safety.profile_of r in
+      let v = Safety.views cond (Safety.profile_of l) (Safety.profile_of r) in
       let merge al ar = Assignment.(
         List.fold_left (fun acc (id, e) -> set id e acc) al (bindings ar))
       in
@@ -51,23 +48,17 @@ let options catalog policy plan =
                 let modes =
                   [
                     (* regular join, left operand's server is master *)
-                    (if can_view rp sl then Some (with_exec sl None) else None);
+                    (if can_view v.right.full sl then Some (with_exec sl None)
+                     else None);
                     (* regular join, right master *)
-                    (if can_view lp sr then Some (with_exec sr None) else None);
+                    (if can_view v.left.full sr then Some (with_exec sr None)
+                     else None);
                     (* semi-join, left master / right slave *)
-                    (if
-                       can_view (Profile.project jl lp) sr
-                       && can_view
-                            (Profile.join cond (Profile.project jl lp) rp)
-                            sl
+                    (if can_view v.left.keys sr && can_view v.left.semi sl
                      then Some (with_exec sl (Some sr))
                      else None);
                     (* semi-join, right master / left slave *)
-                    (if
-                       can_view (Profile.project jr rp) sl
-                       && can_view
-                            (Profile.join cond (Profile.project jr rp) lp)
-                            sr
+                    (if can_view v.right.keys sl && can_view v.right.semi sr
                      then Some (with_exec sr (Some sl))
                      else None);
                   ]

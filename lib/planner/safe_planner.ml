@@ -1,7 +1,7 @@
 open Relalg
 open Authz
 
-type side = Left | Right
+type side = Safety.side = Left | Right
 
 type mode =
   | Local
@@ -61,14 +61,13 @@ type result = {
 
 type config = {
   allow_semijoins : bool;
-  allow_regular : bool;
   prefer_high_count : bool;
       (** principle ii: order candidates by decreasing join counter;
           disabling it is the EXP-K ablation *)
 }
 
 let default_config =
-  { allow_semijoins = true; allow_regular = true; prefer_high_count = true }
+  { allow_semijoins = true; prefer_high_count = true }
 
 exception Infeasible of int
 
@@ -186,36 +185,27 @@ let find_candidates ?(helpers = []) ?(excluded = []) ?closed config catalog
     | Plan.Join (cond, l, r) ->
       let linfo = go l in
       let rinfo = go r in
-      let cond = Safety.oriented_cond cond l in
-      let jl = Attribute.Set.of_list (Joinpath.Cond.left cond) in
-      let jr = Attribute.Set.of_list (Joinpath.Cond.right cond) in
-      let lp = linfo.profile and rp = rinfo.profile in
-      let profile = Profile.join cond lp rp in
-      (* Views of Figure 5 / Figure 6. *)
-      let right_slave_view = Profile.project jl lp in
-      let left_slave_view = Profile.project jr rp in
-      let right_master_view = Profile.join cond lp (Profile.project jr rp) in
-      let left_master_view = Profile.join cond (Profile.project jl lp) rp in
-      let right_full_view = lp in
-      let left_full_view = rp in
+      let v = Safety.views cond linfo.profile rinfo.profile in
       (* First viable slave, scanning in decreasing-count order. *)
       let first_slave view cands =
         if not config.allow_semijoins then None
         else List.find_opt (fun c -> can_view view c.server) cands
       in
-      let leftslave = first_slave left_slave_view linfo.candidates in
-      let rightslave = first_slave right_slave_view rinfo.candidates in
-      let masters ~slave ~master_view ~full_view ~from cands =
+      (* A slave at one operand receives the other operand's keys. *)
+      let leftslave = first_slave v.right.keys linfo.candidates in
+      let rightslave = first_slave v.left.keys rinfo.candidates in
+      let masters ~slave ~(mine : Safety.side_views)
+          ~(other : Safety.side_views) ~from cands =
         List.filter_map
           (fun c ->
             if
               config.allow_semijoins && slave <> None
-              && can_view master_view c.server
+              && can_view mine.semi c.server
             then
               Some
                 { server = c.server; fromchild = Some from;
                   count = c.count + 1; mode = Semi }
-            else if config.allow_regular && can_view full_view c.server then
+            else if can_view other.full c.server then
               Some
                 { server = c.server; fromchild = Some from;
                   count = c.count + 1; mode = Regular }
@@ -223,12 +213,12 @@ let find_candidates ?(helpers = []) ?(excluded = []) ?closed config catalog
           cands
       in
       let from_right =
-        masters ~slave:leftslave ~master_view:right_master_view
-          ~full_view:right_full_view ~from:Right rinfo.candidates
+        masters ~slave:leftslave ~mine:v.right ~other:v.left ~from:Right
+          rinfo.candidates
       in
       let from_left =
-        masters ~slave:rightslave ~master_view:left_master_view
-          ~full_view:left_full_view ~from:Left linfo.candidates
+        masters ~slave:rightslave ~mine:v.left ~other:v.right ~from:Left
+          linfo.candidates
       in
       (* Co-location (a correction to the paper's pseudo-code, see
          DESIGN.md): a server candidate for BOTH operands executes the
@@ -269,36 +259,33 @@ let find_candidates ?(helpers = []) ?(excluded = []) ?closed config catalog
           let proxy =
             List.filter_map
               (fun h ->
-                if can_view lp h && can_view rp h then
+                if can_view v.left.full h && can_view v.right.full h then
                   Some
                     { server = h; fromchild = None; count = 0; mode = Regular }
                 else None)
               helpers
           in
-          let joined_info pi =
-            Profile.make ~pi ~join:profile.Profile.join
-              ~sigma:profile.Profile.sigma
-          in
+          let joined pi = { v.joined with Profile.pi } in
           let coordinated =
             List.concat_map
               (fun h ->
-                (* The coordinator sees exactly the two slave views of
+                (* The coordinator sees exactly the two key views of
                    Figure 5: the join columns of each operand. *)
-                if
-                  can_view right_slave_view h && can_view left_slave_view h
-                then
-                  let masters_from ~from ~other_keys ~other_pi my_cands
-                      other_cands =
+                if can_view v.left.keys h && can_view v.right.keys h then
+                  let masters_from ~from ~(other : Safety.side_views)
+                      my_cands other_cands =
                     match
                       List.find_opt
-                        (fun c -> can_view (joined_info other_keys) c.server)
+                        (fun c ->
+                          can_view (joined other.keys.Profile.pi) c.server)
                         other_cands
                     with
                     | None -> []
-                    | Some other ->
+                    | Some slave ->
                       List.filter_map
                         (fun c ->
-                          if can_view (joined_info other_pi) c.server then
+                          if can_view (joined other.full.Profile.pi) c.server
+                          then
                             Some
                               {
                                 server = c.server;
@@ -306,15 +293,14 @@ let find_candidates ?(helpers = []) ?(excluded = []) ?closed config catalog
                                 count = c.count + 1;
                                 mode =
                                   Coordinated
-                                    { coordinator = h; slave = other.server };
+                                    { coordinator = h; slave = slave.server };
                               }
                           else None)
                         my_cands
                   in
-                  masters_from ~from:Left ~other_keys:jr
-                    ~other_pi:rp.Profile.pi linfo.candidates rinfo.candidates
-                  @ masters_from ~from:Right ~other_keys:jl
-                      ~other_pi:lp.Profile.pi rinfo.candidates
+                  masters_from ~from:Left ~other:v.right linfo.candidates
+                    rinfo.candidates
+                  @ masters_from ~from:Right ~other:v.left rinfo.candidates
                       linfo.candidates
                 else [])
               helpers
@@ -323,7 +309,8 @@ let find_candidates ?(helpers = []) ?(excluded = []) ?closed config catalog
             (proxy @ coordinated)
       in
       if candidates = [] then raise (Infeasible n.id);
-      record { node = n.id; profile; candidates; leftslave; rightslave }
+      record
+        { node = n.id; profile = v.joined; candidates; leftslave; rightslave }
   in
   match go (Plan.root plan) with
   | _root_info -> Ok (List.rev !visits, infos)

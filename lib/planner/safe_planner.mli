@@ -30,7 +30,7 @@
 open Relalg
 open Authz
 
-type side = Left | Right
+type side = Safety.side = Left | Right
 
 type mode =
   | Local
@@ -84,10 +84,9 @@ type result = {
 (** Planner restrictions, for baselines and ablations:
     [allow_semijoins = false] yields the regular-join-only baseline;
     [prefer_high_count = false] disables principle ii (candidates no
-    longer ordered by join counter). All default to [true]. *)
+    longer ordered by join counter). Both default to [true]. *)
 type config = {
   allow_semijoins : bool;
-  allow_regular : bool;
   prefer_high_count : bool;
 }
 

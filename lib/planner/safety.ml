@@ -44,201 +44,147 @@ let rec profile_of (n : Plan.node) =
     Profile.select (Predicate.attributes pred) (profile_of c)
   | Plan.Join (cond, l, r) -> Profile.join cond (profile_of l) (profile_of r)
 
-(* The condition of a join node, oriented so that its left attributes
-   come from the left child. [Plan.of_algebra] validated that one
-   orientation fits. *)
-let oriented_cond cond (l : Plan.node) =
-  let lout = Plan.output l in
-  if
-    List.for_all (fun a -> Attribute.Set.mem a lout) (Joinpath.Cond.left cond)
-  then cond
-  else Joinpath.Cond.flip cond
+type side = Left | Right
+
+type side_views = {
+  full : Profile.t;
+  keys : Profile.t;
+  semi : Profile.t;
+}
+
+type views = {
+  left : side_views;
+  right : side_views;
+  joined : Profile.t;
+}
+
+let views cond lp rp =
+  let lkeys =
+    Profile.project (Attribute.Set.of_list (Joinpath.Cond.left cond)) lp
+  and rkeys =
+    Profile.project (Attribute.Set.of_list (Joinpath.Cond.right cond)) rp
+  in
+  {
+    left = { full = lp; keys = lkeys; semi = Profile.join cond lkeys rp };
+    right = { full = rp; keys = rkeys; semi = Profile.join cond lp rkeys };
+    joined = Profile.join cond lp rp;
+  }
+
+type protocol =
+  | Local
+  | Regular of side
+  | Semi of side * Server.t
+  | Coordinated of side * Server.t * Server.t
+  | Proxy
+
+let protocol ?(third_party = false) ~node (exec : Assignment.executor) ~left
+    ~right =
+  let at_left = Server.equal exec.master left
+  and at_right = Server.equal exec.master right in
+  if at_left && at_right then Ok Local
+  else if not (at_left || at_right) then
+    if third_party && exec.slave = None && exec.coordinator = None then
+      Ok Proxy
+    else Error (Master_not_an_operand node)
+  else
+    let side = if at_left then Left else Right
+    and other = if at_left then right else left in
+    match (exec.slave, exec.coordinator) with
+    | None, None -> Ok (Regular side)
+    | Some slave, None when Server.equal slave other -> Ok (Semi (side, slave))
+    | Some slave, Some t when Server.equal slave other ->
+      Ok (Coordinated (side, slave, t))
+    | _ -> Error (Slave_not_other_operand node)
 
 let ( let* ) = Result.bind
 
-let flows ?(third_party = false) catalog plan assignment =
+let flows ?third_party catalog plan assignment =
   let find_exec (n : Plan.node) =
     match Assignment.find_opt assignment n.id with
     | Some e -> Ok e
     | None -> Error (Unassigned_node n.id)
   in
-  let rec go (n : Plan.node) =
+  (* [go n acc] puts the flows of [n]'s sub-plan before [acc], last
+     first, and gives [n]'s executor and profile to its parent. *)
+  let rec go (n : Plan.node) acc =
     let* exec = find_exec n in
+    let master = exec.Assignment.master in
+    let unary c profile =
+      let* acc, at, p = go c acc in
+      if Server.equal master at then Ok (acc, master, profile p)
+      else Error (Unary_moved { node = n.id; expected = at; got = master })
+    in
     match n.op with
     | Plan.Leaf schema ->
       let name = Schema.name schema in
-      if Catalog.stores catalog name exec.Assignment.master then Ok []
+      if Catalog.stores catalog name master then
+        Ok (acc, master, Profile.of_base schema)
       else
         let home =
           match Catalog.server_of catalog name with
           | Ok s -> s
-          | Error _ -> exec.Assignment.master
+          | Error _ -> master
         in
-        Error
-          (Leaf_not_at_home { node = n.id; expected = home; got = exec.master })
-    | Plan.Project (_, c) | Plan.Select (_, c) ->
-      let* child_flows = go c in
-      let* child_exec = find_exec c in
-      if Server.equal exec.Assignment.master child_exec.Assignment.master then
-        Ok child_flows
-      else
-        Error
-          (Unary_moved
-             {
-               node = n.id;
-               expected = child_exec.master;
-               got = exec.master;
-             })
+        Error (Leaf_not_at_home { node = n.id; expected = home; got = master })
+    | Plan.Project (attrs, c) -> unary c (Profile.project attrs)
+    | Plan.Select (pred, c) ->
+      unary c (Profile.select (Predicate.attributes pred))
     | Plan.Join (cond, l, r) ->
-      let* lf = go l in
-      let* rf = go r in
-      let* l_exec = find_exec l in
-      let* r_exec = find_exec r in
-      let inherited = lf @ rf in
-      let cond = oriented_cond cond l in
-      let l_prof = profile_of l and r_prof = profile_of r in
-      let master = exec.Assignment.master in
-      let l_server = l_exec.Assignment.master
-      and r_server = r_exec.Assignment.master in
-      if Server.equal l_server r_server && Server.equal master l_server then
-        (* Both operands already reside at the master: fully local. *)
-        Ok inherited
-      else
-        let join_flows ~master_child_id ~master_side_attrs ~other_side_attrs
-            ~master_prof ~other_child_id ~other_server ~other_prof =
-          match exec.Assignment.coordinator with
-          | Some coordinator ->
-            (* Footnote 3, coordinator variant: the third party matches
-               the two operands' join columns; the non-master operand is
-               reduced accordingly and shipped to the master. *)
-            if exec.Assignment.slave <> Some other_server then
-              Error (Slave_not_other_operand n.id)
-            else
-              let joined_info p =
-                Profile.make ~pi:p
-                  ~join:
-                    (Joinpath.add cond
-                       (Joinpath.union master_prof.Profile.join
-                          other_prof.Profile.join))
-                  ~sigma:
-                    (Attribute.Set.union master_prof.Profile.sigma
-                       other_prof.Profile.sigma)
-              in
-              Ok
-                [
-                  {
-                    at = n.id;
-                    sender = master;
-                    receiver = coordinator;
-                    profile = Profile.project master_side_attrs master_prof;
-                    payload = Join_attributes master_child_id;
-                  };
-                  {
-                    at = n.id;
-                    sender = other_server;
-                    receiver = coordinator;
-                    profile = Profile.project other_side_attrs other_prof;
-                    payload = Join_attributes other_child_id;
-                  };
-                  {
-                    at = n.id;
-                    sender = coordinator;
-                    receiver = other_server;
-                    profile = joined_info other_side_attrs;
-                    payload = Matched_keys { node = n.id; side_child = other_child_id };
-                  };
-                  {
-                    at = n.id;
-                    sender = other_server;
-                    receiver = master;
-                    profile = joined_info other_prof.Profile.pi;
-                    payload =
-                      Semijoin_result
-                        { node = n.id; slave_child = other_child_id };
-                  };
-                ]
-          | None ->
-          match exec.Assignment.slave with
-          | None ->
-            (* Regular join: the other operand ships its result. *)
-            Ok
-              [
-                {
-                  at = n.id;
-                  sender = other_server;
-                  receiver = master;
-                  profile = other_prof;
-                  payload = Full_result other_child_id;
-                };
-              ]
-          | Some slave ->
-            if not (Server.equal slave other_server) then
-              Error (Slave_not_other_operand n.id)
-            else
-              let attrs_profile =
-                Profile.project master_side_attrs master_prof
-              in
-              let back_profile =
-                Profile.join cond
-                  (Profile.project master_side_attrs master_prof)
-                  other_prof
-              in
-              Ok
-                [
-                  {
-                    at = n.id;
-                    sender = master;
-                    receiver = slave;
-                    profile = attrs_profile;
-                    payload = Join_attributes master_child_id;
-                  };
-                  {
-                    at = n.id;
-                    sender = slave;
-                    receiver = master;
-                    profile = back_profile;
-                    payload =
-                      Semijoin_result
-                        { node = n.id; slave_child = other_child_id };
-                  };
-                ]
-        in
-        let jl = Attribute.Set.of_list (Joinpath.Cond.left cond) in
-        let jr = Attribute.Set.of_list (Joinpath.Cond.right cond) in
-        let* new_flows =
-          if Server.equal master l_server then
-            join_flows ~master_child_id:l.id ~master_side_attrs:jl
-              ~other_side_attrs:jr ~master_prof:l_prof ~other_child_id:r.id
-              ~other_server:r_server ~other_prof:r_prof
-          else if Server.equal master r_server then
-            join_flows ~master_child_id:r.id ~master_side_attrs:jr
-              ~other_side_attrs:jl ~master_prof:r_prof ~other_child_id:l.id
-              ~other_server:l_server ~other_prof:l_prof
-          else if third_party && exec.Assignment.slave = None then
-            (* Footnote 3: an outside master acts as a proxy and
-               receives both operands in full. *)
-            Ok
-              [
-                {
-                  at = n.id;
-                  sender = l_server;
-                  receiver = master;
-                  profile = l_prof;
-                  payload = Full_result l.id;
-                };
-                {
-                  at = n.id;
-                  sender = r_server;
-                  receiver = master;
-                  profile = r_prof;
-                  payload = Full_result r.id;
-                };
-              ]
-          else Error (Master_not_an_operand n.id)
-        in
-        Ok (inherited @ new_flows)
+      let* acc, l_at, lp = go l acc in
+      let* acc, r_at, rp = go r acc in
+      let* protocol =
+        protocol ?third_party ~node:n.id exec ~left:l_at ~right:r_at
+      in
+      let v = views cond lp rp in
+      let flow sender receiver profile payload =
+        { at = n.id; sender; receiver; profile; payload }
+      in
+      (* The master's operand and the other one, with their views. *)
+      let operands = function
+        | Left -> ((l, v.left), (r, r_at, v.right))
+        | Right -> ((r, v.right), (l, l_at, v.left))
+      in
+      let joined pi = { v.joined with Profile.pi } in
+      let fresh =
+        match protocol with
+        | Local -> []
+        | Regular side ->
+          let _, (o, o_at, ov) = operands side in
+          [ flow o_at master ov.full (Full_result o.id) ]
+        | Semi (side, slave) ->
+          let (m, mv), (o, _, _) = operands side in
+          [
+            flow master slave mv.keys (Join_attributes m.id);
+            flow slave master mv.semi
+              (Semijoin_result { node = n.id; slave_child = o.id });
+          ]
+        | Coordinated (side, slave, coordinator) ->
+          (* Footnote 3, coordinator variant: the third party matches
+             the two operands' join columns; the non-master operand is
+             reduced accordingly and shipped to the master. *)
+          let (m, mv), (o, _, ov) = operands side in
+          [
+            flow master coordinator mv.keys (Join_attributes m.id);
+            flow slave coordinator ov.keys (Join_attributes o.id);
+            flow coordinator slave
+              (joined ov.keys.Profile.pi)
+              (Matched_keys { node = n.id; side_child = o.id });
+            flow slave master
+              (joined ov.full.Profile.pi)
+              (Semijoin_result { node = n.id; slave_child = o.id });
+          ]
+        | Proxy ->
+          (* Footnote 3: an outside master acts as a proxy and receives
+             both operands in full. *)
+          [
+            flow l_at master v.left.full (Full_result l.id);
+            flow r_at master v.right.full (Full_result r.id);
+          ]
+      in
+      Ok (List.rev_append fresh acc, master, v.joined)
   in
-  go (Plan.root plan)
+  let* acc, _, _ = go (Plan.root plan) [] in
+  Ok (List.rev acc)
 
 type violation = { flow : flow }
 

@@ -2,10 +2,10 @@
     safety decision of Definition 4.2.
 
     This module is deliberately independent of the planning algorithm:
-    it re-derives, from first principles (Figure 5), every relation that
-    crosses a server boundary under a given assignment, together with
-    its profile. The planner is {e tested against} this module, and the
-    runtime audit of the simulator mirrors it on concrete data. *)
+    it derives, from Figure 5, every relation that crosses a server
+    boundary under a given assignment, together with its profile. The
+    planner is {e tested against} this module, and the runtime audit of
+    the simulator mirrors it on concrete data. *)
 
 open Relalg
 open Authz
@@ -50,16 +50,81 @@ val pp_error : error Fmt.t
     bottom-up). *)
 val profile_of : Plan.node -> Profile.t
 
-(** The condition of a join node, re-oriented (if needed) so that its
-    left attributes are produced by the given left child. *)
-val oriented_cond : Joinpath.Cond.t -> Plan.node -> Joinpath.Cond.t
+(** {1 Figure 5, once}
+
+    Every planner, checker, engine, script, lint and figure reads which
+    views a join discloses from {!views} and which protocol its
+    executor runs from {!protocol}. *)
+
+(** An operand of a join, by its position in the plan. *)
+type side = Left | Right
+
+(** What Figure 5 discloses of one operand [X] of a join [X ⋈_J O]. *)
+type side_views = {
+  full : Profile.t;
+      (** [X] in full: what a regular-join master at [O]'s server, or a
+          proxy, receives *)
+  keys : Profile.t;
+      (** [π_J(X)], [X]'s join attributes: what a semi-join slave at
+          [O]'s server, or a coordinator, receives *)
+  semi : Profile.t;
+      (** [π_J(X) ⋈ O]: what a semi-join master at [X]'s server receives
+          back from its slave *)
+}
+
+type views = {
+  left : side_views;
+  right : side_views;
+  joined : Profile.t;
+      (** [l ⋈ r] (Figure 4), the join's own profile. The coordinator
+          protocol's matched keys and reduced operand carry its join
+          path and selections over their own attributes. *)
+}
+
+(** [views cond lp rp] — Figure 5's views of the join [l ⋈_cond r] of
+    operands with profiles [lp] and [rp]. [cond] is sided, as
+    {!Plan} stores it: its left attributes are [l]'s. *)
+val views : Joinpath.Cond.t -> Profile.t -> Profile.t -> views
+
+(** The protocol a join runs under its executor: Definition 4.1's
+    [λ_T] read through Figure 5 and footnote 3. A [side] names the
+    master's operand. *)
+type protocol =
+  | Local  (** both operands already reside at the master *)
+  | Regular of side  (** the other operand ships in full to the master *)
+  | Semi of side * Server.t
+      (** semi-join with this slave, the other operand's executor *)
+  | Coordinated of side * Server.t * Server.t
+      (** coordinator join: the slave (the other operand's executor) and
+          the coordinator matching both operands' join columns *)
+  | Proxy
+      (** the master executes neither operand and receives both in full
+          (only with [third_party]) *)
+
+(** [protocol ~node exec ~left ~right] decodes the executor [exec] of
+    join node [node] whose operands are executed at [left] and
+    [right]. Both operands at the master make the join [Local], whatever
+    else [exec] records. Otherwise a master executing neither operand
+    is a [Proxy] when [third_party] (default [false]) holds and [exec]
+    has neither slave nor coordinator, and [Master_not_an_operand]
+    otherwise; a master at one operand runs [Regular] with neither,
+    [Semi] with the other operand's executor as slave, [Coordinated]
+    with that slave plus a coordinator, and any other slave or a
+    coordinator without a slave is [Slave_not_other_operand]. *)
+val protocol :
+  ?third_party:bool ->
+  node:int ->
+  Assignment.executor ->
+  left:Server.t ->
+  right:Server.t ->
+  (protocol, error) result
 
 (** [flows ~third_party catalog plan assignment] derives all
-    cross-server data flows. Checks the structural constraints of
+    cross-server data flows: sub-plans left to right, each join's
+    after its operands'. Checks the structural constraints of
     Definition 4.1 (leaves at their storage server, unary operations at
-    their operand's executor, join masters chosen among the operands'
-    executors — unless [third_party] is [true], in which case an
-    outside master receives both operands in full, per footnote 3). *)
+    their operand's executor, each join's executor decoded by
+    {!protocol}). *)
 val flows :
   ?third_party:bool ->
   Catalog.t ->

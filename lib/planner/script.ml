@@ -79,32 +79,34 @@ let of_assignment ?(third_party = false) catalog plan assignment =
       | Plan.Join (cond, l, r) ->
         go l;
         go r;
-        let cond = Safety.oriented_cond cond l in
         let m = master n.id in
-        let l_server = master l.Plan.id and r_server = master r.Plan.id in
-        let e = Assignment.find assignment n.id in
         let join_sql ~into ~left_t ~right_t =
           Printf.sprintf
             "CREATE TEMP TABLE %s AS SELECT %s FROM %s JOIN %s ON %s" into
             (columns n) left_t right_t (on_clause cond)
         in
-        let regular ~master_is_left =
-          let other_t, other_server =
-            if master_is_left then (temp r, r_server) else (temp l, l_server)
-          in
-          if not (Server.equal other_server m) then
-            emit (Ship { src = other_server; dst = m; temp = other_t });
-          let left_t, right_t =
-            if master_is_left then (temp l, other_t) else (other_t, temp r)
-          in
-          emit (Local { at = m; defines = temp n; sql = join_sql ~into:(temp n) ~left_t ~right_t })
+        let join_here () =
+          emit
+            (Local
+               {
+                 at = m;
+                 defines = temp n;
+                 sql = join_sql ~into:(temp n) ~left_t:(temp l) ~right_t:(temp r);
+               })
         in
-        let semi ~slave ~master_is_left =
-          let mc, oc = if master_is_left then (l, r) else (r, l) in
-          let mj =
-            if master_is_left then Joinpath.Cond.left cond
-            else Joinpath.Cond.right cond
-          in
+        (* The master's operand and the other one, with their join
+           attributes. *)
+        let operands : Safety.side -> _ = function
+          | Left -> (l, r, Joinpath.Cond.left cond, Joinpath.Cond.right cond)
+          | Right -> (r, l, Joinpath.Cond.right cond, Joinpath.Cond.left cond)
+        in
+        let regular side =
+          let _, oc, _, _ = operands side in
+          emit (Ship { src = master oc.Plan.id; dst = m; temp = temp oc });
+          join_here ()
+        in
+        let semi side ~slave =
+          let mc, oc, mj, _ = operands side in
           let keys = temp n ^ "_keys" and back = temp n ^ "_semi" in
           emit
             (Local
@@ -141,13 +143,8 @@ let of_assignment ?(third_party = false) catalog plan assignment =
                      (temp n) (columns n) (temp mc) back;
                })
         in
-        let coordinated ~t ~slave ~master_is_left =
-          let mc, oc = if master_is_left then (l, r) else (r, l) in
-          let mj, oj =
-            if master_is_left then
-              (Joinpath.Cond.left cond, Joinpath.Cond.right cond)
-            else (Joinpath.Cond.right cond, Joinpath.Cond.left cond)
-          in
+        let coordinated side ~slave ~t =
+          let mc, oc, mj, oj = operands side in
           let mkeys = temp n ^ "_mkeys"
           and okeys = temp n ^ "_okeys"
           and matched = temp n ^ "_matched"
@@ -197,46 +194,27 @@ let of_assignment ?(third_party = false) catalog plan assignment =
                });
           emit (Ship { src = slave; dst = m; temp = reduced });
           let left_t, right_t =
-            if master_is_left then (temp mc, reduced) else (reduced, temp mc)
+            if side = Left then (temp mc, reduced) else (reduced, temp mc)
           in
           emit
             (Local
                { at = m; defines = temp n; sql = join_sql ~into:(temp n) ~left_t ~right_t })
         in
-        (match e.Assignment.coordinator with
-         | Some t ->
-           let master_is_left = Server.equal m l_server in
-           let slave = Option.get e.Assignment.slave in
-           coordinated ~t ~slave ~master_is_left
-         | None ->
-           if Server.equal l_server r_server && Server.equal m l_server then
-             emit
-               (Local
-                  {
-                    at = m;
-                    defines = temp n;
-                    sql = join_sql ~into:(temp n) ~left_t:(temp l) ~right_t:(temp r);
-                  })
-           else if Server.equal m l_server then (
-             match e.Assignment.slave with
-             | None -> regular ~master_is_left:true
-             | Some slave -> semi ~slave ~master_is_left:true)
-           else if Server.equal m r_server then (
-             match e.Assignment.slave with
-             | None -> regular ~master_is_left:false
-             | Some slave -> semi ~slave ~master_is_left:false)
-           else begin
-             (* Third-party proxy: both operands travel. *)
-             emit (Ship { src = l_server; dst = m; temp = temp l });
-             emit (Ship { src = r_server; dst = m; temp = temp r });
-             emit
-               (Local
-                  {
-                    at = m;
-                    defines = temp n;
-                    sql = join_sql ~into:(temp n) ~left_t:(temp l) ~right_t:(temp r);
-                  })
-           end)
+        (match
+           Safety.protocol ~third_party ~node:n.id
+             (Assignment.find assignment n.id)
+             ~left:(master l.Plan.id) ~right:(master r.Plan.id)
+         with
+         | Error _ -> assert false (* [Safety.flows] accepted it *)
+         | Ok Local -> join_here ()
+         | Ok (Regular side) -> regular side
+         | Ok (Semi (side, slave)) -> semi side ~slave
+         | Ok (Coordinated (side, slave, t)) -> coordinated side ~slave ~t
+         | Ok Proxy ->
+           (* Third-party proxy: both operands travel. *)
+           emit (Ship { src = master l.Plan.id; dst = m; temp = temp l });
+           emit (Ship { src = master r.Plan.id; dst = m; temp = temp r });
+           join_here ())
     in
     let root = Plan.root plan in
     go root;

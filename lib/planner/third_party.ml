@@ -18,10 +18,10 @@ type result = {
 
 type failure = { failed_at : int }
 
-(* A join was rescued when its master is neither operand's executor
-   (proxy) or when a coordinator was recorded. A join with an
-   unassigned node among it and its operands is skipped: the assignment
-   is incomplete, which [Safety.flows] reports. *)
+(* A join was rescued when it decodes, in third-party mode, as a proxy
+   or a coordinated join. A join with an unassigned node among it and
+   its operands is skipped: the assignment is incomplete, which
+   [Safety.flows] reports; so is an invalid join. *)
 let rescues_of plan assignment =
   let exec (m : Plan.node) = Assignment.find_opt assignment m.id in
   List.filter_map
@@ -29,12 +29,15 @@ let rescues_of plan assignment =
       match n.op with
       | Plan.Join (_, l, r) -> (
         match (exec n, exec l, exec r) with
-        | Some { coordinator = Some t; _ }, _, _ ->
-          Some { node = n.id; helper = t; kind = Coordinator }
-        | Some { master; _ }, Some el, Some er ->
-          if Server.equal master el.master || Server.equal master er.master
-          then None
-          else Some { node = n.id; helper = master; kind = Proxy }
+        | Some e, Some el, Some er -> (
+          match
+            Safety.protocol ~third_party:true ~node:n.id e ~left:el.master
+              ~right:er.master
+          with
+          | Ok (Coordinated (_, _, t)) ->
+            Some { node = n.id; helper = t; kind = Coordinator }
+          | Ok Proxy -> Some { node = n.id; helper = e.master; kind = Proxy }
+          | Ok (Local | Regular _ | Semi _) | Error _ -> None)
         | _ -> None)
       | Plan.Leaf _ | Plan.Project _ | Plan.Select _ -> None)
     (Plan.nodes plan)

@@ -54,11 +54,12 @@ val plan :
   (result, failure) Stdlib.result
 
 (** [rescues_of plan assignment] — the joins of [plan] that
-    [assignment] gives a third party: a recorded coordinator, or a
-    master that is neither operand's executor (proxy). In node order;
+    [assignment] gives a third party: those {!Safety.protocol} decodes,
+    in third-party mode, as [Coordinated] or [Proxy]. In node order;
     empty iff the assignment needs no [Safety.check ~third_party:true].
-    A join whose node or operands have no executor is skipped, so an
-    incomplete assignment raises nothing here.
+    A join whose node or operands have no executor, or whose executor
+    does not decode, is skipped, so an incomplete or invalid assignment
+    raises nothing here.
     {!Analysis.Certificate.certify} works out an assignment's proof
     mode with it. *)
 val rescues_of : Plan.t -> Assignment.t -> rescue list

@@ -50,52 +50,58 @@ let oriented_cond cond ~left_out ~right_out =
     let flipped = Joinpath.Cond.flip cond in
     if sided flipped then Some flipped else None
 
-let validate e =
+(* One bottom-up pass computes each node's output once. A sub-tree
+   already sided comes back physically unchanged. *)
+let sided e =
   let ( let* ) = Result.bind in
-  let rec go = function
-    | Relation _ -> Ok ()
-    | Project (attrs, e) ->
-      let* () = go e in
-      let out = output e in
-      if Attribute.Set.subset attrs out then Ok ()
+  let rec go e =
+    match e with
+    | Relation schema -> Ok (e, Schema.attribute_set schema)
+    | Project (attrs, c) ->
+      let* c', out = go c in
+      if Attribute.Set.subset attrs out then
+        Ok ((if c' == c then e else Project (attrs, c')), attrs)
       else Error (Projection_out_of_scope (Attribute.Set.diff attrs out))
-    | Select (pred, e) ->
-      let* () = go e in
-      let out = output e and used = Predicate.attributes pred in
-      if Attribute.Set.subset used out then Ok ()
+    | Select (pred, c) ->
+      let* c', out = go c in
+      let used = Predicate.attributes pred in
+      if Attribute.Set.subset used out then
+        Ok ((if c' == c then e else Select (pred, c')), out)
       else Error (Selection_out_of_scope (Attribute.Set.diff used out))
     | Join (cond, l, r) ->
-      let* () = go l in
-      let* () = go r in
-      let left_out = output l and right_out = output r in
-      let overlap = Attribute.Set.inter left_out right_out in
-      if not (Attribute.Set.is_empty overlap) then
-        Error (Overlapping_operands overlap)
+      let* l', left_out = go l in
+      let* r', right_out = go r in
+      (* [Set.inter] and [Set.disjoint] both allocate; the overlap is
+         built only for the error. *)
+      if Attribute.Set.exists (fun a -> Attribute.Set.mem a right_out) left_out
+      then
+        Error (Overlapping_operands (Attribute.Set.inter left_out right_out))
       else (
         match oriented_cond cond ~left_out ~right_out with
-        | Some _ -> Ok ()
+        | Some c ->
+          Ok
+            ( (if c == cond && l' == l && r' == r then e
+               else Join (c, l', r')),
+              Attribute.Set.union left_out right_out )
         | None -> Error (Join_attributes_misplaced cond))
   in
-  go e
+  Result.map fst (go e)
+
+let validate e = Result.map ignore (sided e)
 
 let eval ?(executor = (module Exec.Reference : Exec.S)) ~lookup e =
   let module E = (val executor : Exec.S) in
-  (match validate e with
-   | Ok () -> ()
-   | Error err -> invalid_arg (Fmt.str "Algebra.eval: %a" pp_error err));
+  let e =
+    match sided e with
+    | Ok e -> e
+    | Error err -> invalid_arg (Fmt.str "Algebra.eval: %a" pp_error err)
+  in
   let rec go = function
     | Relation schema -> lookup schema
     | Project (attrs, e) -> E.project attrs (go e)
     | Select (pred, e) -> E.select pred (go e)
     | Join (cond, l, r) ->
       let lv = go l and rv = go r in
-      let cond =
-        match
-          oriented_cond cond ~left_out:(output l) ~right_out:(output r)
-        with
-        | Some c -> c
-        | None -> assert false (* validated above *)
-      in
       E.equi_join cond lv rv
   in
   go e

@@ -29,13 +29,18 @@ val relations : t -> string list
     operand, right by the right), operands attribute-disjoint. *)
 val validate : t -> (unit, error) result
 
+(** [sided e] is [e] with every join condition sided: spelled with its
+    left attributes drawn from the left operand, the condition itself
+    when it already is, its flip otherwise. It runs {!validate}'s checks
+    in the same pass, computing each node's output once; a sub-tree
+    already sided comes back physically unchanged. *)
+val sided : t -> (t, error) result
+
 (** [oriented_cond cond ~left_out ~right_out] is [cond] spelled with
     its left attributes drawn from [left_out] and its right from
     [right_out] — the condition itself if already sided, its flip if
-    the flipped spelling is, [None] otherwise. Evaluators (this
-    module's [eval], {!Batch.eval}, the distributed engine) use it to
-    normalise orientation-insensitive plan conditions before a
-    physical join. *)
+    the flipped spelling is, [None] otherwise: the orientation
+    {!sided} applies at every join. *)
 val oriented_cond :
   Joinpath.Cond.t ->
   left_out:Attribute.Set.t ->

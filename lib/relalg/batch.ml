@@ -635,9 +635,11 @@ let natural_join l r =
 (* Batch-native evaluation.                                            *)
 
 let eval ~lookup e =
-  (match Algebra.validate e with
-   | Ok () -> ()
-   | Error err -> invalid_arg (Fmt.str "Batch.eval: %a" Algebra.pp_error err));
+  let e =
+    match Algebra.sided e with
+    | Ok e -> e
+    | Error err -> invalid_arg (Fmt.str "Batch.eval: %a" Algebra.pp_error err)
+  in
   let dict = Dict.create () in
   let rec go = function
     | Algebra.Relation schema -> of_relation dict (lookup schema)
@@ -645,14 +647,6 @@ let eval ~lookup e =
     | Algebra.Select (pred, e) -> select pred (go e)
     | Algebra.Join (cond, le, re) ->
       let lb = go le and rb = go re in
-      let cond =
-        match
-          Algebra.oriented_cond cond ~left_out:(Algebra.output le)
-            ~right_out:(Algebra.output re)
-        with
-        | Some c -> c
-        | None -> assert false (* validated above *)
-      in
       equi_join cond lb rb
   in
   to_relation (go e)

@@ -14,59 +14,55 @@ type t = {
   all : node list;  (* by increasing id *)
 }
 
-(* Breadth-first numbering: nodes are rebuilt bottom-up after ids have
-   been assigned level by level, matching the n0..n6 labels of the
-   paper's Figures 2 and 7. *)
+(* Breadth-first numbering, the n0..n6 labels of the paper's Figures 2
+   and 7: a node's id is its position in the breadth-first queue, so
+   one pass over the queue records where each node's children start,
+   and the sided tree is then rebuilt depth-first with those ids. *)
 let of_algebra expr =
-  (match Algebra.validate expr with
-   | Ok () -> ()
-   | Error err -> invalid_arg (Fmt.str "Plan.of_algebra: %a" Algebra.pp_error err));
-  (* First pass: assign ids breadth-first over the algebra tree. *)
-  let ids : (Algebra.t * int) list ref = ref [] in
+  let expr =
+    match Algebra.sided expr with
+    | Ok e -> e
+    | Error err -> invalid_arg (Fmt.str "Plan.of_algebra: %a" Algebra.pp_error err)
+  in
+  let size = Algebra.size expr in
+  let first_child = Array.make size 0 in
   let queue = Queue.create () in
   Queue.add expr queue;
-  let next = ref 0 in
-  while not (Queue.is_empty queue) do
-    let e = Queue.pop queue in
-    ids := (e, !next) :: !ids;
-    incr next;
-    (match e with
-     | Algebra.Relation _ -> ()
-     | Algebra.Project (_, child) | Algebra.Select (_, child) ->
-       Queue.add child queue
-     | Algebra.Join (_, l, r) ->
-       Queue.add l queue;
-       Queue.add r queue)
+  let next = ref 1 in
+  for id = 0 to size - 1 do
+    first_child.(id) <- !next;
+    match Queue.pop queue with
+    | Algebra.Relation _ -> ()
+    | Algebra.Project (_, c) | Algebra.Select (_, c) ->
+      Queue.add c queue;
+      incr next
+    | Algebra.Join (_, l, r) ->
+      Queue.add l queue;
+      Queue.add r queue;
+      next := !next + 2
   done;
-  let id_of e =
-    (* Physical identity distinguishes structurally equal sub-trees. *)
-    let rec find = function
-      | (e', id) :: rest -> if e' == e then id else find rest
-      | [] -> assert false
-    in
-    find !ids
-  in
-  let rec build e =
-    let id = id_of e in
+  let rec build id e =
+    let c = first_child.(id) in
     match e with
     | Algebra.Relation schema -> { id; op = Leaf schema }
-    | Algebra.Project (attrs, child) ->
-      { id; op = Project (attrs, build child) }
-    | Algebra.Select (pred, child) -> { id; op = Select (pred, build child) }
-    | Algebra.Join (cond, l, r) -> { id; op = Join (cond, build l, build r) }
+    | Algebra.Project (attrs, e) -> { id; op = Project (attrs, build c e) }
+    | Algebra.Select (pred, e) -> { id; op = Select (pred, build c e) }
+    | Algebra.Join (cond, l, r) ->
+      { id; op = Join (cond, build c l, build (c + 1) r) }
   in
-  let root = build expr in
-  let rec collect n acc =
-    let acc = n :: acc in
+  let root = build 0 expr in
+  let by_id = Array.make size root in
+  let rec place n =
+    by_id.(n.id) <- n;
     match n.op with
-    | Leaf _ -> acc
-    | Project (_, c) | Select (_, c) -> collect c acc
-    | Join (_, l, r) -> collect r (collect l acc)
+    | Leaf _ -> ()
+    | Project (_, c) | Select (_, c) -> place c
+    | Join (_, l, r) ->
+      place l;
+      place r
   in
-  let all =
-    collect root [] |> List.sort (fun a b -> Int.compare a.id b.id)
-  in
-  { root; all }
+  place root;
+  { root; all = Array.to_list by_id }
 
 let rec to_algebra n =
   match n.op with

@@ -17,8 +17,12 @@ and op =
   | Project of Attribute.Set.t * node
   | Select of Predicate.t * node
   | Join of Joinpath.Cond.t * node * node
+      (** sided: the condition's left attributes are the left node's *)
 
-(** Number an expression (validating it first).
+(** Number an expression (validating it first). Every join condition
+    is stored sided ({!Algebra.sided}): its left attributes come from
+    the left child and its right attributes from the right child, so
+    no consumer of a plan re-orients a condition.
     @raise Invalid_argument on expressions that fail
     {!Algebra.validate}. *)
 val of_algebra : Algebra.t -> t

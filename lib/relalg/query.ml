@@ -34,19 +34,11 @@ let schema_of catalog name =
    accumulated left operand and its right side to the newly joined
    relation. *)
 let orient_join ~left_attrs ~right_attrs rel cond =
-  let fits c =
-    List.for_all
-      (fun a -> Attribute.Set.mem a left_attrs)
-      (Joinpath.Cond.left c)
-    && List.for_all
-         (fun a -> Attribute.Set.mem a right_attrs)
-         (Joinpath.Cond.right c)
-  in
-  if fits cond then Ok cond
-  else
-    let flipped = Joinpath.Cond.flip cond in
-    if fits flipped then Ok flipped
-    else Error (Join_condition_unrelated (rel, cond))
+  match
+    Algebra.oriented_cond cond ~left_out:left_attrs ~right_out:right_attrs
+  with
+  | Some cond -> Ok cond
+  | None -> Error (Join_condition_unrelated (rel, cond))
 
 let make catalog ~select ~base ~joins ~where =
   let* () = if select = [] then Error Empty_select else Ok () in
@@ -141,20 +133,26 @@ let rec conjuncts = function
   | Predicate.And (p, q) -> conjuncts p @ conjuncts q
   | p -> [ p ]
 
-let to_algebra ?(push_selections = true) t =
+let to_algebra t =
   let all_where = conjuncts t.where in
-  let pushable pred schema_attrs =
-    push_selections
-    && Attribute.Set.subset (Predicate.attributes pred) schema_attrs
-  in
   (* A conjunct is pushed to the first FROM relation that covers it. *)
   let from_schemas = t.base :: List.map fst t.joins in
-  let home_of pred =
-    List.find_opt
-      (fun s -> pushable pred (Schema.attribute_set s))
-      from_schemas
+  let homes =
+    List.map
+      (fun pred ->
+        let used = Predicate.attributes pred in
+        ( pred,
+          List.find_opt
+            (fun s -> Attribute.Set.subset used (Schema.attribute_set s))
+            from_schemas ))
+      all_where
   in
-  let top_where = List.filter (fun p -> home_of p = None) all_where in
+  let top_where =
+    List.filter_map
+      (function p, None -> Some p | _, Some _ -> None)
+      homes
+  in
+  let select_set = Attribute.Set.of_list t.select in
   let join_attrs =
     List.fold_left
       (fun acc (_, cond) ->
@@ -164,8 +162,7 @@ let to_algebra ?(push_selections = true) t =
   (* Attributes needed above the leaves: selected, joined on, or used
      by conjuncts evaluated at the top. *)
   let needed_above =
-    Attribute.Set.union
-      (Attribute.Set.of_list t.select)
+    Attribute.Set.union select_set
       (List.fold_left
          (fun acc p -> Attribute.Set.union acc (Predicate.attributes p))
          join_attrs top_where)
@@ -173,12 +170,11 @@ let to_algebra ?(push_selections = true) t =
   let leaf schema =
     let attrs = Schema.attribute_set schema in
     let pushed =
-      List.filter
-        (fun p ->
-          match home_of p with
-          | Some home -> Schema.equal home schema
-          | None -> false)
-        all_where
+      List.filter_map
+        (function
+          | p, Some home when Schema.equal home schema -> Some p
+          | _ -> None)
+        homes
     in
     let keep = Attribute.Set.inter needed_above attrs in
     let base = Algebra.Relation schema in
@@ -202,12 +198,10 @@ let to_algebra ?(push_selections = true) t =
     | ps -> Algebra.Select (Predicate.conj ps, joined)
   in
   let out = Algebra.output filtered in
-  let select_set = Attribute.Set.of_list t.select in
   if Attribute.Set.equal select_set out then filtered
   else Algebra.Project (select_set, filtered)
 
-let to_plan ?push_selections t =
-  Plan.of_algebra (to_algebra ?push_selections t)
+let to_plan t = Plan.of_algebra (to_algebra t)
 
 (* Canonical cache key. Two queries that parse to the same [t] up to
    the order of the SELECT list and of the WHERE conjuncts render to

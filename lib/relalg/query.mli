@@ -57,13 +57,12 @@ val join_path : t -> Joinpath.t
     projections pushed down to every operand ("as soon as possible",
     Section 2 — important for security, since only the attributes
     needed for the computation are disclosed); selection conjuncts
-    local to one relation pushed to their leaf when [push_selections]
-    (default [true]); a final projection on [select] when it removes
-    attributes. *)
-val to_algebra : ?push_selections:bool -> t -> Algebra.t
+    local to one relation pushed to their leaf; a final projection on
+    [select] when it removes attributes. *)
+val to_algebra : t -> Algebra.t
 
 (** [to_plan q] is [Plan.of_algebra (to_algebra q)]. *)
-val to_plan : ?push_selections:bool -> t -> Plan.t
+val to_plan : t -> Plan.t
 
 (** Canonical key for plan caching: queries equal up to SELECT-list
     order, WHERE-conjunct order, join-condition orientation, keyword

@@ -45,12 +45,14 @@ let fig4_profile_rules () =
    with the profile of every transmitted view, shown on the join
    Insurance ⋈ Nat_registry (node n2 of Figure 2). *)
 let fig5_execution_modes () =
-  let lp = Profile.of_base Medical.insurance in
-  let rp = Profile.of_base Medical.nat_registry in
-  let holder = Medical.attr "Holder" and citizen = Medical.attr "Citizen" in
-  let cond = Joinpath.Cond.eq holder citizen in
-  let jl = Attribute.Set.singleton holder in
-  let jr = Attribute.Set.singleton citizen in
+  let cond =
+    Joinpath.Cond.eq (Medical.attr "Holder") (Medical.attr "Citizen")
+  in
+  let v =
+    Planner.Safety.views cond
+      (Profile.of_base Medical.insurance)
+      (Profile.of_base Medical.nat_registry)
+  in
   let row ppf (mode, steps) =
     Fmt.pf ppf "@[<v 2>%s@,%a@]" mode
       Fmt.(list ~sep:(any "@,") string)
@@ -62,22 +64,18 @@ let fig5_execution_modes () =
     Fmt.(list ~sep:(any "@,") row)
     [
       ( "[S_l, NULL] (regular join at S_l)",
-        [ "S_r -> S_l: R_r with profile " ^ s rp ] );
+        [ "S_r -> S_l: R_r with profile " ^ s v.right.full ] );
       ( "[S_r, NULL] (regular join at S_r)",
-        [ "S_l -> S_r: R_l with profile " ^ s lp ] );
+        [ "S_l -> S_r: R_l with profile " ^ s v.left.full ] );
       ( "[S_l, S_r] (semi-join, S_l master)",
         [
-          "S_l -> S_r: pi_Jl(R_l) with profile "
-          ^ s (Profile.project jl lp);
-          "S_r -> S_l: pi_Jl(R_l) join R_r with profile "
-          ^ s (Profile.join cond (Profile.project jl lp) rp);
+          "S_l -> S_r: pi_Jl(R_l) with profile " ^ s v.left.keys;
+          "S_r -> S_l: pi_Jl(R_l) join R_r with profile " ^ s v.left.semi;
         ] );
       ( "[S_r, S_l] (semi-join, S_r master)",
         [
-          "S_r -> S_l: pi_Jr(R_r) with profile "
-          ^ s (Profile.project jr rp);
-          "S_l -> S_r: R_l join pi_Jr(R_r) with profile "
-          ^ s (Profile.join cond (Profile.project jr rp) lp);
+          "S_r -> S_l: pi_Jr(R_r) with profile " ^ s v.right.keys;
+          "S_l -> S_r: R_l join pi_Jr(R_r) with profile " ^ s v.right.semi;
         ] );
     ]
 

@@ -206,7 +206,6 @@ let execute ?(third_party = false)
     | Plan.Join (cond, l, r) ->
       let lp = go l and rp = go r in
       ensure_up master n.id;
-      let cond = Planner.Safety.oriented_cond cond l in
       let profile = Profile.join cond lp.profile rp.profile in
       let join_here lpiece rpiece =
         E.equi_join cond lpiece.value rpiece.value
@@ -382,8 +381,11 @@ let execute ?(third_party = false)
           { value; at = master; profile }
         in
         let jl = Joinpath.Cond.left cond and jr = Joinpath.Cond.right cond in
+        let operand_master =
+          Server.equal master lp.at || Server.equal master rp.at
+        in
         match exec.Assignment.coordinator with
-        | Some t ->
+        | Some t when operand_master ->
           if
             Server.equal master lp.at
             && exec.Assignment.slave = Some rp.at
@@ -395,6 +397,9 @@ let execute ?(third_party = false)
           else
             raise
               (Fail (Engine.Structure (Planner.Safety.Slave_not_other_operand n.id)))
+        | Some _ ->
+          raise
+            (Fail (Engine.Structure (Planner.Safety.Master_not_an_operand n.id)))
         | None ->
         if Server.equal master lp.at then (
           match exec.Assignment.slave with

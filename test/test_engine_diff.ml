@@ -342,8 +342,130 @@ let prop_certified_plans =
           agree ~what:(Printf.sprintf "rerun seed %d" seed) again twin;
           true))
 
+(* ------------------------------------------------------------------ *)
+(* One verdict per assignment.                                         *)
+
+(* What each structural check says of an assignment: ["ok"], or its
+   error. Safety's flows, the compiled engine and the script compiler
+   read the one Figure-5 decoder; the interpreter keeps its own case
+   analysis, so agreement here tests the decoder against a twin. *)
+let verdicts ~third_party catalog ~instances plan assignment =
+  let say pp = function Ok _ -> "ok" | Error e -> Fmt.str "%a" pp e in
+  [
+    ( "Safety.flows",
+      say Planner.Safety.pp_error
+        (Planner.Safety.flows ~third_party catalog plan assignment) );
+    ( "Engine.compile",
+      say Engine.pp_error
+        (Engine.compile ~third_party catalog ~instances plan assignment) );
+    ( "Script.of_assignment",
+      say Planner.Safety.pp_error
+        (Planner.Script.of_assignment ~third_party catalog plan assignment) );
+    ( "Interpreter",
+      say Engine.pp_error
+        (Interp.execute ~third_party catalog ~instances plan assignment) );
+  ]
+
+(* Example 2.2 assigned as in Figure 7 except n1 := [S_D, S_H] via S_D.
+   S_D executes neither operand of n1 (n2 runs at S_N, n3 at S_H), so
+   the join is invalid in either mode, and an invalid join is no
+   third-party rescue. *)
+let test_one_verdict () =
+  let module M = Scenario.Medical in
+  let plan = M.example_plan () in
+  let fig7 =
+    match Planner.Safe_planner.plan M.catalog M.policy plan with
+    | Ok { assignment; _ } -> assignment
+    | Error f -> Alcotest.failf "%a" Planner.Safe_planner.pp_failure f
+  in
+  let assignment =
+    Planner.Assignment.set 1
+      (Planner.Assignment.executor ~slave:M.s_h ~coordinator:M.s_d M.s_d)
+      fig7
+  in
+  List.iter
+    (fun third_party ->
+      List.iter
+        (fun (who, verdict) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s (third_party %b)" who third_party)
+            "join n1: master is neither operand's executor" verdict)
+        (verdicts ~third_party M.catalog ~instances:M.instances plan
+           assignment))
+    [ false; true ];
+  Alcotest.(check (list string))
+    "no rescue" []
+    (List.map
+       (Fmt.str "%a" Planner.Third_party.pp_rescue)
+       (Planner.Third_party.rescues_of plan assignment))
+
+(* [random_assignment] with one join's executor redrawn: master, slave
+   and coordinator from every server, slave and coordinator each
+   present or absent, and the unary nodes above the join following its
+   master. Every structural check must give the same verdict, and an
+   accepted assignment must run alike compiled and interpreted. *)
+let prop_perturbed_join =
+  QCheck.Test.make ~count:200
+    ~name:"one verdict on a perturbed join"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng, case = case_of seed in
+      let assignment, _ =
+        random_assignment rng case.sys.catalog case.servers case.plan
+      in
+      let joins =
+        List.filter
+          (fun (n : Plan.node) ->
+            match n.op with Plan.Join _ -> true | _ -> false)
+          (Plan.nodes case.plan)
+      in
+      let n = W.Rng.choose rng joins in
+      let pick () = W.Rng.choose rng case.servers in
+      let maybe () = if W.Rng.bool rng then Some (pick ()) else None in
+      let master = pick () in
+      let slave = maybe () in
+      let coordinator = maybe () in
+      let assignment =
+        Planner.Assignment.set n.id
+          (Planner.Assignment.executor ?slave ?coordinator master)
+          assignment
+      in
+      let rec above id asg =
+        match
+          List.find_opt
+            (fun (p : Plan.node) ->
+              List.exists (fun (c : Plan.node) -> c.id = id) (Plan.children p))
+            (Plan.nodes case.plan)
+        with
+        | Some ({ op = Plan.Project _ | Plan.Select _; _ } as p) ->
+          above p.id
+            (Planner.Assignment.set p.id
+               (Planner.Assignment.executor master)
+               asg)
+        | _ -> asg
+      in
+      let assignment = above n.id assignment in
+      let third_party = W.Rng.bool rng in
+      let vs =
+        verdicts ~third_party case.sys.catalog ~instances:case.instances
+          case.plan assignment
+      in
+      let first = snd (List.hd vs) in
+      if List.exists (fun (_, v) -> not (String.equal v first)) vs then
+        QCheck.Test.fail_reportf "seed %d: %s" seed
+          (String.concat "; "
+             (List.map (fun (who, v) -> who ^ ": " ^ v) vs));
+      if String.equal first "ok" then
+        compare_runs
+          ~what:(Printf.sprintf "perturbed seed %d" seed)
+          ~request:seed case ~third_party Fault.reliable assignment;
+      true)
+
 let suite =
   [
+    Alcotest.test_case "Example 2.2: one verdict for an invalid n1" `Quick
+      test_one_verdict;
     Helpers.qcheck prop_random_assignments;
     Helpers.qcheck prop_certified_plans;
+    Helpers.qcheck prop_perturbed_join;
   ]

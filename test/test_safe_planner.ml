@@ -122,32 +122,19 @@ let test_medical_infeasible_without_semijoins () =
      baseline fails — semi-joins are not just cheaper, they enlarge the
      feasible set. *)
   let config =
-    { Safe_planner.allow_semijoins = false; allow_regular = true;
-      prefer_high_count = true }
+    { Safe_planner.default_config with allow_semijoins = false }
   in
   check Alcotest.bool "regular-only infeasible" false
     (Safe_planner.feasible ~config M.catalog M.policy (M.example_plan ()))
 
 let test_tracking_needs_semijoins () =
   let config =
-    { Safe_planner.allow_semijoins = false; allow_regular = true;
-      prefer_high_count = true }
+    { Safe_planner.default_config with allow_semijoins = false }
   in
   check Alcotest.bool "semi-join only query" false
     (Safe_planner.feasible ~config SC.catalog SC.policy (SC.tracking_plan ()));
   check Alcotest.bool "feasible with semi-joins" true
     (Safe_planner.feasible SC.catalog SC.policy (SC.tracking_plan ()))
-
-let test_semijoin_only_config () =
-  (* With regular joins disabled the medical plan still works: n2 can
-     run as a semi-join too?  n2's only mode is regular (S_N receives
-     Insurance in full), so the plan must become infeasible. *)
-  let config =
-    { Safe_planner.allow_semijoins = true; allow_regular = false;
-      prefer_high_count = true }
-  in
-  check Alcotest.bool "n2 needs a regular join" false
-    (Safe_planner.feasible ~config M.catalog M.policy (M.example_plan ()))
 
 let test_helpers_parameter () =
   match
@@ -185,7 +172,6 @@ let suite =
     c "medical infeasible regular-only" `Quick
       test_medical_infeasible_without_semijoins;
     c "tracking query needs semi-joins" `Quick test_tracking_needs_semijoins;
-    c "semijoin-only config" `Quick test_semijoin_only_config;
     c "third-party helpers" `Quick test_helpers_parameter;
     c "trace rendering" `Quick test_trace_printing;
   ]

@@ -80,8 +80,7 @@ let test_supply_chain_design () =
   check Alcotest.bool "tracking feasible" true
     (Planner.Safe_planner.feasible SC.catalog SC.policy (SC.tracking_plan ()));
   let regular_only =
-    { Planner.Safe_planner.allow_semijoins = false; allow_regular = true;
-      prefer_high_count = true }
+    { Planner.Safe_planner.default_config with allow_semijoins = false }
   in
   check Alcotest.bool "tracking needs semi-joins" false
     (Planner.Safe_planner.feasible ~config:regular_only SC.catalog SC.policy
