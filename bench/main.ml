@@ -386,6 +386,19 @@ let run_inference_bench () =
        (fun i _ -> point (List.filteri (fun j _ -> j <= i) batches))
        batches)
 
+(* Words [f ()] allocates: [Gc.minor_words] for the minor heap, and
+   [Gc.counters]' major minus promoted words for blocks allocated
+   straight into the major heap ([Gc.counters]' own minor count reads
+   low on OCaml 5.1). Counts, not times: they hold on any host. *)
+let allocated_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  let r = Sys.opaque_identity (f ()) in
+  (r, words () -. before)
+
 (* ------------------------------------------------------------------ *)
 (* Chase-closure perf trajectory: semi-naive indexed evaluation vs the
    all-pairs oracle ([Oracle.close_chase]) on the chase points. Written to
@@ -398,7 +411,15 @@ let run_inference_bench () =
    [Chase.close] of the shrunk base, asserting the two closures are
    equal. A revoke re-closes only the revoked rule's server, so the
    point fails when the median revoke takes more than half a
-   from-scratch close. Times are best of 3. *)
+   from-scratch close. Times are best of 3.
+
+   A count gate that holds on any host: the words a close allocates
+   per derived rule, counted on a second close of the policy (the
+   first fills the interner), at most [words_per_derived_bound] at
+   every point. Examining a candidate merge allocates nothing, so the
+   count is the fresh rules' own construction and indexing. *)
+
+let words_per_derived_bound = 3_500.
 
 let run_chase_bench () =
   let measure f = snd (Harness.best_of f) in
@@ -406,6 +427,17 @@ let run_chase_bench () =
     let sys, policy = chase_case relations density in
     let joins = sys.System_gen.join_graph in
     let fast = Authz.Chase.close ~joins policy in
+    let derived =
+      Authz.Policy.cardinality fast - Authz.Policy.cardinality policy
+    in
+    let _, words =
+      allocated_words (fun () -> Authz.Chase.close ~joins policy)
+    in
+    let words_per_derived = words /. float_of_int derived in
+    Harness.check
+      (words_per_derived <= words_per_derived_bound)
+      "chase bench: %.0f words per derived rule > %.0f at %d relations"
+      words_per_derived words_per_derived_bound relations;
     let slow = Oracle.close_chase ~joins policy in
     Harness.check
       (Authz.Policy.equal fast slow)
@@ -443,11 +475,11 @@ let run_chase_bench () =
       "chase bench: median revoke/close ratio %.3f > 0.5 at %d relations"
       ratio_median relations;
     Printf.sprintf
-      {|{"relations":%d,"servers":%d,"joins":%d,"density":%.2f,"base_rules":%d,"closed_rules":%d,"seminaive_seconds":%.9f,"naive_seconds":%.9f,"speedup":%.2f,"revokes":%d,"revoke_ratio_median":%.3f,"revoke_ratio_max":%.3f}|}
+      {|{"relations":%d,"servers":%d,"joins":%d,"density":%.2f,"base_rules":%d,"closed_rules":%d,"words_per_derived_rule":%.0f,"seminaive_seconds":%.9f,"naive_seconds":%.9f,"speedup":%.2f,"revokes":%d,"revoke_ratio_median":%.3f,"revoke_ratio_max":%.3f}|}
       relations relations (List.length joins) density
       (Authz.Policy.cardinality policy)
       (Authz.Policy.cardinality fast)
-      seminaive naive
+      words_per_derived seminaive naive
       (naive /. seminaive)
       k ratio_median
       (List.fold_left Float.max 0. ratios)
@@ -1220,19 +1252,6 @@ let run_health_bench () =
    column, and the whole Bloom run strictly fewer total bytes, at
    every rows x bits point — with identical answers and clean audits).
    Written to BENCH_exec.json. *)
-
-(* Words [f ()] allocates: [Gc.minor_words] for the minor heap, and
-   [Gc.counters]' major minus promoted words for blocks allocated
-   straight into the major heap ([Gc.counters]' own minor count reads
-   low on OCaml 5.1). Counts, not times: they hold on any host. *)
-let allocated_words f =
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let before = words () in
-  let r = Sys.opaque_identity (f ()) in
-  (r, words () -. before)
 
 (* [equi_join] on a 10^5-row build side keyed [i * stride], probed by
    the same keys: best-of seconds. *)

@@ -7,6 +7,8 @@ type t = {
   id : int;
   attrs_id : int;
   path_id : int;
+  attrs_bits : Intern.Bits.t;
+  path_bits : Intern.Bits.t;
 }
 
 type error =
@@ -31,10 +33,13 @@ let owners attrs =
   |> List.map Attribute.relation
   |> List.sort_uniq String.compare
 
-(* The only place a rule is built: every rule carries its interned
-   ids from birth, so no reader re-derives them. *)
+(* The only place a rule is built: every rule carries its bits and
+   interned ids from birth, so no reader re-derives them. *)
 let interned ~attrs ~path server =
-  let attrs_id = Intern.attrs_id attrs and path_id = Intern.path_id path in
+  let attrs_bits = Intern.attrs_bits attrs
+  and path_bits = Intern.path_bits path in
+  let attrs_id = Intern.attrs_id_of_bits attrs_bits
+  and path_id = Intern.path_id_of_bits path_bits in
   {
     attrs;
     path;
@@ -42,6 +47,8 @@ let interned ~attrs ~path server =
     id = Intern.rule_id_of server ~attrs_id ~path_id;
     attrs_id;
     path_id;
+    attrs_bits;
+    path_bits;
   }
 
 let make ~attrs ~path server =

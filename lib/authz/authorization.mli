@@ -14,14 +14,18 @@
 
 open Relalg
 
-(** A rule carries its interned identities ({!Intern}), computed once
-    when it is built:
+(** A rule carries its interned identities and bits ({!Intern}),
+    computed once when it is built:
     - [id] is the rule's: [a.id = b.id] iff [equal a b];
     - [attrs_id] is [Intern.attrs_id attrs] and [path_id] is
-      [Intern.path_id path].
+      [Intern.path_id path];
+    - [attrs_bits] is [Intern.attrs_bits attrs] and [path_bits] is
+      [Intern.path_bits path].
 
-    Policies, the chase and certificates read them instead of
-    re-hashing the rule's sets. *)
+    The tree sets [attrs] and [path] are the rule's public, printed
+    form. Policies, the chase and certificates read the ids and bits
+    instead of re-hashing or walking them: the chase merges and admits
+    on bits alone. *)
 type t = private {
   attrs : Attribute.Set.t;
   path : Joinpath.t;
@@ -29,6 +33,8 @@ type t = private {
   id : int;
   attrs_id : int;
   path_id : int;
+  attrs_bits : Intern.Bits.t;
+  path_bits : Intern.Bits.t;
 }
 
 type error =

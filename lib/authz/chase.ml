@@ -7,7 +7,7 @@ open Relalg
    same path and no new attribute — is skipped: the parent rule already
    admits the derived view (Definition 3.3), so the closure filter
    would reject it one step later anyway. [rounds] below implements
-   the rule on interned ids. *)
+   the rule on the rules' bits. *)
 
 let default_max_rules = 100_000
 
@@ -27,131 +27,175 @@ let overflow max_rules =
   invalid_arg
     (Printf.sprintf "Chase.close: closure exceeds %d rules" max_rules)
 
-(* Union memos, keyed on interned ids. A closure derives the same few
-   hundred distinct rules from tens of thousands of candidate pairs
-   (the same wide rule arises from many different parents), so the
-   expensive part of a merge — the attribute-set and join-path unions —
-   is computed once per distinct pair of operands and afterwards costs
-   a small-int hash probe. The keys are canonical (attribute sets and
-   paths are interned on their sorted forms, conditions on their
-   oriented pairs), so the tables are sound process-wide and shared
-   across closures, like the {!Intern} interner itself. *)
-let attrs_memo : (int * int, Attribute.Set.t * int) Hashtbl.t =
-  Hashtbl.create 1024
+module Bits = Intern.Bits
 
-let path_memo : (int * int * int, Joinpath.t * int) Hashtbl.t =
-  Hashtbl.create 1024
+(* One side of a join condition: its attributes' bits, and the id of
+   its first attribute, whose bucket holds every rule covering it. *)
+type side = { bits : Bits.t; probe : int }
 
-let union_attrs aid1 s1 aid2 s2 =
-  let key = if aid1 <= aid2 then (aid1, aid2) else (aid2, aid1) in
-  match Hashtbl.find_opt attrs_memo key with
-  | Some v -> v
-  | None ->
-    let u = Attribute.Set.union s1 s2 in
-    let v = (u, Intern.attrs_id u) in
-    Hashtbl.add attrs_memo key v;
-    v
+(* A join condition of the graph, with its id and sides. *)
+type edge = { cond : Joinpath.Cond.t; cid : int; jl : side; jr : side }
 
-let union_path cid j pid1 p1 pid2 p2 =
-  let key = if pid1 <= pid2 then (cid, pid1, pid2) else (cid, pid2, pid1) in
-  match Hashtbl.find_opt path_memo key with
-  | Some v -> v
-  | None ->
-    let u = Joinpath.add j (Joinpath.union p1 p2) in
-    let v = (u, Intern.path_id u) in
-    Hashtbl.add path_memo key v;
-    v
+let side attrs =
+  {
+    bits = Intern.attrs_bits (Attribute.Set.of_list attrs);
+    probe = Intern.attr_id (List.hd attrs);
+  }
+
+let edges joins =
+  List.map
+    (fun j ->
+      {
+        cond = j;
+        cid = Intern.cond_id j;
+        jl = side (Joinpath.Cond.left j);
+        jr = side (Joinpath.Cond.right j);
+      })
+    joins
+
+(* One round's state: the round-start policy every candidate is
+   admitted against, the rules found fresh so far, and the scratch
+   bitsets each candidate merge is computed in. [seen] holds the fresh
+   rules by path bits, so a candidate derived twice in the round (from
+   other parents, say) is recognised on bits. *)
+type round = {
+  start : Policy.t;
+  open_mode : bool;
+  record : derivation -> unit;
+  seen : Authorization.t list Bits.Tbl.t;
+  attrs : Bits.scratch;
+  path : Bits.scratch;
+  mutable fresh : Authorization.t list;
+}
+
+let rec seen_in (s : Server.t) attrs = function
+  | [] -> false
+  | (d : Authorization.t) :: rest ->
+    (Bits.equal attrs d.attrs_bits && Server.equal s d.server)
+    || seen_in s attrs rest
+
+let seen r s ~path ~attrs =
+  match Bits.Tbl.find r.seen path with
+  | fresh -> seen_in s attrs fresh
+  | exception Not_found -> false
+
+let keep r (d : Authorization.t) a1 a2 e =
+  let same_path =
+    match Bits.Tbl.find r.seen d.path_bits with
+    | fresh -> fresh
+    | exception Not_found -> []
+  in
+  Bits.Tbl.replace r.seen d.path_bits (d :: same_path);
+  r.record { derived = d; left = a1; right = a2; via = e.cond };
+  r.fresh <- d :: r.fresh
+
+let derived_sets (a1 : Authorization.t) (a2 : Authorization.t) e =
+  ( Attribute.Set.union a1.attrs a2.attrs,
+    Joinpath.add e.cond (Joinpath.union a1.path a2.path) )
+
+(* A candidate that adds something and is new to the round: only now
+   are its tree sets built, and only when the round-start policy does
+   not admit it. A closed policy admits on bits ([Policy.part_admits]);
+   an open one through [can_view] against its denials, and holds a
+   rule only if it is a member. *)
+let admit r part (a1 : Authorization.t) a2 e =
+  if r.open_mode then begin
+    let attrs, path = derived_sets a1 a2 e in
+    if
+      not
+        (Policy.can_view r.start
+           (Profile.make ~pi:attrs ~join:path ~sigma:Attribute.Set.empty)
+           a1.server)
+    then
+      match Authorization.make ~attrs ~path a1.server with
+      | Ok d when not (Policy.mem d r.start) -> keep r d a1 a2 e
+      | Ok _ | Error _ -> ()
+  end
+  else if
+    not
+      (Policy.part_admits part ~path:(Bits.view r.path)
+         ~attrs:(Bits.view r.attrs))
+  then
+    let attrs, path = derived_sets a1 a2 e in
+    match Authorization.make ~attrs ~path a1.server with
+    | Ok d -> keep r d a1 a2 e
+    | Error _ -> ()
+
+(* One candidate pair: two unions into the scratch bitsets, then the
+   adds-nothing test (the derived rule equals a parent iff it has the
+   parent's attribute bits AND path bits) and the round's dedupe. No
+   allocation until [admit] finds the candidate fresh. *)
+let examine r part (a1 : Authorization.t) e (a2 : Authorization.t) =
+  Bits.union_into r.attrs a1.attrs_bits a2.attrs_bits;
+  Bits.union_into r.path a1.path_bits a2.path_bits;
+  Bits.add_into r.path e.cid;
+  let attrs = Bits.view r.attrs and path = Bits.view r.path in
+  if
+    not
+      ((Bits.equal attrs a1.attrs_bits && Bits.equal path a1.path_bits)
+      || (Bits.equal attrs a2.attrs_bits && Bits.equal path a2.path_bits)
+      || seen r a1.server ~path ~attrs)
+  then admit r part a1 a2 e
+
+let rec partners r part a1 e other = function
+  | [] -> ()
+  | (a2 : Authorization.t) :: rest ->
+    if Bits.subset other.bits a2.attrs_bits then examine r part a1 e a2;
+    partners r part a1 e other rest
+
+let rec merges r part (a1 : Authorization.t) = function
+  | [] -> ()
+  | e :: rest ->
+    if Bits.subset e.jl.bits a1.attrs_bits then
+      partners r part a1 e e.jr (Policy.bucket part e.jr.probe);
+    if Bits.subset e.jr.bits a1.attrs_bits then
+      partners r part a1 e e.jl (Policy.bucket part e.jl.probe);
+    merges r part a1 rest
 
 (* Semi-naive rounds. [frontier] is the list of rules added in the
    previous round (initially the explicit rules); each round merges
    only (frontier x policy) pairs, so over the whole run every
    unordered rule pair is examined once — at the first round where both
-   members are present. Merge partners come from the policy's
-   per-(server, attribute) buckets ({!Policy.covering_entries}), and
-   every rule carries its interned ids, so a candidate merge is: two
-   memoised unions, an id-level adds-nothing test, and duplicate
-   detection on the hash-consed rule id ({!Intern.rule_id_of}) — the
-   derived rule is only constructed when it is genuinely fresh. The
+   members are present. Merge partners come from the server's
+   per-attribute buckets ({!Policy.bucket}) and a rule covers a side of
+   a condition when the side's bits are a subset of its own. The
    admission filter runs against the round-start policy, so the result
    is the rule set an all-pairs rescan per round reaches (the
    differential suite in test_chase_diff.ml compares the two). *)
-let rec rounds ?(record = fun (_ : derivation) -> ()) ~max_rules ~joins
-    policy frontier =
+let rec rounds ~record ~max_rules ~edges policy frontier =
   if Policy.cardinality policy > max_rules then overflow max_rules;
   match frontier with
   | [] -> policy
   | _ ->
-    let open_mode = Policy.is_open policy in
-    let jinfo =
-      List.map
-        (fun j ->
-          (j, Intern.cond_id j, Joinpath.Cond.left j, Joinpath.Cond.right j))
-        joins
+    let r =
+      {
+        start = policy;
+        open_mode = Policy.is_open policy;
+        record;
+        seen = Bits.Tbl.create 64;
+        attrs = Bits.scratch ();
+        path = Bits.scratch ();
+        fresh = [];
+      }
     in
-    let seen = Hashtbl.create 64 in
-    let fresh = ref [] in
     List.iter
       (fun (a1 : Authorization.t) ->
-        let aid1 = a1.attrs_id and pid1 = a1.path_id in
-        List.iter
-          (fun (j, cid, jl, jr) ->
-            let covers side =
-              List.for_all (fun x -> Attribute.Set.mem x a1.attrs) side
-            in
-            let partners other =
-              List.iter
-                (fun (a2 : Authorization.t) ->
-                  let attrs, aid = union_attrs aid1 a1.attrs a2.attrs_id a2.attrs in
-                  let path, pid = union_path cid j pid1 a1.path a2.path_id a2.path in
-                  (* Adds-nothing skip on ids: the derived rule equals a
-                     parent iff it has the parent's attribute set AND
-                     join path (see [merge]). *)
-                  if
-                    not
-                      ((aid = aid1 && pid = pid1)
-                       || (aid = a2.attrs_id && pid = a2.path_id))
-                  then begin
-                    let rid =
-                      Intern.rule_id_of a1.server ~attrs_id:aid ~path_id:pid
-                    in
-                    if
-                      (not (Hashtbl.mem seen rid))
-                      && (not (Policy.mem_id rid policy))
-                      && not
-                           (if open_mode then
-                              Policy.can_view policy
-                                (Profile.make ~pi:attrs ~join:path
-                                   ~sigma:Attribute.Set.empty)
-                                a1.server
-                            else Policy.admits policy a1.server ~path_id:pid attrs)
-                    then begin
-                      match Authorization.make ~attrs ~path a1.server with
-                      | Ok d ->
-                        Hashtbl.add seen rid ();
-                        record { derived = d; left = a1; right = a2; via = j };
-                        fresh := d :: !fresh
-                      | Error _ -> ()
-                    end
-                  end)
-                (Policy.covering_entries policy a1.server other)
-            in
-            if covers jl then partners jr;
-            if covers jr then partners jl)
-          jinfo)
+        merges r (Policy.part policy a1.server) a1 edges)
       frontier;
-    (match !fresh with
+    (match r.fresh with
      | [] -> policy
      | fresh ->
        let next = List.fold_left (fun p d -> Policy.add d p) policy fresh in
-       (* Fresh rules have distinct ids the policy lacks, so each one
-          adds a rule; a rule whose id disagreed with its parts would
-          instead be re-derived every round, forever. *)
+       (* Fresh rules are distinct and the policy admits none of them,
+          so each one adds a rule; a rule whose bits disagreed with its
+          parts would instead be re-derived every round, forever. *)
        assert (
          Policy.cardinality next = Policy.cardinality policy + List.length fresh);
-       rounds ~record ~max_rules ~joins next fresh)
+       rounds ~record ~max_rules ~edges next fresh)
 
 let close ?(max_rules = default_max_rules) ~joins policy =
-  rounds ~max_rules ~joins policy (Policy.authorizations policy)
+  rounds ~record:ignore ~max_rules ~edges:(edges joins) policy
+    (Policy.authorizations policy)
 
 (* The merge rule joins two rules of one server, and [rounds] finds
    partners, admits and dedupes through that server's rules alone: the
@@ -164,7 +208,9 @@ let by_server =
 let rounds_trace ~max_rules ~joins policy frontier =
   let acc = ref [] in
   let record d = acc := d :: !acc in
-  let closure = rounds ~record ~max_rules ~joins policy frontier in
+  let closure =
+    rounds ~record ~max_rules ~edges:(edges joins) policy frontier
+  in
   (closure, List.rev !acc)
 
 let close_trace ?(max_rules = default_max_rules) ~joins policy =
@@ -255,9 +301,9 @@ let add a t =
     handle ~max_rules:t.max_rules ~joins:t.joins base closure
 
 (* Only [a]'s server [s] can lose derived rules (see [by_server]): the
-   others keep their rules and steps, and [s] restarts from its base
-   rules, left in the base's bucket order, so on a from-scratch handle
-   its group comes out step for step as from scratch. *)
+   others keep their parts and steps, and [s]'s part becomes the base's
+   part, re-closed, so on any handle its group comes out step for step
+   as from scratch. *)
 let revoke a t =
   if not (Policy.mem a t.base) then t
   else
@@ -266,12 +312,11 @@ let revoke a t =
       closed_policy ~max_rules:t.max_rules ~joins:t.joins base
     else
       let s = a.server and prev, trace = Lazy.force t.closure in
-      let drop p r = if Policy.mem r base then p else Policy.remove r p in
       let closure =
         lazy
           (let p, steps =
              rounds_trace ~max_rules:t.max_rules ~joins:t.joins
-               (List.fold_left drop prev (Policy.view prev s))
+               (Policy.with_part s (Policy.part base s) prev)
                (Policy.view base s)
            in
            let others =

@@ -28,11 +28,13 @@ open Relalg
 
     The engine is {e semi-naive}: each round merges only
     (previous-round frontier × policy) pairs found through the
-    policy's per-(server, attribute) buckets, dedupes derived rules
-    within the round by their hash-consed ids ({!Authorization.t}), and
-    filters with [can_view] against the round-start policy — producing
-    the {e same rule set} as an all-pairs rescan per round in far less
-    work (see DESIGN.md §5d and the differential suite).
+    server's per-attribute buckets ({!Policy.bucket}), computes each
+    candidate on the rules' bits ({!Intern.Bits}) without allocating,
+    dedupes within the round on bits, and admits against the
+    round-start policy ({!Policy.part_admits}, or [can_view] under an
+    open-mode policy) — producing the {e same rule set} as an all-pairs
+    rescan per round in far less work (see DESIGN.md §5d and the
+    differential suite). Only a fresh rule builds its tree sets.
 
     [max_rules] (default [100_000]) bounds the size of the closure; the
     bound can only be hit on pathological inputs (the closure is finite
@@ -127,11 +129,13 @@ val add : Authorization.t -> closed -> closed
 (** [revoke a t] — handle over [Policy.remove a (policy t)]; [t] itself
     when [a] is not in the base (a derived rule, say). Only derived
     rules of [a]'s server can lose their support, so if the closure was
-    computed, only that server is re-closed (lazily) from its remaining
-    base rules: the cost follows that server's closure, every other
-    server keeps its rules and steps, and on a handle closed from
-    scratch the result is exactly {!close_trace} of the shrunk base.
-    Otherwise the closure is recomputed lazily from the shrunk base. *)
+    computed, that server's part of it is replaced by the shrunk base's
+    part ({!Policy.with_part}) and re-closed (lazily): the cost follows
+    that server's closure, every other server keeps its rules and
+    steps, the server's rules and steps are exactly those of
+    {!close_trace} of the shrunk base, and on a handle closed from
+    scratch so is the whole result. Otherwise the closure is recomputed
+    lazily from the shrunk base. *)
 val revoke : Authorization.t -> closed -> closed
 
 (** [derives ~joins policy profile s] — convenience: does the closure

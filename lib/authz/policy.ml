@@ -1,34 +1,7 @@
 open Relalg
 module Auth_set = Set.Make (Authorization)
 module Int_set = Set.Make (Int)
-
-(* [can_view] (Definition 3.3) requires join-path EQUALITY, so grants
-   are indexed by (path id, server): a membership test inspects only
-   the attribute sets that can possibly match. [by_attr] buckets rules
-   by each attribute they mention — the chase probes it to find merge
-   partners covering one side of a join condition without scanning the
-   whole view. *)
-module Grant_key = struct
-  type t = int * Server.t
-
-  let compare (p1, s1) (p2, s2) =
-    match Int.compare p1 p2 with
-    | 0 -> Server.compare s1 s2
-    | c -> c
-end
-
-module Grant_map = Map.Make (Grant_key)
-
-module Attr_key = struct
-  type t = Attribute.t * Server.t
-
-  let compare (a1, s1) (a2, s2) =
-    match Attribute.compare a1 a2 with
-    | 0 -> Server.compare s1 s2
-    | c -> c
-end
-
-module Attr_map = Map.Make (Attr_key)
+module Int_map = Map.Make (Int)
 
 (* The epoch: an order-independent sum, mod 2^128, of per-rule MD5
    digests, so [add] and [remove] move it in O(1). The digest is taken
@@ -95,101 +68,125 @@ let digest (a : Authorization.t) =
     Hashtbl.add digests a.id d;
     d
 
-type t = {
+(* A policy is split by server: the merge rule joins two rules of one
+   server, and Definition 3.3 admits a release to one server by that
+   server's rules, so every index lives in the server's part.
+   [can_view] requires join-path EQUALITY, so [grants] indexes the
+   rules by path id: a check inspects only the attribute sets that can
+   possibly match. [by_attr] buckets the rules by each attribute id
+   they mention, newest first — the chase probes it for merge partners
+   covering one side of a join condition. *)
+type part = {
   rules : Auth_set.t;
   ids : Int_set.t;  (** the [Authorization.id]s of [rules] *)
-  count : int;  (** the size of [rules] *)
-  epoch : Sum.t;  (** the sum of the digests of [rules] *)
-  grants : Authorization.t list Grant_map.t;
-      (** rules granted per (path id, server); [can_view] and
-          [authorizing_rule] both resolve through this index *)
-  by_server : Auth_set.t Server.Map.t;
-  by_attr : Authorization.t list Attr_map.t;
-      (** rules per (mentioned attribute, server) *)
+  size : int;  (** the size of [rules] *)
+  sum : Sum.t;  (** the sum of the digests of [rules] *)
+  grants : Authorization.t list Int_map.t;  (** rules per path id *)
+  by_attr : Authorization.t list Int_map.t;  (** rules per attribute id *)
+}
+
+type t = {
+  parts : part Server.Map.t;  (** no part is empty *)
+  count : int;  (** the number of rules *)
+  epoch : Sum.t;  (** the sum of the digests of the rules *)
   negative : Auth_set.t;  (** denials; only consulted when [open_mode] *)
   open_mode : bool;
 }
 
-let empty =
+let empty_part =
   {
     rules = Auth_set.empty;
     ids = Int_set.empty;
+    size = 0;
+    sum = Sum.zero;
+    grants = Int_map.empty;
+    by_attr = Int_map.empty;
+  }
+
+let empty =
+  {
+    parts = Server.Map.empty;
     count = 0;
     epoch = Sum.zero;
-    grants = Grant_map.empty;
-    by_server = Server.Map.empty;
-    by_attr = Attr_map.empty;
     negative = Auth_set.empty;
     open_mode = false;
   }
 
-let mem (a : Authorization.t) t = Int_set.mem a.id t.ids
-let mem_id id t = Int_set.mem id t.ids
+let part t s =
+  match Server.Map.find s t.parts with
+  | p -> p
+  | exception Not_found -> empty_part
 
-let add (a : Authorization.t) t =
-  if Int_set.mem a.id t.ids then t
-  else
-    {
-      t with
-      rules = Auth_set.add a t.rules;
-      ids = Int_set.add a.id t.ids;
-      count = t.count + 1;
-      epoch = Sum.add t.epoch (digest a);
-      grants =
-        Grant_map.update (a.path_id, a.server)
-          (fun existing -> Some (a :: Option.value ~default:[] existing))
-          t.grants;
-      by_server =
-        Server.Map.update a.server
-          (fun existing ->
-            Some (Auth_set.add a (Option.value ~default:Auth_set.empty existing)))
-          t.by_server;
-      by_attr =
-        Attribute.Set.fold
-          (fun attr m ->
-            Attr_map.update (attr, a.server)
-              (fun existing -> Some (a :: Option.value ~default:[] existing))
-              m)
-          a.attrs t.by_attr;
-    }
+let with_part s p t =
+  let old = part t s in
+  {
+    t with
+    parts =
+      (if p.size = 0 then Server.Map.remove s t.parts
+       else Server.Map.add s p t.parts);
+    count = t.count - old.size + p.size;
+    epoch = Sum.add (Sum.sub t.epoch old.sum) p.sum;
+  }
 
-let remove (a : Authorization.t) t =
-  if not (mem a t) then t
-  else
-    let others (r : Authorization.t) = r.id <> a.id in
-    let drop = function
+let mem (a : Authorization.t) t = Int_set.mem a.id (part t a.server).ids
+
+let mem_id id t =
+  Server.Map.exists (fun _ p -> Int_set.mem id p.ids) t.parts
+
+let push (a : Authorization.t) key m =
+  Int_map.update key
+    (fun rules -> Some (a :: Option.value ~default:[] rules))
+    m
+
+let pull (a : Authorization.t) key m =
+  Int_map.update key
+    (function
       | None -> None
       | Some rules ->
-        let rest = Auth_set.remove a rules in
-        if Auth_set.is_empty rest then None else Some rest
-    in
-    {
-      t with
-      rules = Auth_set.remove a t.rules;
-      ids = Int_set.remove a.id t.ids;
-      count = t.count - 1;
-      epoch = Sum.sub t.epoch (digest a);
-      grants =
-        Grant_map.update (a.path_id, a.server)
-          (fun existing ->
-            match List.filter others (Option.value ~default:[] existing) with
-            | [] -> None
-            | rest -> Some rest)
-          t.grants;
-      by_server = Server.Map.update a.server drop t.by_server;
-      by_attr =
-        Attribute.Set.fold
-          (fun attr m ->
-            Attr_map.update (attr, a.server)
-              (function
-                | None -> None
-                | Some rules ->
-                  (match List.filter others rules with
-                   | [] -> None
-                   | rest -> Some rest))
-              m)
-          a.attrs t.by_attr;
-    }
+        (match
+           List.filter (fun (r : Authorization.t) -> r.id <> a.id) rules
+         with
+         | [] -> None
+         | rest -> Some rest))
+    m
+
+(* [index f a m] — [m] with [f a] applied under each attribute id of
+   [a]. *)
+let index f (a : Authorization.t) m =
+  let m = ref m in
+  Intern.Bits.iter (fun id -> m := f a id !m) a.attrs_bits;
+  !m
+
+let add (a : Authorization.t) t =
+  let p = part t a.server in
+  if Int_set.mem a.id p.ids then t
+  else
+    let d = digest a in
+    with_part a.server
+      {
+        rules = Auth_set.add a p.rules;
+        ids = Int_set.add a.id p.ids;
+        size = p.size + 1;
+        sum = Sum.add p.sum d;
+        grants = push a a.path_id p.grants;
+        by_attr = index push a p.by_attr;
+      }
+      t
+
+let remove (a : Authorization.t) t =
+  let p = part t a.server in
+  if not (Int_set.mem a.id p.ids) then t
+  else
+    with_part a.server
+      {
+        rules = Auth_set.remove a p.rules;
+        ids = Int_set.remove a.id p.ids;
+        size = p.size - 1;
+        sum = Sum.sub p.sum (digest a);
+        grants = pull a a.path_id p.grants;
+        by_attr = index pull a p.by_attr;
+      }
+      t
 
 let of_list auths = List.fold_left (fun t a -> add a t) empty auths
 
@@ -202,32 +199,47 @@ let add_denial a t = { t with negative = Auth_set.add a t.negative }
 let remove_denial a t = { t with negative = Auth_set.remove a t.negative }
 let epoch t = Sum.to_hex t.epoch
 
-let union a b = Auth_set.fold add b.rules a
+let union a b =
+  Server.Map.fold (fun _ p acc -> Auth_set.fold add p.rules acc) b.parts a
 
-let authorizations t = Auth_set.elements t.rules
+let authorizations t =
+  List.concat_map
+    (fun (_, p) -> Auth_set.elements p.rules)
+    (Server.Map.bindings t.parts)
 
-let view t s =
-  match Server.Map.find_opt s t.by_server with
-  | None -> []
-  | Some rules -> Auth_set.elements rules
+let view t s = Auth_set.elements (part t s).rules
+
+let bucket p attr =
+  match Int_map.find attr p.by_attr with
+  | rules -> rules
+  | exception Not_found -> []
 
 let covering_entries t s = function
   | [] -> invalid_arg "Policy.covering_entries: empty attribute side"
   | probe :: _ as side ->
-    (match Attr_map.find_opt (probe, s) t.by_attr with
-     | None -> []
-     | Some rules ->
-       List.filter
-         (fun (r : Authorization.t) ->
-           List.for_all (fun x -> Attribute.Set.mem x r.attrs) side)
-         rules)
+    List.filter
+      (fun (r : Authorization.t) ->
+        List.for_all (fun x -> Attribute.Set.mem x r.attrs) side)
+      (bucket (part t s) (Intern.attr_id probe))
+
+(* The chase's admission test, on bits and allocation-free: [-1], the
+   id of a path nobody interned, is in no index. *)
+let rec some_covers attrs = function
+  | [] -> false
+  | (r : Authorization.t) :: rest ->
+    Intern.Bits.subset attrs r.attrs_bits || some_covers attrs rest
+
+let part_admits p ~path ~attrs =
+  match Int_map.find (Intern.find_path_bits path) p.grants with
+  | rules -> some_covers attrs rules
+  | exception Not_found -> false
 
 let cardinality t = t.count
 
 let servers t =
   Server.Map.fold
     (fun s _ acc -> Server.Set.add s acc)
-    t.by_server Server.Set.empty
+    t.parts Server.Set.empty
 
 (* A denial [A, J] -> S matches when all of A is visible and the view's
    path contains J. *)
@@ -243,7 +255,9 @@ let denied t (profile : Profile.t) s =
 (* The rules granted to [s] under the join path [path_id]: the one
    bucket whose rules can possibly authorize a flow on that path. *)
 let granted t ~path_id s =
-  Option.value ~default:[] (Grant_map.find_opt (path_id, s) t.grants)
+  match Int_map.find path_id (part t s).grants with
+  | rules -> rules
+  | exception Not_found -> []
 
 let covers visible (r : Authorization.t) = Attribute.Set.subset visible r.attrs
 
@@ -259,16 +273,18 @@ let can_view t (profile : Profile.t) s =
     | Some path_id ->
       List.exists (covers (Profile.visible profile)) (granted t ~path_id s)
 
-(* [can_view] for callers (the chase) that already hold the interned
-   path id and the visible set of a selection-free profile. Closed
-   policies only: open-mode admission depends on the concrete join
-   path, which this entry point does not see. *)
+(* [can_view] for callers that already hold the interned path id and
+   the visible set of a selection-free profile. Closed policies only:
+   open-mode admission depends on the concrete join path, which this
+   entry point does not see. *)
 let admits t s ~path_id visible =
   List.exists (covers visible) (granted t ~path_id s)
 
 let equal a b =
   Bool.equal a.open_mode b.open_mode
-  && Auth_set.equal a.rules b.rules
+  && Server.Map.equal
+       (fun p q -> Auth_set.equal p.rules q.rules)
+       a.parts b.parts
   && Auth_set.equal a.negative b.negative
 
 let pp ppf t =

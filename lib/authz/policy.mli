@@ -23,7 +23,8 @@ val empty : t
     comparison. *)
 val mem : Authorization.t -> t -> bool
 
-(** [mem_id id t] — membership by {!Authorization.t}'s [id]. *)
+(** [mem_id id t] — membership by {!Authorization.t}'s [id], looked up
+    in every server's part. *)
 val mem_id : int -> t -> bool
 
 (** [add a t] — [t] with rule [a] (no-op when present). Moves the
@@ -64,13 +65,37 @@ val authorizations : t -> Authorization.t list
 val view : t -> Server.t -> Authorization.t list
 
 (** [covering_entries t s side] — the rules of [view t s] whose
-    attribute set contains every attribute of [side], found through the
-    per-attribute bucket of the first element of [side]. This is the
-    chase's merge-partner lookup: only rules that can possibly cover
-    one side of a join condition are inspected.
+    attribute set contains every attribute of [side], newest first,
+    found through the {!bucket} of the first element of [side].
 
     @raise Invalid_argument on an empty [side]. *)
 val covering_entries : t -> Server.t -> Attribute.t list -> Authorization.t list
+
+(** {2 One server's part}
+
+    A policy is a map from each server to its part: the server's rules,
+    their grants index (by path id) and their buckets by attribute id.
+    The chase works on one part at a time. *)
+
+type part
+
+(** [part t s] — [s]'s part (empty when [s] holds no rule). *)
+val part : t -> Server.t -> part
+
+(** [with_part s p t] — [t] with [s]'s part replaced by [p], which must
+    hold only rules of [s]. The {!cardinality} and the {!epoch} move in
+    O(1). *)
+val with_part : Server.t -> part -> t -> t
+
+(** [bucket p attr] — the rules of [p] whose attribute bits hold
+    attribute id [attr] ({!Intern.attr_id}), newest first. *)
+val bucket : part -> int -> Authorization.t list
+
+(** [part_admits p ~path ~attrs] — some rule of [p] has path bits equal
+    to [path] and attribute bits including [attrs]: {!admits} on bits,
+    for a closed policy. It allocates nothing, and reads a scratch
+    {!Intern.Bits.view}. *)
+val part_admits : part -> path:Intern.Bits.t -> attrs:Intern.Bits.t -> bool
 
 (** The number of rules, in O(1). *)
 val cardinality : t -> int
@@ -88,9 +113,10 @@ val can_view : t -> Profile.t -> Server.t -> bool
 
 (** [admits t s ~path_id visible] is {!can_view} for a {e closed}
     policy when the caller already holds the interned path id and the
-    visible set of a selection-free profile — the chase's filter, with
-    no structural walks. Open-mode admission depends on the concrete
-    join path; callers holding an open policy must use {!can_view}. *)
+    visible set of a selection-free profile, with no structural walk
+    of the path ({!part_admits} is the chase's bit form). Open-mode
+    admission depends on the concrete join path; callers holding an
+    open policy must use {!can_view}. *)
 val admits : t -> Server.t -> path_id:int -> Attribute.Set.t -> bool
 
 (** [authorizing_rule t ~path_id s visible] — the rule granted to [s]

@@ -78,10 +78,12 @@ type program = {
   location : Server.t;
   assignment : Assignment.t;
   certificate : Analysis.Certificate.plan_cert option;
+  rescues : Planner.Third_party.rescue list;
 }
 
 let assignment p = p.assignment
 let certificate p = p.certificate
+let rescues p = p.rescues
 
 (* ------------------------------------------------------------------ *)
 (* Run-time steps: the fault injector's charge-check-act discipline.   *)
@@ -283,6 +285,11 @@ let compile ?(third_party = false) ?executor ?bloom ?certificate catalog
       profile;
       path_id = Intern.path_id profile.join;
     }
+  in
+  (* The joins a helper rescues, as the protocol decode finds them. *)
+  let rescues = ref [] in
+  let rescued node helper kind =
+    rescues := { Planner.Third_party.node; helper; kind } :: !rescues
   in
   let structure e = raise (Fail (Structure e)) in
   let exec_of (n : Plan.node) =
@@ -570,8 +577,11 @@ let compile ?(third_party = false) ?executor ?bloom ?certificate catalog
       sided side (fun ~m ~o ~mj:_ ~oj:_ ~master_right ->
           regular ~m ~o ~master_right)
     | Ok (Semi (side, slave)) -> sided side (semi ~slave)
-    | Ok (Coordinated (side, _, t)) -> sided side (coordinated ~t)
+    | Ok (Coordinated (side, _, t)) ->
+      rescued id t Coordinator;
+      sided side (coordinated ~t)
     | Ok Proxy ->
+      rescued id master Proxy;
       (* Proxy join: both operands ship their results. *)
       let tx_l =
         transmission ~header:lc.header ~sender:lc.at ~receiver:master
@@ -591,7 +601,19 @@ let compile ?(third_party = false) ?executor ?bloom ?certificate catalog
             run lv (xmit ctx tx_r rv) )
   in
   match go (Plan.root plan) with
-  | root -> Ok { root = root.step; location = root.at; assignment; certificate }
+  | root ->
+    Ok
+      {
+        root = root.step;
+        location = root.at;
+        assignment;
+        certificate;
+        rescues =
+          List.sort
+            (fun (a : Planner.Third_party.rescue) b ->
+              Int.compare a.node b.node)
+            !rescues;
+      }
   | exception Fail e -> Error e
 
 let run ?fault ?network ?deadline ?observe program =

@@ -90,6 +90,12 @@ val assignment : program -> Assignment.t
     compiled without one). *)
 val certificate : program -> Analysis.Certificate.plan_cert option
 
+(** The joins a third party rescues, by increasing node id: the
+    coordinated and proxy joins {!compile} decoded. For any program
+    that compiles, this is {!Planner.Third_party.rescues_of} the plan
+    and the program's assignment, found once. *)
+val rescues : program -> Planner.Third_party.rescue list
+
 (** [compile catalog ~instances plan assignment] compiles the plan.
     [instances] maps base-relation names to their stored instances;
     compiling reads each leaf instance's header, and every run looks the

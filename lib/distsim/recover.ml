@@ -100,10 +100,7 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
            cache, whose epoch gate just passed): run it directly,
            without a fresh proof. Any failover replans — and proves —
            from scratch. *)
-        run i
-          ~rescues:
-            (Planner.Third_party.rescues_of plan (Engine.assignment program))
-          program
+        run i program
       | _ -> replan i ~pending)
   and replan i ~pending =
     match
@@ -147,9 +144,9 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
            Engine.compile ~third_party:(rescues <> []) ?executor ?bloom
              ?certificate catalog ~instances plan assignment
          with
-         | Ok program -> run i ~rescues program
+         | Ok program -> run i program
          | Error e -> failed i ~partial:[] e))
-  and run i ~rescues program =
+  and run i program =
     let network = Network.create () in
     segments := network :: !segments;
     let partial = ref [] in
@@ -171,7 +168,7 @@ let execute ?(helpers = []) ?executor ?bloom ?closed ?deadline ?(excluded = [])
           log;
           assignment = Engine.assignment program;
           certificate = Engine.certificate program;
-          rescues;
+          rescues = Engine.rescues program;
           failovers = List.rev !failovers;
           excluded = !excluded;
           attempts = i;

@@ -153,8 +153,8 @@ type outcome = (recovered, degraded) result
     passed, or the assignment [cisqp run] planned with its own flags —
     skipping the initial replan and its proof. Attempt 1 runs it as it
     is: its assignment and certificate are the program's
-    ({!Engine.assignment}, {!Engine.certificate}), and its rescues are
-    {!Planner.Third_party.rescues_of} the plan and that assignment.
+    ({!Engine.assignment}, {!Engine.certificate}), and so are its
+    rescues ({!Engine.rescues}, found once, when it was compiled).
     Failovers still replan and prove from scratch.
 
     Every replanned attempt compiles its assignment, with its

@@ -60,8 +60,8 @@ let qcheck = QCheck_alcotest.to_alcotest
 
 (* The state a policy change maintains in place, against rebuilding
    it: the handle's base epoch against the epoch of the same rules
-   added in reverse order, and every closure rule's interned ids
-   against the ids re-interning its parts gives. [None] when both
+   added in reverse order, and every closure rule's interned ids and
+   bits against those re-interning its parts gives. [None] when both
    hold. *)
 let maintained_state_error h =
   let module A = Authz.Authorization in
@@ -71,6 +71,7 @@ let maintained_state_error h =
   let stale (a : A.t) =
     let b = A.make_exn ~attrs:a.attrs ~path:a.path a.server in
     a.id <> b.id || a.attrs_id <> b.attrs_id || a.path_id <> b.path_id
+    || a.attrs_bits <> b.attrs_bits || a.path_bits <> b.path_bits
   in
   if not (String.equal (P.epoch base) (P.epoch rebuilt)) then
     Some

@@ -110,6 +110,98 @@ let test_pp_format () =
   check Alcotest.string "Figure 3 style" "[{Holder, Plan}, -] -> S_I"
     (Authorization.to_string a)
 
+(* Bit laws: on random attribute sets and join paths, the bitsets'
+   union, subset, equality and hash agree with [Attribute.Set] and
+   [Joinpath]. The universes hold 150 attributes and 150 conditions, all
+   interned before any set is drawn, so ids cross word boundaries; a
+   scratch union, read through its view, must agree too. *)
+let universe = 150
+let bit_attr i = Attribute.make ~relation:"W" (Printf.sprintf "w%d" i)
+
+let bit_cond i =
+  Joinpath.Cond.eq (bit_attr i)
+    (Attribute.make ~relation:"V" (Printf.sprintf "v%d" i))
+
+let intern_universe () =
+  for i = 0 to universe - 1 do
+    ignore (Intern.attr_id (bit_attr i));
+    ignore (Intern.cond_id (bit_cond i))
+  done
+
+let arb_picks =
+  QCheck.(
+    pair
+      (list_of_size Gen.(0 -- 40) (int_bound (universe - 1)))
+      (list_of_size Gen.(0 -- 40) (int_bound (universe - 1))))
+
+let bits_agree ~bits ~union ~subset ~equal a b =
+  let module B = Intern.Bits in
+  let ba = bits a and bb = bits b in
+  let scratch = B.scratch () in
+  (* A wide union first, so the scratch holds stale words to clear. *)
+  B.union_into scratch (bits (union a b)) (bits (union a b));
+  B.union_into scratch ba bb;
+  B.union ba bb = bits (union a b)
+  && B.equal (B.view scratch) (bits (union a b))
+  && B.hash (B.view scratch) = B.hash (bits (union a b))
+  && Bool.equal (B.subset ba bb) (subset a b)
+  && Bool.equal (B.subset (B.view scratch) ba) (subset (union a b) a)
+  && Bool.equal (B.equal ba bb) (equal a b)
+  && Bool.equal (ba = bb) (equal a b)
+  && ((not (equal a b)) || B.hash ba = B.hash bb)
+
+let prop_attr_bits =
+  QCheck.Test.make ~name:"attribute bits agree with Attribute.Set" ~count:500
+    arb_picks (fun (xs, ys) ->
+      intern_universe ();
+      let set picks = Attribute.Set.of_list (List.map bit_attr picks) in
+      let a = set xs and b = set (xs @ ys) in
+      bits_agree ~bits:Intern.attrs_bits ~union:Attribute.Set.union
+        ~subset:Attribute.Set.subset ~equal:Attribute.Set.equal a b
+      && bits_agree ~bits:Intern.attrs_bits ~union:Attribute.Set.union
+           ~subset:Attribute.Set.subset ~equal:Attribute.Set.equal (set ys) a
+      && Intern.Bits.elements (Intern.attrs_bits a)
+         = List.sort_uniq Int.compare
+             (List.map Intern.attr_id (Attribute.Set.elements a)))
+
+let prop_path_bits =
+  QCheck.Test.make ~name:"path bits agree with Joinpath" ~count:500 arb_picks
+    (fun (xs, ys) ->
+      intern_universe ();
+      (* Flipped conditions are the same conditions. *)
+      let path ?(flip = false) picks =
+        Joinpath.of_list
+          (List.map
+             (fun i ->
+               if flip then Joinpath.Cond.flip (bit_cond i) else bit_cond i)
+             picks)
+      in
+      let a = path xs and b = path (xs @ ys) in
+      bits_agree ~bits:Intern.path_bits ~union:Joinpath.union
+        ~subset:Joinpath.subset ~equal:Joinpath.equal a b
+      && bits_agree ~bits:Intern.path_bits ~union:Joinpath.union
+           ~subset:Joinpath.subset ~equal:Joinpath.equal (path ys) a
+      && Intern.path_bits (path ~flip:true xs) = Intern.path_bits a)
+
+let test_bits_stable () =
+  (* A set's bits do not move when more ids are interned, and bits
+     drawn in any order are structurally equal. *)
+  let set = Attribute.Set.of_list [ bit_attr 3; bit_attr 70; bit_attr 140 ] in
+  let before = Intern.attrs_bits set in
+  for i = 0 to 200 do
+    ignore
+      (Intern.attr_id (Attribute.make ~relation:"U" (Printf.sprintf "u%d" i)))
+  done;
+  check Alcotest.bool "same bits after more interning" true
+    (before = Intern.attrs_bits set);
+  check Alcotest.bool "of_list is order-free" true
+    (Intern.Bits.of_list [ 140; 3; 70 ] = Intern.Bits.of_list [ 3; 70; 140 ]);
+  check Alcotest.(list int) "elements" [ 3; 70; 140 ]
+    (Intern.Bits.elements (Intern.Bits.of_list [ 140; 3; 70; 3 ]));
+  let module B = Intern.Bits in
+  check Alcotest.bool "the empty set" true
+    (B.of_list [] = B.empty && B.union B.empty B.empty = B.empty)
+
 let suite =
   [
     c "single relation, empty path" `Quick test_single_relation_empty_path;
@@ -121,4 +213,7 @@ let suite =
     c "Figure 3 rules all valid and distinct" `Quick test_figure3_all_valid;
     c "ordering groups by server" `Quick test_ordering_groups_by_server;
     c "printing matches Figure 3" `Quick test_pp_format;
+    c "bits are stable and canonical" `Quick test_bits_stable;
+    Helpers.qcheck prop_attr_bits;
+    Helpers.qcheck prop_path_bits;
   ]

@@ -58,6 +58,21 @@ let test_differential_soak () =
         seed (Policy.cardinality fast) (Policy.cardinality slow)
   done
 
+(* Every rule of a generated closure carries the bits of its own tree
+   sets: the chase builds a fresh rule's sets from its parents', and
+   the merge it admitted was computed on the parents' bits. *)
+let prop_closure_bits =
+  QCheck.Test.make ~count:60 ~name:"closure rules carry their sets' bits"
+    QCheck.(int_range 1 200)
+    (fun seed ->
+      let sys, policy = random_case seed in
+      let joins = sys.Workload.System_gen.join_graph in
+      List.for_all
+        (fun (a : Authorization.t) ->
+          a.attrs_bits = Intern.attrs_bits a.attrs
+          && a.path_bits = Intern.path_bits a.path)
+        (Policy.authorizations (Chase.close ~joins policy)))
+
 let test_idempotent_random () =
   for seed = 1 to 30 do
     let sys, policy = random_case ~max_density:0.5 ~max_relations:4 seed in
@@ -394,6 +409,7 @@ let suite =
   [
     c "differential soak: semi-naive = naive on 200 random policies" `Quick
       test_differential_soak;
+    Helpers.qcheck prop_closure_bits;
     c "idempotent on random policies" `Quick test_idempotent_random;
     c "order-independent" `Quick test_order_independent;
     c "incremental add is extensionally faithful" `Quick

@@ -144,6 +144,30 @@ let test_coordinator_through_facade () =
     check Alcotest.int "four messages" 4 r.messages;
     check Alcotest.int "two outcome rows" 2 (Relation.cardinality r.result)
 
+(* A hit runs the program its miss compiled, and reports the rescues
+   that program recorded: the coordinated join's helper, as at the
+   miss. *)
+let test_hit_reports_miss_rescues () =
+  let fed =
+    Federation.create ~catalog:R.catalog ~policy:R.policy
+      ~helpers:[ R.s_t ] ~instances:R.instances ()
+  in
+  let serve () =
+    match Federation.query fed R.outcomes_query_sql with
+    | Error e -> Alcotest.failf "%a" Federation.pp_error e
+    | Ok r -> r
+  in
+  let miss = serve () in
+  let hit = serve () in
+  check Alcotest.bool "miss then hit" true
+    ((not miss.from_cache) && hit.from_cache);
+  (match miss.rescues with
+   | [ { Planner.Third_party.helper; kind = Coordinator; _ } ] ->
+     check Helpers.server "coordinated by S_T" R.s_t helper
+   | _ -> Alcotest.fail "the miss should report one coordinator rescue");
+  check Alcotest.bool "the hit reports the miss's rescues" true
+    (hit.rescues = miss.rescues)
+
 let test_close_under_chase () =
   (* Give S_D an explicit grant on Hospital; the joined Disease_list ⋈
      Hospital view is only admitted once the policy is chase-closed. *)
@@ -312,6 +336,7 @@ let suite =
     c "helper rescue through the facade" `Quick
       test_helper_rescue_through_facade;
     c "coordinator through the facade" `Quick test_coordinator_through_facade;
+    c "a hit reports its miss's rescues" `Quick test_hit_reports_miss_rescues;
     c "close_under runs the chase" `Quick test_close_under_chase;
     c "fault: answered after failover" `Quick test_query_with_fault_failover;
     c "fault: typed degradation" `Quick test_query_with_fault_degraded;
